@@ -34,6 +34,7 @@ from repro.serve import (
     InferenceRequest,
     KVCacheConfig,
     ModelRepository,
+    SamplingParams,
     ServingEngine,
     TenantConfig,
     WorkloadFamily,
@@ -115,7 +116,7 @@ def _request(seq_len, max_new_tokens, seed):
         MODEL,
         WorkloadFamily.LM,
         rng.integers(0, VOCAB, size=seq_len),
-        max_new_tokens=max_new_tokens,
+        sampling=SamplingParams(max_new_tokens=max_new_tokens),
     )
 
 
@@ -242,7 +243,7 @@ def test_bench_gateway_chunked_token_identity(benchmark, serve_trajectory):
         for _ in range(300):
             for result in scheduler.step():
                 generated[result.request_id] = list(
-                    result.output["generated_tokens"]
+                    result.output.token_ids
                 )
             if not len(scheduler):
                 break

@@ -1,24 +1,16 @@
-"""Benchmark: OVP-paged KV caches, incremental decode, continuous batching.
+"""Benchmark: OVP-paged KV caches and incremental decode.
 
-Three perf/memory properties guard the LM serving stack:
+Two perf/memory properties guard the LM serving stack:
 
 * incremental decode through a packed KV cache must beat full-prefix
   recomputation on long-prefix generation;
 * a (mostly sealed) 4-bit OVP cache must be at least 4x smaller than the
-  fp32 cache holding the same tokens;
-* slot-level continuous batching must sustain higher generation throughput
-  than whole-batch release on a mixed-length request stream.
+  fp32 cache holding the same tokens.
 """
 
 import numpy as np
 
-from repro.serve import (
-    InferenceRequest,
-    KVCacheConfig,
-    ModelRepository,
-    ServingEngine,
-    WorkloadFamily,
-)
+from repro.serve import KVCacheConfig, ModelRepository, WorkloadFamily
 from repro.serve.kvcache import cache_for_model
 
 MODEL = "gpt2-xl"
@@ -101,59 +93,3 @@ def test_bench_packed_cache_4x_smaller_than_fp32(run_once, benchmark):
         f"packed KV cache only {compression:.2f}x smaller than fp32"
     )
 
-
-def test_bench_continuous_beats_whole_batch_release(
-    run_once, best_of, benchmark, serve_trajectory
-):
-    # Mixed-length stream: every wave of short generations rides with one
-    # straggler, the worst case for whole-batch release.
-    gens = [48, 4, 4, 4] * 4
-    rng = np.random.default_rng(2)
-    prompts = [rng.integers(0, 96, size=8) for _ in gens]
-    repository = ModelRepository(bits=4)
-    repository.get(MODEL, WorkloadFamily.LM)
-    kv_config = KVCacheConfig(bits=4, page_size=8)
-
-    def requests():
-        return [
-            InferenceRequest(MODEL, WorkloadFamily.LM, p, max_new_tokens=g)
-            for p, g in zip(prompts, gens)
-        ]
-
-    continuous = ServingEngine(
-        repository=repository, max_batch_size=4, max_wait=0.0,
-        kv_cache_config=kv_config,
-    )
-    whole_batch = ServingEngine(
-        repository=repository, max_batch_size=4, max_wait=0.0,
-        kv_cache_config=kv_config, continuous_batching=False,
-    )
-    continuous_seconds = best_of(lambda: continuous.serve(requests()), repeats=3)
-    whole_seconds = best_of(lambda: whole_batch.serve(requests()), repeats=3)
-    results = run_once(continuous.serve, requests())
-
-    generated = sum(len(r.output["generated_tokens"]) for r in results)
-    assert generated == sum(gens)
-    continuous_tps = generated / continuous_seconds
-    whole_tps = generated / whole_seconds
-    summary = continuous.stats.summary()
-    benchmark.extra_info.update(
-        {
-            "continuous_tokens_per_s": round(continuous_tps, 0),
-            "whole_batch_tokens_per_s": round(whole_tps, 0),
-            "continuous_speedup": round(continuous_tps / whole_tps, 2),
-            "mean_slot_occupancy": round(summary.mean_slot_occupancy, 3),
-            "kv_compression_at_peak": round(summary.kv_compression, 2),
-        }
-    )
-    serve_trajectory(
-        "continuous_batching",
-        tokens_per_second=round(continuous_tps, 0),
-        whole_batch_tokens_per_second=round(whole_tps, 0),
-        pool_hit_rate=round(summary.pool_hit_rate, 4),
-        mean_slot_occupancy=round(summary.mean_slot_occupancy, 3),
-    )
-    assert continuous_tps > whole_tps, (
-        f"continuous batching {continuous_tps:.0f} tok/s did not beat "
-        f"whole-batch release {whole_tps:.0f} tok/s"
-    )

@@ -22,6 +22,7 @@ from repro.serve import (
     InferenceRequest,
     KVCacheConfig,
     ModelRepository,
+    SamplingParams,
     WorkloadFamily,
 )
 from repro.serve.kvcache import LayerKVCache
@@ -99,7 +100,9 @@ def test_bench_prefix_shared_prefill_1_5x_over_cold(
     prompt = np.random.default_rng(1).integers(0, 96, size=60)
 
     def request():
-        return InferenceRequest(MODEL, WorkloadFamily.LM, prompt, max_new_tokens=2)
+        return InferenceRequest(
+            MODEL, WorkloadFamily.LM, prompt, sampling=SamplingParams(max_new_tokens=2)
+        )
 
     def make_scheduler(prefix_sharing):
         return ContinuousBatchingScheduler(
@@ -112,7 +115,7 @@ def test_bench_prefix_shared_prefill_1_5x_over_cold(
 
     warm = make_scheduler(prefix_sharing=True)
     warm.submit(request())
-    warm_tokens = warm.run_until_idle()[0].output["generated_tokens"]
+    warm_tokens = warm.run_until_idle()[0].output.token_ids
 
     def serve_one(scheduler):
         scheduler.submit(request())
@@ -125,10 +128,10 @@ def test_bench_prefix_shared_prefill_1_5x_over_cold(
     # Equivalence: the shared path generates the cold path's greedy tokens.
     shared_result = run_once(serve_one, warm)
     cold_result = serve_one(cold)
-    assert shared_result.output["generated_tokens"] == warm_tokens
-    assert shared_result.output["generated_tokens"] == cold_result.output["generated_tokens"]
+    assert shared_result.output.token_ids == warm_tokens
+    assert shared_result.output.token_ids == cold_result.output.token_ids
     # 60-token prompt, page 8: 7 pages = 56 tokens attach, 4 prefill.
-    assert shared_result.output["kv_cache"]["prefix_shared_tokens"] == 56
+    assert shared_result.output.kv_cache["prefix_shared_tokens"] == 56
 
     speedup = cold_seconds / shared_seconds
     benchmark.extra_info.update(

@@ -95,7 +95,7 @@ def test_bench_sampled_decode_overhead_within_10pct(
                 MODEL,
                 WorkloadFamily.LM,
                 rng.integers(0, 96, size=SEQ_LEN),
-                max_new_tokens=NEW_TOKENS,
+                sampling=SamplingParams(max_new_tokens=NEW_TOKENS),
             )
         )
         for _ in range(BATCH)

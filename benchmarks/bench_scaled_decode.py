@@ -37,6 +37,7 @@ from repro.serve import (
     InferenceRequest,
     KVCacheConfig,
     ModelRepository,
+    SamplingParams,
     SpeculativeConfig,
     SpeculativeDecoder,
     WorkloadFamily,
@@ -90,7 +91,7 @@ def _spec_requests():
                 MODEL,
                 WorkloadFamily.LM,
                 rng.integers(0, VOCAB, size=SPEC_SEQ_LEN),
-                max_new_tokens=SPEC_NEW_TOKENS,
+                sampling=SamplingParams(max_new_tokens=SPEC_NEW_TOKENS),
             )
         )
     return requests
@@ -110,7 +111,7 @@ def _drain(repository, speculative=None):
     for request in requests:
         scheduler.submit(request)
     outputs = {
-        r.request_id: list(r.output["generated_tokens"])
+        r.request_id: list(r.output.token_ids)
         for r in scheduler.run_until_idle()
     }
     return [outputs[request.request_id] for request in requests], stats.summary()
@@ -132,7 +133,7 @@ def _bucket_decode(repository, mode):
                     MODEL,
                     WorkloadFamily.LM,
                     rng.integers(0, VOCAB, size=length),
-                    max_new_tokens=BUCKET_NEW_TOKENS,
+                    sampling=SamplingParams(max_new_tokens=BUCKET_NEW_TOKENS),
                 )
             )
         for request in requests:
@@ -140,7 +141,7 @@ def _bucket_decode(repository, mode):
         scheduler.step()  # admit + prefill every slot outside the timer
         start = time.perf_counter()
         outputs = {
-            r.request_id: list(r.output["generated_tokens"])
+            r.request_id: list(r.output.token_ids)
             for r in scheduler.run_until_idle()
         }
         elapsed = time.perf_counter() - start

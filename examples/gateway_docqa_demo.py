@@ -29,6 +29,7 @@ from repro.serve import (
     KVCacheConfig,
     LoadRunner,
     ModelRepository,
+    SamplingParams,
     ServingEngine,
     TenantConfig,
     TenantLoad,
@@ -91,7 +92,7 @@ def request(seq_len, max_new_tokens, seed):
         MODEL,
         WorkloadFamily.LM,
         rng.integers(0, VOCAB, size=seq_len),
-        max_new_tokens=max_new_tokens,
+        sampling=SamplingParams(max_new_tokens=max_new_tokens),
     )
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from repro.serve import (
     InferenceRequest,
     KVCacheConfig,
+    SamplingParams,
     ServingEngine,
     WorkloadFamily,
 )
@@ -45,7 +46,7 @@ def make_requests(system_prompt, seed: int = 1):
                 MODEL,
                 WorkloadFamily.LM,
                 np.concatenate([system_prompt, suffix]),
-                max_new_tokens=6,
+                sampling=SamplingParams(max_new_tokens=6),
             )
         )
     return requests
@@ -71,10 +72,10 @@ def main() -> None:
           f"system prompt (+{SUFFIX_LEN}-token suffixes) ==")
     results, shared_seconds = serve_one_by_one(engine, make_requests(system_prompt))
     for result in results:
-        kv = result.output["kv_cache"]
+        kv = result.output.kv_cache
         # Cached steps = prompt + generated - 1 (the last token is returned
         # but never fed back), so recover the prompt length for display.
-        prompt_len = kv["seq_len"] - (len(result.output["generated_tokens"]) - 1)
+        prompt_len = kv["seq_len"] - (len(result.output.token_ids) - 1)
         print(f"  {result.request_id}: prefix-shared {kv['prefix_shared_tokens']:>2} "
               f"of {prompt_len} prompt tokens, "
               f"{kv['shared_pages']} shared pages in its cache")
@@ -101,7 +102,7 @@ def main() -> None:
     )
 
     same_tokens = all(
-        a.output["generated_tokens"] == b.output["generated_tokens"]
+        a.output.token_ids == b.output.token_ids
         for a, b in zip(results, cold_results)
     )
     print("\n== shared pool vs cold (no sharing, re-decode every round) ==")

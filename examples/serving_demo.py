@@ -20,6 +20,7 @@ import numpy as np
 from repro.serve import (
     AsyncServer,
     InferenceRequest,
+    SamplingParams,
     ServingEngine,
     WorkloadFamily,
 )
@@ -42,7 +43,7 @@ def make_traffic(num_requests: int, seq_len: int = 32, seed: int = 0):
                 model=MODELS[family],
                 family=family,
                 token_ids=rng.integers(0, 96, size=seq_len),
-                top_k=3,
+                sampling=SamplingParams(logprobs=3),
             )
         )
     rng.shuffle(requests)
@@ -85,7 +86,7 @@ def sync_demo() -> None:
     print(f"  span    : [{sample.output['start']}, {sample.output['end']}] "
           f"score={sample.output['score']:.2f}")
     sample = by_family[WorkloadFamily.LM]
-    print(f"  lm      : next_tokens={sample.output['next_tokens']}")
+    print(f"  lm      : next_tokens={sample.output.next_tokens}")
     print_summary("synchronous serving", engine)
     print(f"  repository             : {engine.repository.stats}")
 

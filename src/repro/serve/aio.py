@@ -184,16 +184,12 @@ class AsyncServer:
         """Queue an LM generation request and yield its tokens as they decode.
 
         The generator ends after the chunk carrying a ``finish_reason``
-        (``stop``/``length``/``aborted``/``error``); the yielded token ids
-        concatenate to exactly the non-streamed ``generated_tokens``.  A
-        request that fails before producing a terminal chunk raises the same
-        :class:`ServingError` that :meth:`infer` would.
+        (``stop``/``length``/``aborted``/``error``/``deadline``); the
+        yielded token ids concatenate to exactly the non-streamed
+        ``output.token_ids``.  A request that fails before producing a
+        terminal chunk raises the same :class:`ServingError` that
+        :meth:`infer` would.
         """
-        if not self.engine.continuous_batching:
-            raise ServingError(
-                "streaming requires continuous batching "
-                "(ServingEngine(continuous_batching=True))"
-            )
         # Streams never retry (delivered chunks cannot be unsent), so an
         # admission rejection must surface here rather than enter backoff.
         future = self._register(request, allow_retry=False)

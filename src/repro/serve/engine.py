@@ -32,12 +32,7 @@ from repro.serve.health import (
     SLOClass,
     unified_event_log,
 )
-from repro.serve.kvcache import (
-    KVCacheConfig,
-    PagePool,
-    cache_for_model,
-    validate_token_budget,
-)
+from repro.serve.kvcache import KVCacheConfig
 from repro.serve.repository import ModelRepository, PackedModel
 from repro.serve.requests import (
     InferenceRequest,
@@ -45,7 +40,7 @@ from repro.serve.requests import (
     ServingError,
     WorkloadFamily,
 )
-from repro.serve.sampling import FinishReason, RequestOutput, Sampler, TokenChunk
+from repro.serve.sampling import FinishReason, RequestOutput, TokenChunk
 from repro.serve.scheduler import ContinuousBatchingScheduler, greedy_top_k
 from repro.serve.stats import BatchRecord, ServingStats
 from repro.serve.telemetry import NULL_TRACER
@@ -54,19 +49,14 @@ __all__ = ["InferenceEngine", "ServingEngine"]
 
 
 class InferenceEngine:
-    """Run batched forward passes for the three workload families."""
+    """Run batched forward passes: classify, span and score-only LM.
 
-    def __init__(
-        self,
-        repository: ModelRepository,
-        kv_cache_config: Optional[KVCacheConfig] = None,
-        page_pool: Optional[PagePool] = None,
-    ) -> None:
+    LM generation never comes here; it runs on the continuous-batching
+    scheduler.
+    """
+
+    def __init__(self, repository: ModelRepository) -> None:
         self.repository = repository
-        self.kv_cache_config = kv_cache_config or KVCacheConfig(bits=repository.bits)
-        # Sealed KV pages of every generation batch share one pool, so a
-        # sequence's pages decode once per LRU residency, not once per round.
-        self.page_pool = page_pool if page_pool is not None else self.kv_cache_config.make_pool()
 
     # ------------------------------------------------------------------ #
     # Batch execution
@@ -80,13 +70,20 @@ class InferenceEngine:
         """Execute one homogeneous batch; returns ``(results, BatchRecord)``.
 
         All requests must share one ``batch_key`` (the micro-batcher
-        guarantees this); mixing keys is a programming error.
+        guarantees this); mixing keys is a programming error, and so is a
+        generation request (``sampling.max_new_tokens > 0``).
         """
         if not batch:
             raise ServingError("cannot run an empty batch")
         keys = {q.request.batch_key for q in batch}
         if len(keys) != 1:
             raise ServingError(f"batch mixes incompatible requests: {sorted(keys)}")
+        for q in batch:
+            if q.request.sampling.max_new_tokens > 0:
+                raise ServingError(
+                    f"request {q.request.request_id!r} generates tokens; "
+                    "generation runs on the continuous-batching scheduler"
+                )
         first = batch[0].request
         entry = self.repository.get(first.model, first.family, first.num_classes)
         inputs = np.stack([q.request.token_ids for q in batch])
@@ -97,8 +94,6 @@ class InferenceEngine:
         elif first.family == WorkloadFamily.SPAN:
             outputs = self._run_span(entry, inputs)
         else:
-            # top_k/max_new_tokens are per-request (neither affects batching:
-            # requests that differ only in them still share the batch).
             outputs = self._run_lm(entry, inputs, [q.request for q in batch])
         compute_seconds = clock() - start
 
@@ -116,12 +111,11 @@ class InferenceEngine:
             )
             for q, output in zip(batch, outputs)
         ]
-        generated = sum(len(output.get("generated_tokens", ())) for output in outputs)
         record = BatchRecord(
             batch_size=len(batch),
             max_batch_size=int(max_batch_size or len(batch)),
             compute_seconds=compute_seconds,
-            tokens=int(inputs.size) + generated,
+            tokens=int(inputs.size),
             weight_stream_bytes=entry.packed_bytes,
             dram_bytes=self._dram_bytes(entry, int(inputs.size)),
             latencies=tuple(completed_at - q.enqueued_at for q in batch),
@@ -170,110 +164,23 @@ class InferenceEngine:
             )
         return outputs
 
+    @staticmethod
     def _run_lm(
-        self, entry: PackedModel, inputs: np.ndarray, requests: Sequence[InferenceRequest]
+        entry: PackedModel, inputs: np.ndarray, requests: Sequence[InferenceRequest]
     ) -> List[RequestOutput]:
-        """Score-only rows take the batched full forward; generation rows the
-        incremental KV-cache path.  The split keeps a score-only request's
-        logits identical whether or not generation requests share its batch
-        (the incremental prefill sees OVP-quantized K/V pages, the full
-        forward does not)."""
-        score_rows = [i for i, r in enumerate(requests) if r.max_new_tokens == 0]
-        gen_rows = [i for i, r in enumerate(requests) if r.max_new_tokens > 0]
-        outputs: List[Optional[RequestOutput]] = [None] * len(requests)
-        if score_rows:
-            log_probs = np.asarray(entry.model.log_probs(inputs[score_rows]))[:, -1, :]
-            for row_lp, i in zip(log_probs, score_rows):
-                top = greedy_top_k(row_lp, requests[i].top_k)
-                outputs[i] = RequestOutput(
-                    request_id=requests[i].request_id,
+        """Score-only rows: the final position's top candidates per request."""
+        log_probs = np.asarray(entry.model.log_probs(inputs))[:, -1, :]
+        outputs = []
+        for row_lp, request in zip(log_probs, requests):
+            top = greedy_top_k(row_lp, max(1, request.sampling.logprobs))
+            outputs.append(
+                RequestOutput(
+                    request_id=request.request_id,
                     next_tokens=top["next_tokens"],
                     log_probs=top["log_probs"],
                 )
-        if gen_rows:
-            generated = self._run_lm_generate(
-                entry, inputs[gen_rows], [requests[i] for i in gen_rows]
             )
-            for output, i in zip(generated, gen_rows):
-                outputs[i] = output
         return outputs
-
-    def _run_lm_generate(
-        self, entry: PackedModel, inputs: np.ndarray, requests: Sequence[InferenceRequest]
-    ) -> List[RequestOutput]:
-        """Whole-batch-release generation through OVP-paged KV caches.
-
-        The batch prefills in one incremental pass (one KV cache per row),
-        then advances one token per decode round until each row finishes
-        (stop token or ``max_new_tokens``); finished rows drop out of later
-        rounds, but the batch's results are only released together — the
-        baseline the continuous-batching scheduler improves on.  Each row
-        samples with its request's :class:`~repro.serve.sampling.SamplingParams`
-        through its own seeded generator — one draw per token, the same
-        discipline as the scheduler, so the two paths generate identical
-        tokens for identical requests.
-        """
-        for request in requests:
-            validate_token_budget(entry.model, request)
-        caches = [
-            cache_for_model(entry.model, self.kv_cache_config, pool=self.page_pool)
-            for _ in requests
-        ]
-        samplers = [Sampler(request.sampling) for request in requests]
-        generators = [sampler.make_generator() for sampler in samplers]
-        try:
-            last_lp = entry.model.log_probs_incremental(inputs, caches, last_only=True)[:, -1, :]
-            generated: List[List[int]] = [[] for _ in requests]
-            logprobs: List[List[float]] = [[] for _ in requests]
-            top_logprobs: List[list] = [[] for _ in requests]
-            finish: List[Optional[str]] = [None] * len(requests)
-            final_lp = [row for row in last_lp]
-
-            def emit(i: int, row_lp: np.ndarray) -> None:
-                final_lp[i] = row_lp
-                sampled = samplers[i].sample(row_lp, generators[i])
-                generated[i].append(sampled.token_id)
-                logprobs[i].append(sampled.logprob)
-                if sampled.top_logprobs:
-                    top_logprobs[i].append(sampled.top_logprobs)
-                if samplers[i].is_stop(sampled.token_id):
-                    finish[i] = FinishReason.STOP
-                elif len(generated[i]) >= requests[i].max_new_tokens:
-                    finish[i] = FinishReason.LENGTH
-
-            for i in range(len(requests)):
-                emit(i, last_lp[i])
-            while True:
-                rows = [i for i in range(len(requests)) if finish[i] is None]
-                if not rows:
-                    break
-                step_tokens = np.array([[generated[i][-1]] for i in rows], dtype=np.int64)
-                step_lp = entry.model.log_probs_incremental(
-                    step_tokens, [caches[i] for i in rows]
-                )[:, -1, :]
-                for row, i in enumerate(rows):
-                    emit(i, step_lp[row])
-            outputs = []
-            for i, request in enumerate(requests):
-                top = greedy_top_k(final_lp[i], request.top_k)
-                outputs.append(
-                    RequestOutput(
-                        request_id=request.request_id,
-                        finish_reason=finish[i],
-                        token_ids=generated[i],
-                        logprobs=logprobs[i],
-                        top_logprobs=top_logprobs[i],
-                        next_tokens=top["next_tokens"],
-                        log_probs=top["log_probs"],
-                        kv_cache=caches[i].memory_summary(),
-                    )
-                )
-            return outputs
-        finally:
-            # Batch release: drop the page-pool references (and their decoded
-            # LRU entries) whether the batch completed or its forward raised.
-            for cache in caches:
-                cache.release()
 
     # ------------------------------------------------------------------ #
     # Traffic accounting (ties into the repro.sim memory model)
@@ -303,11 +210,9 @@ class ServingEngine:
     """Synchronous serving scheduler: micro-batcher + engine + stats.
 
     LM generation requests (``sampling.max_new_tokens > 0``) are routed to a
-    slot-level continuous-batching scheduler by default, which admits and
-    retires sequences mid-flight over per-sequence OVP-paged KV caches.
-    ``continuous_batching=False`` sends them through the micro-batcher
-    instead (whole-batch release — the baseline the benchmarks compare
-    against).
+    slot-level continuous-batching scheduler, which admits and retires
+    sequences mid-flight over per-sequence OVP-paged KV caches; everything
+    else goes through the micro-batcher.
 
     Generation requests stream: :meth:`stream` iterates the request's
     :class:`~repro.serve.sampling.TokenChunk`'s as decode rounds produce
@@ -357,7 +262,6 @@ class ServingEngine:
         max_wait: float = 0.005,
         clock=time.monotonic,
         result_buffer: int = 4096,
-        continuous_batching: bool = True,
         num_slots: Optional[int] = None,
         kv_cache_config: Optional[KVCacheConfig] = None,
         share_generated_suffix: bool = False,
@@ -378,17 +282,12 @@ class ServingEngine:
             max_queue_depth=admission.max_queue_depth if admission is not None else None,
         )
         self.kv_cache_config = kv_cache_config or KVCacheConfig(bits=self.repository.bits)
-        # One page pool for the whole engine: continuous-batching slots and
-        # whole-batch generation share decoded pages and the prefix index.
+        # One page pool for every generation slot: decoded pages and the
+        # prefix index are shared across sequences.
         self.page_pool = self.kv_cache_config.make_pool()
         self.page_pool.tracer = self.tracer
-        self.engine = InferenceEngine(
-            self.repository,
-            kv_cache_config=self.kv_cache_config,
-            page_pool=self.page_pool,
-        )
+        self.engine = InferenceEngine(self.repository)
         self.stats = ServingStats(clock=clock)
-        self.continuous_batching = bool(continuous_batching)
         # The monitor builds before the scheduler so the admission policy's
         # shed-on-burn-rate mode can consult its firing alerts at submit time.
         self.health = self._build_health(health)
@@ -452,17 +351,13 @@ class ServingEngine:
     def submit(self, request: InferenceRequest) -> str:
         """Queue a request; returns its id for :meth:`result` lookup.
 
-        LM generation requests go to the continuous-batching scheduler (when
-        enabled); everything else goes to the micro-batcher.  With an
+        LM generation requests go to the continuous-batching scheduler;
+        everything else goes to the micro-batcher.  With an
         admission policy attached, either queue may reject the submission
         with a retryable :class:`~repro.serve.errors.QueueFullError` /
         :class:`~repro.serve.errors.AdmissionRejectedError`.
         """
-        if (
-            self.continuous_batching
-            and request.family == WorkloadFamily.LM
-            and request.max_new_tokens > 0
-        ):
+        if request.sampling.max_new_tokens > 0:
             return self.lm_scheduler.submit(request)
         try:
             self.batcher.submit(request)
@@ -589,16 +484,11 @@ class ServingEngine:
         buffered, so plain ``for chunk in engine.stream(rid)`` works without a
         separate serving loop; co-batched requests progress alongside.  The
         iterator ends after the chunk whose ``finish_reason`` is set
-        (``stop``/``length``/``aborted``/``error``); chunk ``token_ids``
-        concatenate to exactly the non-streamed ``generated_tokens``.  A
-        request that failed before producing tokens raises
-        :class:`ServingError`.
+        (``stop``/``length``/``aborted``/``error``/``deadline``); chunk
+        ``token_id``'s concatenate to exactly the non-streamed
+        ``output.token_ids``.  A request that failed before producing tokens
+        raises :class:`ServingError`.
         """
-        if not self.continuous_batching:
-            raise ServingError(
-                "streaming requires continuous batching "
-                "(ServingEngine(continuous_batching=True))"
-            )
         while True:
             chunk = self.next_chunk(request_id)
             if chunk is not None:

@@ -73,7 +73,7 @@ from repro.serve.errors import (
 )
 from repro.serve.health import HealthConfig, SLOClass
 from repro.serve.requests import InferenceRequest, InferenceResult, WorkloadFamily
-from repro.serve.sampling import RequestOutput
+from repro.serve.sampling import RequestOutput, SamplingParams
 
 __all__ = [
     "TenantConfig",
@@ -442,9 +442,13 @@ class Gateway:
                 family=payload.get("family", WorkloadFamily.LM),
                 token_ids=np.asarray(payload["token_ids"], dtype=np.int64),
             )
-            for key in ("max_new_tokens", "num_classes", "deadline_s", "request_id"):
+            for key in ("num_classes", "deadline_s", "request_id"):
                 if key in payload:
                     kwargs[key] = payload[key]
+            if "max_new_tokens" in payload:
+                kwargs["sampling"] = SamplingParams(
+                    max_new_tokens=int(payload["max_new_tokens"])
+                )
             request = InferenceRequest(**kwargs)
         except (KeyError, TypeError, ValueError, ServingError) as exc:
             return self._error_envelope(400, ServingError(f"bad request: {exc}"))

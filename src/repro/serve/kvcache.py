@@ -974,19 +974,19 @@ class SequenceKVCache:
 def validate_token_budget(model, request) -> None:
     """Reject a generation request that would outgrow ``model``'s positions.
 
-    Shared by the continuous scheduler (per-request failure at admission) and
-    the whole-batch generation path (batch failure), so the two can never
-    drift.  Models without a ``config.max_positions`` are not pre-checked;
-    they fail at decode time instead, which callers already isolate.
+    The continuous scheduler runs it at admission, failing just that
+    request.  Models without a ``config.max_positions`` are not pre-checked;
+    they fail at decode time instead, which the scheduler already isolates.
 
     The final generated token is returned but never fed back through the
     embedding, so a request embeds ``seq_len + max_new_tokens - 1`` positions.
     """
     limit = getattr(getattr(model, "config", None), "max_positions", None)
-    if limit is not None and request.seq_len + request.max_new_tokens - 1 > limit:
+    max_new_tokens = request.sampling.max_new_tokens
+    if limit is not None and request.seq_len + max_new_tokens - 1 > limit:
         raise ServingError(
             f"request {request.request_id!r}: prompt ({request.seq_len}) + "
-            f"max_new_tokens ({request.max_new_tokens}) exceeds the model's "
+            f"max_new_tokens ({max_new_tokens}) exceeds the model's "
             f"{limit} positions"
         )
 

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.serve.errors import ServingError
 from repro.serve.requests import InferenceRequest, WorkloadFamily
+from repro.serve.sampling import SamplingParams
 
 __all__ = [
     "TenantLoad",
@@ -306,7 +307,7 @@ class LoadRunner:
             model=self.model,
             family=WorkloadFamily.LM,
             token_ids=np.asarray(tokens, dtype=np.int64),
-            max_new_tokens=event.max_new_tokens,
+            sampling=SamplingParams(max_new_tokens=event.max_new_tokens),
             request_id=f"{event.conversation}/t{event.turn}",
         )
         self._count(event.tenant, "submitted")

@@ -10,9 +10,7 @@ inside one forward pass.
 LM decoding behaviour lives on :attr:`InferenceRequest.sampling` — a
 :class:`~repro.serve.sampling.SamplingParams` describing temperature /
 top-k / top-p filtering, stop tokens, token budget, reported logprobs and
-seed.  The pre-redesign ``top_k=`` / ``max_new_tokens=`` keyword arguments
-remain as a deprecation shim that maps into it (and the two stay mirrored, so
-old call sites read the same values they always did).
+seed.
 """
 
 from __future__ import annotations
@@ -75,17 +73,11 @@ class InferenceRequest:
         1-D array of input token ids.
     num_classes:
         Output classes for the classification family (ignored otherwise).
-    top_k:
-        **Deprecated** — number of candidates reported for the final scored
-        position (the pre-redesign report).  New callers set
-        ``sampling.logprobs``, which also streams per-token candidates.
-    max_new_tokens:
-        **Deprecated** — maps to ``sampling.max_new_tokens`` (LM tokens to
-        generate after the prompt; 0 scores the prompt only).
     sampling:
-        The request's :class:`~repro.serve.sampling.SamplingParams`.  When
-        omitted, one is built from the legacy kwargs (greedy decode).
-        Passing both ``sampling`` and conflicting legacy kwargs is an error.
+        The request's :class:`~repro.serve.sampling.SamplingParams`; the
+        default scores the prompt only.  ``sampling.max_new_tokens > 0``
+        (LM family only) generates, and ``max(1, sampling.logprobs)``
+        candidates are reported for the final scored position.
     slo_class:
         The SLO traffic class this request's latency/TTFT/availability is
         accounted under (see :mod:`repro.serve.health`).  Purely an
@@ -115,9 +107,7 @@ class InferenceRequest:
     family: str
     token_ids: np.ndarray
     num_classes: int = 2
-    top_k: int = 1
-    max_new_tokens: int = 0
-    sampling: Optional[SamplingParams] = None
+    sampling: SamplingParams = field(default_factory=SamplingParams)
     request_id: str = field(default_factory=_next_request_id)
     slo_class: str = "default"
     deadline_s: Optional[float] = None
@@ -145,30 +135,9 @@ class InferenceRequest:
             raise ServingError("token_ids must be a non-empty 1-D array")
         if self.num_classes < 1:
             raise ServingError("num_classes must be >= 1")
-        if self.sampling is None:
-            self.sampling = SamplingParams.from_legacy(self.top_k, self.max_new_tokens)
-            self.top_k = int(self.top_k)
-        else:
-            if not isinstance(self.sampling, SamplingParams):
-                raise ServingError("sampling must be a SamplingParams")
-            if self.top_k != 1 and self.top_k != max(1, self.sampling.logprobs):
-                raise ServingError(
-                    "pass top_k (deprecated) or sampling.logprobs, not both"
-                )
-            if (
-                self.max_new_tokens != 0
-                and self.max_new_tokens != self.sampling.max_new_tokens
-            ):
-                raise ServingError(
-                    "pass max_new_tokens (deprecated) or "
-                    "sampling.max_new_tokens, not both"
-                )
-            # New-API requests report sampling.logprobs candidates at the
-            # final position too; legacy requests keep their top_k as-is.
-            self.top_k = max(1, self.sampling.logprobs)
-        # Mirror so pre-redesign readers (request.max_new_tokens) stay correct.
-        self.max_new_tokens = self.sampling.max_new_tokens
-        if self.max_new_tokens > 0 and self.family != WorkloadFamily.LM:
+        if not isinstance(self.sampling, SamplingParams):
+            raise ServingError("sampling must be a SamplingParams")
+        if self.sampling.max_new_tokens > 0 and self.family != WorkloadFamily.LM:
             raise ServingError("max_new_tokens applies to the LM family only")
 
     @property
@@ -201,9 +170,7 @@ class InferenceResult:
       generated ``token_ids``/``logprobs``, the ``finish_reason``
       (``stop`` / ``length`` / ``aborted`` / ``error`` / ``deadline``;
       ``None`` for score-only requests) and the final position's top
-      candidates.  It also
-      answers the legacy dict keys (``next_tokens``, ``log_probs``,
-      ``generated_tokens``, ``kv_cache``).
+      candidates.
     """
 
     request_id: str

@@ -4,10 +4,8 @@ This module is the bottom layer of the serving stack's generation redesign:
 
 * :class:`SamplingParams` — one frozen, validated object describing *how* a
   request decodes (temperature, top-k/top-p filtering, stop tokens, token
-  budget, reported logprobs, seed).  Requests carry one; the legacy
-  ``top_k=``/``max_new_tokens=`` keyword arguments of
-  :class:`~repro.serve.requests.InferenceRequest` are a deprecation shim that
-  maps into it.
+  budget, reported logprobs, seed).  Every
+  :class:`~repro.serve.requests.InferenceRequest` carries one.
 * A pluggable **logits-processor chain** (:class:`TemperatureWarper`,
   :class:`TopKFilter`, :class:`TopPFilter`) — pure ``log_probs → log_probs``
   transforms composed by :func:`default_processors`; callers may pass their
@@ -19,9 +17,7 @@ This module is the bottom layer of the serving stack's generation redesign:
   ``temperature=0`` path bypasses the chain entirely and is bitwise the
   ``int(np.argmax(log_probs))`` the pre-redesign greedy decoder ran.
 * :class:`TokenChunk` / :class:`RequestOutput` — the typed streamed/final
-  outputs that replace the flat LM ``output`` dict.  ``RequestOutput`` keeps a
-  read-only mapping view of the legacy keys (``next_tokens``, ``log_probs``,
-  ``generated_tokens``, ``kv_cache``) so existing callers keep working.
+  outputs of an LM request.
 
 Determinism: every top-k selection here goes through
 :func:`top_k_candidates`, which re-derives the winner set from the k-th value
@@ -32,7 +28,7 @@ and the *order* among equal log-probs unspecified across NumPy versions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,24 +120,6 @@ class SamplingParams:
     def greedy(self) -> bool:
         """True when this request decodes deterministically by argmax."""
         return self.temperature == 0.0
-
-    @classmethod
-    def from_legacy(cls, top_k: int, max_new_tokens: int) -> "SamplingParams":
-        """Map the deprecated request kwargs onto the new surface.
-
-        The old ``top_k`` named how many candidates were reported for the
-        *final* scored position only; the request keeps it for that report
-        (``InferenceRequest.top_k``) rather than paying ``logprobs``' extra
-        per-streamed-token top-k work the old decoder never did.  Decode
-        stays greedy.
-        """
-        top_k = int(top_k)
-        max_new_tokens = int(max_new_tokens)
-        if top_k < 1:
-            raise ServingError("top_k must be >= 1")
-        if max_new_tokens < 0:
-            raise ServingError("max_new_tokens must be >= 0")
-        return cls(max_new_tokens=max_new_tokens)
 
 
 # --------------------------------------------------------------------------- #
@@ -425,14 +403,9 @@ class RequestOutput:
 
     ``token_ids``/``logprobs`` are the generated stream (empty for score-only
     requests, whose ``finish_reason`` is ``None``); ``next_tokens`` /
-    ``log_probs`` are the top candidates of the final scored position (the
-    pre-redesign report).  Streamed :class:`TokenChunk`'s concatenate to
+    ``log_probs`` are the ``max(1, sampling.logprobs)`` top candidates of the
+    final scored position.  Streamed :class:`TokenChunk`'s concatenate to
     exactly ``token_ids``.
-
-    The object also acts as a read-only mapping over the legacy LM output
-    keys (``next_tokens``, ``log_probs``, and for generation requests
-    ``generated_tokens`` + ``kv_cache``), so pre-redesign callers that
-    indexed the flat dict keep working unchanged.
     """
 
     request_id: str
@@ -452,38 +425,8 @@ class RequestOutput:
     def aborted(self) -> bool:
         return self.finish_reason == FinishReason.ABORTED
 
-    # ------------------------------------------------------------------ #
-    # Legacy mapping view
-    # ------------------------------------------------------------------ #
-    def _legacy(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "next_tokens": self.next_tokens,
-            "log_probs": self.log_probs,
-        }
-        if self.finish_reason is not None:
-            data["generated_tokens"] = self.token_ids
-            data["finish_reason"] = self.finish_reason
-            if self.kv_cache is not None:
-                data["kv_cache"] = self.kv_cache
-        return data
-
-    def __getitem__(self, key: str) -> Any:
-        return self._legacy()[key]
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._legacy()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._legacy())
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._legacy().get(key, default)
-
-    def keys(self):
-        return self._legacy().keys()
-
     def as_dict(self) -> Dict[str, Any]:
-        """Full plain-dict view (typed fields, not just the legacy keys)."""
+        """Plain-dict view of every typed field."""
         return {
             "request_id": self.request_id,
             "finish_reason": self.finish_reason,

@@ -121,6 +121,38 @@ def greedy_top_k(log_probs: np.ndarray, top_k: int) -> dict:
 
 
 @dataclass
+class _RoundLedger:
+    """What happened between two stats records, drained by ``_record_round``.
+
+    Cancellations and aborts between steps land here too, so the next
+    recorded round carries them.
+    """
+
+    ttfts: List[float] = field(default_factory=list)
+    ttft_classes: List[str] = field(default_factory=list)
+    gaps: List[float] = field(default_factory=list)
+    finishes: List[str] = field(default_factory=list)
+    finish_classes: List[str] = field(default_factory=list)
+    finish_tenants: List[str] = field(default_factory=list)
+    latencies: List[float] = field(default_factory=list)
+    latency_classes: List[str] = field(default_factory=list)
+    preempt_classes: List[str] = field(default_factory=list)
+    proposed: int = 0
+    accepted: int = 0
+
+    def finish(
+        self, reason: str, request: InferenceRequest, latency: Optional[float] = None
+    ) -> None:
+        """Record one terminal outcome (with its latency when it has one)."""
+        self.finishes.append(reason)
+        self.finish_classes.append(request.slo_class)
+        self.finish_tenants.append(request.tenant)
+        if latency is not None:
+            self.latencies.append(latency)
+            self.latency_classes.append(request.slo_class)
+
+
+@dataclass
 class _Slot:
     """One in-flight sequence: its request, KV cache and decode progress."""
 
@@ -234,16 +266,6 @@ class ContinuousBatchingScheduler:
         boundaries then land exactly on page seals, so every position
         attends the same mix of quantized/fp32 past either way).  ``None``
         (default) prefills whole prompts in one pass, exactly as before.
-    decode_micro_rounds:
-        Run up to this many plain decode micro-rounds per :meth:`step`
-        (default 1, the historical behaviour).  Amortises the per-step
-        bookkeeping (deadline sweeps, admission, stats records) over
-        several batched model passes when no speculation is configured —
-        the speculative path re-plans proposals every round and therefore
-        ignores this knob.  Trade-off: admission, cancellation and
-        deadline checks happen between steps, so a value of ``m`` makes
-        those up to ``m`` tokens coarser; keep it small (2–4) when
-        latency SLOs are tight.
     """
 
     def __init__(
@@ -260,13 +282,9 @@ class ContinuousBatchingScheduler:
         admission: Optional[AdmissionPolicy] = None,
         health_monitor=None,
         prefill_chunk_tokens: Optional[int] = None,
-        decode_micro_rounds: int = 1,
     ) -> None:
         if num_slots < 1:
             raise ServingError("num_slots must be >= 1")
-        if decode_micro_rounds < 1:
-            raise ServingError("decode_micro_rounds must be >= 1")
-        self.decode_micro_rounds = int(decode_micro_rounds)
         self.repository = repository
         self.num_slots = int(num_slots)
         self.cache_config = cache_config or KVCacheConfig(bits=repository.bits)
@@ -315,20 +333,7 @@ class ContinuousBatchingScheduler:
         self._slots: List[Optional[_Slot]] = [None] * self.num_slots
         self._failed: List[Tuple[str, Exception]] = []
         self._chunks: List[TokenChunk] = []
-        # Streamed-token latencies and finish reasons accumulate between
-        # stats records; cancellations land here too, so the next recorded
-        # round carries them even though they happened outside step().
-        self._pending_ttfts: List[float] = []
-        self._pending_ttft_classes: List[str] = []
-        self._pending_gaps: List[float] = []
-        self._pending_finishes: List[str] = []
-        self._pending_finish_classes: List[str] = []
-        self._pending_finish_tenants: List[str] = []
-        self._pending_latencies: List[float] = []
-        self._pending_latency_classes: List[str] = []
-        self._pending_proposed = 0
-        self._pending_accepted = 0
-        self._pending_preempt_classes: List[str] = []
+        self._ledger = _RoundLedger()
         # Deadline-expired results a failed round could not deliver; the
         # next step() call returns them first (see the round's except path).
         self._expired_stash: List[InferenceResult] = []
@@ -367,7 +372,7 @@ class ContinuousBatchingScheduler:
         """
         if request.family != WorkloadFamily.LM:
             raise ServingError("the continuous scheduler serves LM requests only")
-        if request.max_new_tokens < 1:
+        if request.sampling.max_new_tokens < 1:
             raise ServingError(
                 "continuous batching schedules generation requests; "
                 "use the micro-batcher for score-only LM requests"
@@ -486,7 +491,7 @@ class ContinuousBatchingScheduler:
         if self._deadline_watch:
             expired.extend(self._expire_deadlines())
         if not len(self):
-            if self._pending_finishes:
+            if self._ledger.finishes:
                 self._record_round(0, 0, 0, [], self.clock(), self.page_pool.counters())
             return expired
         start = self.clock()
@@ -571,28 +576,10 @@ class ContinuousBatchingScheduler:
     ) -> None:
         compute_seconds = self.clock() - start
         active = self.num_active + len(results)
-        finish_reasons = tuple(self._pending_finishes)
-        finish_classes = tuple(self._pending_finish_classes)
-        finish_tenants = tuple(self._pending_finish_tenants)
-        latencies = tuple(self._pending_latencies)
-        latency_classes = tuple(self._pending_latency_classes)
-        ttfts = tuple(self._pending_ttfts)
-        ttft_classes = tuple(self._pending_ttft_classes)
-        gaps = tuple(self._pending_gaps)
-        proposed, accepted = self._pending_proposed, self._pending_accepted
-        preempt_classes = tuple(self._pending_preempt_classes)
-        self._pending_finishes = []
-        self._pending_finish_classes = []
-        self._pending_finish_tenants = []
-        self._pending_latencies = []
-        self._pending_latency_classes = []
-        self._pending_ttfts = []
-        self._pending_ttft_classes = []
-        self._pending_gaps = []
-        self._pending_proposed = 0
-        self._pending_accepted = 0
-        self._pending_preempt_classes = []
-        if self.stats is None or not (active or finish_reasons or preempt_classes):
+        ledger, self._ledger = self._ledger, _RoundLedger()
+        if self.stats is None or not (
+            active or ledger.finishes or ledger.preempt_classes
+        ):
             return
         pool_after = self.page_pool.counters()
         slot_kv_bytes = tuple(
@@ -608,7 +595,7 @@ class ContinuousBatchingScheduler:
                 compute_seconds=compute_seconds,
                 kv_cache_bytes=sum(slot_kv_bytes),
                 kv_fp32_bytes=self.kv_fp32_bytes,
-                latencies=latencies,
+                latencies=tuple(ledger.latencies),
                 pool_hits=pool_after["decode_hits"] - pool_before["decode_hits"],
                 pool_misses=pool_after["decode_misses"] - pool_before["decode_misses"],
                 pool_decoded_bytes_saved=(
@@ -620,16 +607,16 @@ class ContinuousBatchingScheduler:
                     - pool_before["prefix_pages_attached"]
                 ),
                 shared_pages=self.page_pool.num_shared_pages,
-                finish_reasons=finish_reasons,
-                first_token_seconds=ttfts,
-                inter_token_seconds=gaps,
-                draft_proposed_tokens=proposed,
-                draft_accepted_tokens=accepted,
-                latency_classes=latency_classes,
-                first_token_classes=ttft_classes,
-                finish_classes=finish_classes,
-                finish_tenants=finish_tenants,
-                preempted_classes=preempt_classes,
+                finish_reasons=tuple(ledger.finishes),
+                first_token_seconds=tuple(ledger.ttfts),
+                inter_token_seconds=tuple(ledger.gaps),
+                draft_proposed_tokens=ledger.proposed,
+                draft_accepted_tokens=ledger.accepted,
+                latency_classes=tuple(ledger.latency_classes),
+                first_token_classes=tuple(ledger.ttft_classes),
+                finish_classes=tuple(ledger.finish_classes),
+                finish_tenants=tuple(ledger.finish_tenants),
+                preempted_classes=tuple(ledger.preempt_classes),
                 queue_depth=len(self._queue),
                 slot_kv_bytes=slot_kv_bytes,
                 pool_sealed_bytes=self.page_pool.sealed_bytes,
@@ -939,9 +926,7 @@ class ContinuousBatchingScheduler:
                 finish_reason=FinishReason.ERROR,
             )
         )
-        self._pending_finishes.append(FinishReason.ERROR)
-        self._pending_finish_classes.append(slot.request.slo_class)
-        self._pending_finish_tenants.append(slot.request.tenant)
+        self._ledger.finish(FinishReason.ERROR, slot.request)
         if self.tracer.enabled:
             self.tracer.lifecycle_end(
                 slot.request.request_id, {"reason": FinishReason.ERROR}
@@ -1078,7 +1063,7 @@ class ContinuousBatchingScheduler:
         slot.cache.release()
         self._slots[index] = None
         self.preempted += 1
-        self._pending_preempt_classes.append(request.slo_class)
+        self._ledger.preempt_classes.append(request.slo_class)
         self._queue.append(
             QueuedRequest(
                 request=request, enqueued_at=slot.queued.enqueued_at, resume=resume
@@ -1165,9 +1150,7 @@ class ContinuousBatchingScheduler:
                     finish_reason=FinishReason.ERROR,
                 )
             )
-            self._pending_finishes.append(FinishReason.ERROR)
-            self._pending_finish_classes.append(slot.request.slo_class)
-            self._pending_finish_tenants.append(slot.request.tenant)
+            self._ledger.finish(FinishReason.ERROR, slot.request)
             if self.tracer.enabled:
                 self.tracer.lifecycle_end(
                     slot.request.request_id, {"reason": FinishReason.ERROR}
@@ -1229,11 +1212,7 @@ class ContinuousBatchingScheduler:
         result = self._build_result(slot, now, self.num_active)
         slot.cache.release()
         self._slots[index] = None
-        self._pending_finishes.append(reason)
-        self._pending_finish_classes.append(slot.request.slo_class)
-        self._pending_finish_tenants.append(slot.request.tenant)
-        self._pending_latencies.append(result.latency)
-        self._pending_latency_classes.append(slot.request.slo_class)
+        self._ledger.finish(reason, slot.request, result.latency)
         self._chunks.append(
             TokenChunk(
                 request_id=slot.request.request_id,
@@ -1280,11 +1259,7 @@ class ContinuousBatchingScheduler:
         """
         request = queued.request
         resume = queued.resume
-        self._pending_finishes.append(reason)
-        self._pending_finish_classes.append(request.slo_class)
-        self._pending_finish_tenants.append(request.tenant)
-        self._pending_latencies.append(now - queued.enqueued_at)
-        self._pending_latency_classes.append(request.slo_class)
+        self._ledger.finish(reason, request, now - queued.enqueued_at)
         self._chunks.append(
             TokenChunk(
                 request_id=request.request_id,
@@ -1294,7 +1269,9 @@ class ContinuousBatchingScheduler:
             )
         )
         if resume is not None:
-            top = greedy_top_k(resume.last_log_probs, request.top_k)
+            top = greedy_top_k(
+                resume.last_log_probs, max(1, request.sampling.logprobs)
+            )
             output = RequestOutput(
                 request_id=request.request_id,
                 finish_reason=reason,
@@ -1385,14 +1362,14 @@ class ContinuousBatchingScheduler:
         if sampled.top_logprobs:
             slot.top_logprobs.append(sampled.top_logprobs)
         if index == 0:
-            self._pending_ttfts.append(now - slot.queued.enqueued_at)
-            self._pending_ttft_classes.append(slot.request.slo_class)
+            self._ledger.ttfts.append(now - slot.queued.enqueued_at)
+            self._ledger.ttft_classes.append(slot.request.slo_class)
         elif slot.last_token_at is not None:
-            self._pending_gaps.append(now - slot.last_token_at)
+            self._ledger.gaps.append(now - slot.last_token_at)
         slot.last_token_at = now
         if slot.sampler.is_stop(sampled.token_id):
             slot.finish_reason = FinishReason.STOP
-        elif len(slot.generated) >= slot.request.max_new_tokens:
+        elif len(slot.generated) >= slot.request.sampling.max_new_tokens:
             slot.finish_reason = FinishReason.LENGTH
         self._chunks.append(
             TokenChunk(
@@ -1544,15 +1521,8 @@ class ContinuousBatchingScheduler:
                 decoded += self._verify_round(slots, proposals)
             else:
                 # No slot speculates this round: the classic single-token
-                # path, numerically untouched.  Extra micro-rounds amortise
-                # the per-step bookkeeping over several batched passes;
-                # finished slots drop out between micro-iterations.
+                # path, numerically untouched.
                 decoded += self._plain_round(slots)
-                for _ in range(self.decode_micro_rounds - 1):
-                    alive = [slot for slot in slots if not slot.done]
-                    if not alive:
-                        break
-                    decoded += self._plain_round(alive)
         return decoded
 
     def _plain_round(self, slots: List[_Slot]) -> int:
@@ -1609,7 +1579,7 @@ class ContinuousBatchingScheduler:
                 max_tokens.append(0)
                 continue
             depth = min(
-                cap, slot.request.max_new_tokens - len(slot.generated) - 1
+                cap, slot.request.sampling.max_new_tokens - len(slot.generated) - 1
             )
             if self.cache_config.quantize:
                 room = page_size - 1 - slot.cache.seq_len % page_size
@@ -1738,8 +1708,8 @@ class ContinuousBatchingScheduler:
                     with tracer.span("kv_rollback"):
                         slot.cache.truncate_to(base_lengths[row] + emitted)
                         slot.cache.flush_seals()
-                    self._pending_proposed += len(proposal)
-                    self._pending_accepted += accepted
+                    self._ledger.proposed += len(proposal)
+                    self._ledger.accepted += accepted
                     emitted_total += emitted
             return emitted_total
 
@@ -1753,7 +1723,7 @@ class ContinuousBatchingScheduler:
             # so there is no final distribution to report candidates from.
             top = {"next_tokens": [], "log_probs": []}
         else:
-            top = greedy_top_k(slot.last_log_probs, request.top_k)
+            top = greedy_top_k(slot.last_log_probs, max(1, request.sampling.logprobs))
         kv_summary = slot.cache.memory_summary()
         kv_summary["prefix_shared_tokens"] = slot.shared_tokens
         output = RequestOutput(
@@ -1812,11 +1782,9 @@ class ContinuousBatchingScheduler:
                     results.append(
                         self._build_result(slot, completed_at, occupancy_now)
                     )
-                    self._pending_finishes.append(slot.finish_reason)
-                    self._pending_finish_classes.append(slot.request.slo_class)
-                    self._pending_finish_tenants.append(slot.request.tenant)
-                    self._pending_latencies.append(results[-1].latency)
-                    self._pending_latency_classes.append(slot.request.slo_class)
+                    self._ledger.finish(
+                        slot.finish_reason, slot.request, results[-1].latency
+                    )
                     self._register_generated_suffix(slot)
                     if self.tracer.enabled:
                         self.tracer.lifecycle_end(

@@ -134,7 +134,7 @@ class DecodeRoundRecord:
     prefix_pages_attached: int = 0     # pages adopted from the prefix index
     shared_pages: int = 0              # pool pages with >1 holder at round end
     # Streaming / sampling telemetry.
-    finish_reasons: tuple = ()         # "stop"/"length"/"aborted"/"error" per finish
+    finish_reasons: tuple = ()         # "stop"/"length"/"aborted"/"error"/"deadline"
     first_token_seconds: tuple = ()    # TTFT: enqueue → first streamed token
     inter_token_seconds: tuple = ()    # gaps between consecutive streamed tokens
     # Speculative decoding this round (zero when no slot speculated).

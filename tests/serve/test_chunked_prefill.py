@@ -7,6 +7,7 @@ from repro.serve.engine import ServingEngine
 from repro.serve.kvcache import KVCacheConfig
 from repro.serve.repository import ModelRepository
 from repro.serve.requests import InferenceRequest, ServingError, WorkloadFamily
+from repro.serve.sampling import SamplingParams
 from repro.serve.scheduler import ContinuousBatchingScheduler
 from repro.serve.spec import SpeculativeConfig, SpeculativeDecoder
 
@@ -29,7 +30,7 @@ def gen_request(seq_len=8, max_new_tokens=4, seed=0, **kwargs):
         "gpt2-xl",
         WorkloadFamily.LM,
         rng.integers(0, 96, size=seq_len),
-        max_new_tokens=max_new_tokens,
+        sampling=SamplingParams(max_new_tokens=max_new_tokens),
         **kwargs,
     )
 
@@ -41,7 +42,7 @@ def run_to_completion(scheduler, requests, max_steps=500):
     steps = 0
     while scheduler.num_queued or scheduler.num_active:
         for result in scheduler.step():
-            outputs[result.request_id] = list(result.output["generated_tokens"])
+            outputs[result.request_id] = list(result.output.token_ids)
         steps += 1
         assert steps < max_steps, "scheduler did not drain"
     return outputs
@@ -76,8 +77,9 @@ class TestTokenIdentity:
                 repo, num_slots=2, cache_config=config,
                 prefill_chunk_tokens=chunk_tokens,
             )
-            reqs = [InferenceRequest("gpt2-xl", WorkloadFamily.LM, p,
-                                     max_new_tokens=6) for p in prompts]
+            params = SamplingParams(max_new_tokens=6)
+            reqs = [InferenceRequest("gpt2-xl", WorkloadFamily.LM, p, sampling=params)
+                    for p in prompts]
             out = run_to_completion(scheduler, reqs)
             return [out[r.request_id] for r in reqs]
 
@@ -94,7 +96,7 @@ class TestTokenIdentity:
                 prefill_chunk_tokens=chunk_tokens,
             )
             request = InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt,
-                                       max_new_tokens=5)
+                                       sampling=SamplingParams(max_new_tokens=5))
             return run_to_completion(scheduler, [request])[request.request_id]
 
         assert run(4) == run(None) == run(12)
@@ -147,8 +149,8 @@ class TestLifecycle:
         scheduler.step()  # first chunk only
         result = scheduler.cancel(request.request_id)
         assert result is not None
-        assert result.output["finish_reason"] == "aborted"
-        assert result.output["generated_tokens"] == []
+        assert result.output.finish_reason == "aborted"
+        assert result.output.token_ids == []
         assert scheduler.num_active == 0
 
     def test_deadline_mid_prefill(self, repo):
@@ -164,7 +166,7 @@ class TestLifecycle:
         clock["t"] = 5.0  # expire while still prefilling
         results = scheduler.step()
         expired = [r for r in results if r.request_id == request.request_id]
-        assert expired and expired[0].output["finish_reason"] == "deadline"
+        assert expired and expired[0].output.finish_reason == "deadline"
 
     def test_validation(self, repo):
         with pytest.raises(ServingError):
@@ -191,7 +193,7 @@ class TestLifecycle:
             results += engine.step(force=True)
             if results:
                 break
-        assert results[0].output["finish_reason"] == "length"
+        assert results[0].output.finish_reason == "length"
 
 
 class TestPrefixSharingWithChunks:
@@ -207,10 +209,10 @@ class TestPrefixSharingWithChunks:
         )
         prompt = np.random.default_rng(9).integers(0, 96, size=40)
         first = InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt,
-                                 max_new_tokens=2)
+                                 sampling=SamplingParams(max_new_tokens=2))
         out_first = run_to_completion(scheduler, [first])[first.request_id]
         follow = InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt,
-                                  max_new_tokens=2)
+                                  sampling=SamplingParams(max_new_tokens=2))
         out_follow = run_to_completion(scheduler, [follow])[follow.request_id]
         # The follow-up adopted sealed pages instead of re-prefilling.
         assert scheduler.stats.summary().prefix_pages_attached > 0
@@ -272,8 +274,9 @@ class TestSpeculationDuringChunkedPrefill:
                 repo, num_slots=2, cache_config=config,
                 prefill_chunk_tokens=chunk_tokens, speculative=speculative,
             )
-            reqs = [InferenceRequest("gpt2-xl", WorkloadFamily.LM, p,
-                                     max_new_tokens=10) for p in prompts]
+            params = SamplingParams(max_new_tokens=10)
+            reqs = [InferenceRequest("gpt2-xl", WorkloadFamily.LM, p, sampling=params)
+                    for p in prompts]
             out = run_to_completion(scheduler, reqs)
             return [out[r.request_id] for r in reqs]
 

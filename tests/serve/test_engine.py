@@ -7,6 +7,7 @@ from repro.serve.batcher import QueuedRequest
 from repro.serve.engine import InferenceEngine, ServingEngine
 from repro.serve.repository import ModelRepository
 from repro.serve.requests import InferenceRequest, ServingError, WorkloadFamily
+from repro.serve.sampling import SamplingParams
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +57,13 @@ class TestFamilies:
             assert 0 <= result.output["start"] <= result.output["end"] < 24
 
     def test_lm_outputs(self, engine):
-        requests = make_requests(2, "gpt2-xl", WorkloadFamily.LM, top_k=5)
+        requests = make_requests(
+            2, "gpt2-xl", WorkloadFamily.LM, sampling=SamplingParams(logprobs=5)
+        )
         results, _ = engine.run_batch(queued(requests))
         for result in results:
-            assert len(result.output["next_tokens"]) == 5
-            log_probs = result.output["log_probs"]
+            assert len(result.output.next_tokens) == 5
+            log_probs = result.output.log_probs
             assert all(b <= a for a, b in zip(log_probs, log_probs[1:]))
 
     def test_num_classes_does_not_fragment_lm_batches(self):
@@ -75,19 +78,21 @@ class TestFamilies:
         assert c.batch_key != d.batch_key
 
     def test_lm_top_k_is_per_request_within_a_batch(self, engine):
-        """Different top_k values batch together and each gets its own k."""
+        """Different logprobs values batch together and each gets its own k."""
         rng = np.random.default_rng(9)
         tokens = rng.integers(0, 96, size=16)
         requests = [
-            InferenceRequest("gpt2-xl", WorkloadFamily.LM, tokens, top_k=k)
+            InferenceRequest(
+                "gpt2-xl", WorkloadFamily.LM, tokens, sampling=SamplingParams(logprobs=k)
+            )
             for k in (1, 5, 3)
         ]
         assert len({r.batch_key for r in requests}) == 1  # still one batch
         results, record = engine.run_batch(queued(requests))
         assert record.batch_size == 3
-        assert [len(r.output["next_tokens"]) for r in results] == [1, 5, 3]
+        assert [len(r.output.next_tokens) for r in results] == [1, 5, 3]
         # Same input row: the top-1 candidate must agree across k values.
-        assert results[0].output["next_tokens"][0] == results[1].output["next_tokens"][0]
+        assert results[0].output.next_tokens[0] == results[1].output.next_tokens[0]
 
     def test_batched_equals_unbatched(self, engine):
         """Batch membership must not change any request's answer."""
@@ -111,6 +116,14 @@ class TestFamilies:
         )
         with pytest.raises(ServingError):
             engine.run_batch(mixed)
+
+    def test_generation_request_rejected(self, engine):
+        """Generation runs on the scheduler; the micro-batch path refuses it."""
+        requests = make_requests(
+            1, "gpt2-xl", WorkloadFamily.LM, sampling=SamplingParams(max_new_tokens=2)
+        )
+        with pytest.raises(ServingError, match="generates tokens"):
+            engine.run_batch(queued(requests))
 
     def test_traffic_accounting_positive(self, engine):
         requests = make_requests(2, "bert-base", WorkloadFamily.CLASSIFY)

@@ -22,6 +22,7 @@ from repro.serve.gateway import (
 from repro.serve.kvcache import KVCacheConfig
 from repro.serve.repository import ModelRepository
 from repro.serve.requests import InferenceRequest, WorkloadFamily
+from repro.serve.sampling import SamplingParams
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ def lm_request(seq_len=8, max_new_tokens=2, seed=0, **kwargs):
         "gpt2-xl",
         WorkloadFamily.LM,
         rng.integers(0, 96, size=seq_len),
-        max_new_tokens=max_new_tokens,
+        sampling=SamplingParams(max_new_tokens=max_new_tokens),
         **kwargs,
     )
 
@@ -293,7 +294,7 @@ class TestStepAndFailures:
         gateway, _ = build_gateway(repo)
         bad = InferenceRequest(
             "no-such-model", WorkloadFamily.LM,
-            np.arange(4), max_new_tokens=1,
+            np.arange(4), sampling=SamplingParams(max_new_tokens=1),
         )
         assert gateway.submit("key-batch", bad).status == 202
         assert gateway.inflight("batch") == 1
@@ -328,7 +329,7 @@ class TestAsyncHelper:
                 result = await gateway.infer_async(
                     server, "key-interactive", lm_request(seed=60)
                 )
-                assert result.output["finish_reason"] == "length"
+                assert result.output.finish_reason == "length"
                 assert gateway.inflight("interactive") == 0
                 with pytest.raises(AuthenticationError):
                     await gateway.infer_async(server, "bad", lm_request(seed=61))

@@ -38,7 +38,7 @@ def gen_request(seq_len=8, max_new_tokens=4, seed=0, model="gpt2-xl", **kwargs):
         model,
         WorkloadFamily.LM,
         rng.integers(0, 96, size=seq_len),
-        max_new_tokens=max_new_tokens,
+        sampling=SamplingParams(max_new_tokens=max_new_tokens),
         **kwargs,
     )
 
@@ -81,36 +81,21 @@ class TestSamplingParams:
         assert params.stop_token_ids == (3, 7)
 
 
-class TestLegacyShim:
-    def test_legacy_kwargs_map_into_sampling(self):
-        request = gen_request(max_new_tokens=3, top_k=5)
-        assert request.sampling.max_new_tokens == 3
-        # Legacy top_k names the final-position report only — it must not
-        # buy per-streamed-token logprob work the old decoder never did.
-        assert request.sampling.logprobs == 0
-        assert request.sampling.greedy
-        assert request.top_k == 5 and request.max_new_tokens == 3
+class TestRequestSampling:
+    def test_default_sampling_scores_prompt_only(self):
+        request = InferenceRequest("gpt2-xl", WorkloadFamily.LM, np.arange(4))
+        assert request.sampling == SamplingParams()
+        assert request.sampling.max_new_tokens == 0
 
-    def test_sampling_params_mirror_legacy_fields(self):
+    def test_request_keeps_its_sampling_params(self):
         params = SamplingParams(temperature=0.7, max_new_tokens=6, logprobs=2, seed=1)
-        request = sampled_request(params)
-        assert request.max_new_tokens == 6
-        assert request.top_k == 2
-        assert request.sampling is params
+        assert sampled_request(params).sampling is params
 
-    def test_conflicting_kwargs_rejected(self):
-        with pytest.raises(ServingError, match="not both"):
-            gen_request(max_new_tokens=3, sampling=SamplingParams(max_new_tokens=5))
-        with pytest.raises(ServingError, match="not both"):
-            gen_request(
-                max_new_tokens=0, top_k=7, sampling=SamplingParams(max_new_tokens=2)
+    def test_non_sampling_params_rejected(self):
+        with pytest.raises(ServingError, match="SamplingParams"):
+            InferenceRequest(
+                "gpt2-xl", WorkloadFamily.LM, np.arange(4), sampling={"max_new_tokens": 2}
             )
-
-    def test_legacy_validation_preserved(self):
-        with pytest.raises(ServingError):
-            gen_request(max_new_tokens=-1)
-        with pytest.raises(ServingError):
-            gen_request(top_k=0)
 
 
 class TestDeterministicTopK:
@@ -228,22 +213,22 @@ class TestGreedyEquivalence:
         result = scheduler.run_until_idle()[0]
         assert result.output.token_ids == expected
         assert result.output.finish_reason == FinishReason.LENGTH
-        assert result.output["generated_tokens"] == expected  # legacy view
 
-    def test_seeded_sampling_continuous_matches_whole_batch(self, repo):
+    def test_seeded_sampling_matches_one_slot_reference(self, repo):
+        """A seeded sampled stream co-batched with another request equals the
+        1-slot, all-features-off scheduler's stream."""
         params = SamplingParams(temperature=0.9, top_k=30, seed=11, max_new_tokens=6)
-        outputs = {}
-        for continuous in (True, False):
-            engine = ServingEngine(
-                repository=repo,
-                max_batch_size=2,
-                max_wait=0.0,
-                continuous_batching=continuous,
-            )
-            result = engine.serve([sampled_request(params, seed=4)])[0]
-            outputs[continuous] = result.output.token_ids
-        assert outputs[True] == outputs[False]
-        assert len(outputs[True]) == 6
+        engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
+        served = engine.serve(
+            [sampled_request(params, seed=4), gen_request(max_new_tokens=6, seed=5)]
+        )[0]
+        reference = ContinuousBatchingScheduler(
+            repo, num_slots=1, cache_config=KVCacheConfig(bits=4, prefix_sharing=False)
+        )
+        reference.submit(sampled_request(params, seed=4))
+        expected = reference.run_until_idle()[0]
+        assert served.output.token_ids == expected.output.token_ids
+        assert len(served.output.token_ids) == 6
 
     def test_sampled_run_is_reproducible_per_seed(self, repo):
         params = SamplingParams(temperature=1.2, top_p=0.95, seed=21, max_new_tokens=5)
@@ -281,25 +266,6 @@ class TestStopTokens:
         summary = engine.stats.summary()
         assert summary.finish_stop == 1
         assert summary.finish_reasons["stop"] == 1
-
-    def test_stop_token_in_whole_batch_mode(self, repo):
-        probe = ServingEngine(
-            repository=repo, max_batch_size=2, max_wait=0.0, continuous_batching=False
-        )
-        tokens = probe.serve([gen_request(max_new_tokens=4, seed=7)])[0].output.token_ids
-        engine = ServingEngine(
-            repository=repo, max_batch_size=2, max_wait=0.0, continuous_batching=False
-        )
-        stopped = engine.serve(
-            [
-                sampled_request(
-                    SamplingParams(max_new_tokens=4, stop_token_ids=(tokens[0],)),
-                    seed=7,
-                )
-            ]
-        )[0]
-        assert stopped.output.finish_reason == FinishReason.STOP
-        assert stopped.output.token_ids == tokens[:1]
 
 
 class TestStreaming:
@@ -444,26 +410,41 @@ class TestGeneratedSuffixSharing:
         )
         prompt = np.random.default_rng(70).integers(0, 96, size=16)
         scheduler.submit(
-            InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt, max_new_tokens=8)
+            InferenceRequest(
+                "gpt2-xl",
+                WorkloadFamily.LM,
+                prompt,
+                sampling=SamplingParams(max_new_tokens=8),
+            )
         )
         first = scheduler.run_until_idle()[0]
         generated = first.output.token_ids
         # Follow-up turn: the conversation so far becomes the next prompt.
         follow_up = np.concatenate([prompt, np.asarray(generated, dtype=np.int64)])
         scheduler.submit(
-            InferenceRequest("gpt2-xl", WorkloadFamily.LM, follow_up, max_new_tokens=2)
+            InferenceRequest(
+                "gpt2-xl",
+                WorkloadFamily.LM,
+                follow_up,
+                sampling=SamplingParams(max_new_tokens=2),
+            )
         )
         second = scheduler.run_until_idle()[0]
         # prompt(16) + generated-but-unfed(7) = 23 tokens sealed → 5 pages.
-        assert second.output["kv_cache"]["prefix_shared_tokens"] == 20
-        assert second.output["kv_cache"]["prefix_shared_tokens"] > prompt.size - 4
+        assert second.output.kv_cache["prefix_shared_tokens"] == 20
+        assert second.output.kv_cache["prefix_shared_tokens"] > prompt.size - 4
 
     def test_flag_off_registers_prompt_pages_only(self, repo):
         config = KVCacheConfig(bits=4, page_size=4)
         scheduler = ContinuousBatchingScheduler(repo, num_slots=2, cache_config=config)
         prompt = np.random.default_rng(71).integers(0, 96, size=16)
         scheduler.submit(
-            InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt, max_new_tokens=8)
+            InferenceRequest(
+                "gpt2-xl",
+                WorkloadFamily.LM,
+                prompt,
+                sampling=SamplingParams(max_new_tokens=8),
+            )
         )
         scheduler.run_until_idle()
         # Only the 4 prompt pages are indexed (per layer pair), none generated.
@@ -483,37 +464,30 @@ class TestGeneratedSuffixSharing:
         assert pool.num_shared_pages == 0
 
 
-class TestRequestOutputCompat:
-    def test_score_only_output_legacy_view(self, repo):
+class TestRequestOutput:
+    def test_score_only_output(self, repo):
         engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
-        result = engine.serve(
-            [InferenceRequest("gpt2-xl", WorkloadFamily.LM, np.arange(8), top_k=3)]
-        )[0]
-        output = result.output
+        request = InferenceRequest(
+            "gpt2-xl", WorkloadFamily.LM, np.arange(8), sampling=SamplingParams(logprobs=3)
+        )
+        output = engine.serve([request])[0].output
         assert isinstance(output, RequestOutput)
         assert output.finish_reason is None
-        assert "next_tokens" in output and "generated_tokens" not in output
-        assert len(output["next_tokens"]) == 3
-        assert output.get("generated_tokens", "missing") == "missing"
+        assert output.token_ids == [] and output.kv_cache is None
+        assert len(output.next_tokens) == len(output.log_probs) == 3
 
-    def test_generation_output_legacy_view(self, repo):
+    def test_generation_output(self, repo):
         engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
         result = engine.serve([gen_request(max_new_tokens=3, seed=80)])[0]
         output = result.output
-        assert output["generated_tokens"] == output.token_ids
-        assert output["kv_cache"]["seq_len"] > 0
-        assert output["finish_reason"] == FinishReason.LENGTH
-        assert sorted(output.keys()) == [
-            "finish_reason",
-            "generated_tokens",
-            "kv_cache",
-            "log_probs",
-            "next_tokens",
-        ]
+        assert output.kv_cache["seq_len"] > 0
+        assert output.finish_reason == FinishReason.LENGTH
         assert output.num_generated == 3
         assert len(output.logprobs) == 3
+        assert output.next_tokens
         as_dict = output.as_dict()
         assert as_dict["token_ids"] == output.token_ids
+        assert as_dict["finish_reason"] == FinishReason.LENGTH
 
     def test_stats_latency_fields_populated(self, repo):
         engine = ServingEngine(repository=repo, max_batch_size=4, max_wait=0.0)

@@ -7,7 +7,9 @@ from repro.serve.engine import ServingEngine
 from repro.serve.kvcache import KVCacheConfig
 from repro.serve.repository import ModelRepository
 from repro.serve.requests import InferenceRequest, ServingError, WorkloadFamily
+from repro.serve.sampling import SamplingParams
 from repro.serve.scheduler import ContinuousBatchingScheduler
+from repro.serve.stats import ServingStats
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +25,7 @@ def gen_request(seq_len=8, max_new_tokens=4, seed=0, model="gpt2-xl", **kwargs):
         model,
         WorkloadFamily.LM,
         rng.integers(0, 96, size=seq_len),
-        max_new_tokens=max_new_tokens,
+        sampling=SamplingParams(max_new_tokens=max_new_tokens),
         **kwargs,
     )
 
@@ -32,12 +34,15 @@ class TestRequestValidation:
     def test_generation_requires_lm_family(self):
         with pytest.raises(ServingError):
             InferenceRequest(
-                "bert-base", WorkloadFamily.CLASSIFY, [1, 2], max_new_tokens=3
+                "bert-base",
+                WorkloadFamily.CLASSIFY,
+                [1, 2],
+                sampling=SamplingParams(max_new_tokens=3),
             )
 
     def test_negative_max_new_tokens_rejected(self):
         with pytest.raises(ServingError):
-            InferenceRequest("gpt2-xl", WorkloadFamily.LM, [1, 2], max_new_tokens=-1)
+            SamplingParams(max_new_tokens=-1)
 
     def test_scheduler_rejects_score_only_requests(self, repo):
         scheduler = ContinuousBatchingScheduler(repo, num_slots=2)
@@ -54,7 +59,7 @@ class TestSlotLifecycle:
 
         first = scheduler.step()  # admits 2, prefill = first token each
         # The 1-token request completes straight from prefill and retires.
-        assert [len(r.output["generated_tokens"]) for r in first] == [1]
+        assert [len(r.output.token_ids) for r in first] == [1]
         assert scheduler.num_active == 1  # 3-token request still decoding
         assert scheduler.num_queued == 1
 
@@ -66,26 +71,22 @@ class TestSlotLifecycle:
         assert len(remaining) == 2
         assert len(scheduler) == 0
         assert scheduler.retired == 3
-        lengths = {r.request_id: len(r.output["generated_tokens"]) for r in first + remaining}
+        lengths = {r.request_id: len(r.output.token_ids) for r in first + remaining}
         assert sorted(lengths.values()) == [1, 2, 3]
 
-    def test_generated_tokens_match_whole_batch_release(self, repo):
-        requests = [gen_request(max_new_tokens=n, seed=n) for n in (6, 2, 4, 3, 5)]
-        continuous = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
-        whole = ServingEngine(
-            repository=repo, max_batch_size=2, max_wait=0.0, continuous_batching=False
+    def test_generated_tokens_match_one_slot_reference(self, repo):
+        """Multi-slot serving emits exactly the stream of a 1-slot scheduler
+        with every feature off."""
+        budgets = (6, 2, 4, 3, 5)
+        engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
+        results = engine.serve([gen_request(max_new_tokens=n, seed=n) for n in budgets])
+        reference = ContinuousBatchingScheduler(
+            repo, num_slots=1, cache_config=KVCacheConfig(bits=4, prefix_sharing=False)
         )
-        clones = [
-            InferenceRequest(
-                r.model, r.family, r.token_ids, max_new_tokens=r.max_new_tokens
-            )
-            for r in requests
-        ]
-        results_a = continuous.serve(requests)
-        results_b = whole.serve(clones)
-        tokens_a = [r.output["generated_tokens"] for r in results_a]
-        tokens_b = [r.output["generated_tokens"] for r in results_b]
-        assert tokens_a == tokens_b
+        for n, result in zip(budgets, results):
+            reference.submit(gen_request(max_new_tokens=n, seed=n))
+            [expected] = reference.run_until_idle()
+            assert result.output.token_ids == expected.output.token_ids
 
     def test_kv_accounting_exposed(self, repo):
         scheduler = ContinuousBatchingScheduler(
@@ -96,7 +97,7 @@ class TestSlotLifecycle:
         assert scheduler.kv_fp32_bytes > 0
         assert 0 < scheduler.kv_cache_bytes < scheduler.kv_fp32_bytes
         result = scheduler.run_until_idle()[0]
-        assert result.output["kv_cache"]["kv_fp32_bytes"] > 0
+        assert result.output.kv_cache["kv_fp32_bytes"] > 0
 
 
 class TestPrefixSharing:
@@ -107,17 +108,20 @@ class TestPrefixSharing:
 
         def request():
             return InferenceRequest(
-                "gpt2-xl", WorkloadFamily.LM, prompt, max_new_tokens=3
+                "gpt2-xl",
+                WorkloadFamily.LM,
+                prompt,
+                sampling=SamplingParams(max_new_tokens=3),
             )
 
         scheduler.submit(request())
         first = scheduler.run_until_idle()[0]
-        assert first.output["kv_cache"]["prefix_shared_tokens"] == 0
+        assert first.output.kv_cache["prefix_shared_tokens"] == 0
         scheduler.submit(request())
         second = scheduler.run_until_idle()[0]
         # 16-token prompt, page 4: at most (16-1)//4 = 3 pages shareable.
-        assert second.output["kv_cache"]["prefix_shared_tokens"] == 12
-        assert second.output["generated_tokens"] == first.output["generated_tokens"]
+        assert second.output.kv_cache["prefix_shared_tokens"] == 12
+        assert second.output.token_ids == first.output.token_ids
 
     def test_prefix_sharing_disabled_by_config(self, repo):
         config = KVCacheConfig(bits=4, page_size=4, prefix_sharing=False)
@@ -125,10 +129,15 @@ class TestPrefixSharing:
         prompt = np.random.default_rng(41).integers(0, 96, size=16)
         for _ in range(2):
             scheduler.submit(
-                InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt, max_new_tokens=2)
+                InferenceRequest(
+                    "gpt2-xl",
+                    WorkloadFamily.LM,
+                    prompt,
+                    sampling=SamplingParams(max_new_tokens=2),
+                )
             )
             result = scheduler.run_until_idle()[0]
-            assert result.output["kv_cache"]["prefix_shared_tokens"] == 0
+            assert result.output.kv_cache["prefix_shared_tokens"] == 0
         assert scheduler.page_pool.num_prefix_nodes == 0
 
     def test_shared_and_cold_paths_generate_identical_tokens(self, repo):
@@ -144,10 +153,13 @@ class TestPrefixSharing:
             for _ in range(2):  # second submission hits the prefix when sharing
                 scheduler.submit(
                     InferenceRequest(
-                        "gpt2-xl", WorkloadFamily.LM, prompt, max_new_tokens=4
+                        "gpt2-xl",
+                        WorkloadFamily.LM,
+                        prompt,
+                        sampling=SamplingParams(max_new_tokens=4),
                     )
                 )
-                tokens.append(scheduler.run_until_idle()[0].output["generated_tokens"])
+                tokens.append(scheduler.run_until_idle()[0].output.token_ids)
             outputs[sharing] = tokens
         assert outputs[True] == outputs[False]
 
@@ -183,7 +195,14 @@ class TestPrefixSharing:
         prompt = np.random.default_rng(45).integers(0, 96, size=12)
         for _ in range(2):
             engine.serve(
-                [InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt, max_new_tokens=6)]
+                [
+                    InferenceRequest(
+                        "gpt2-xl",
+                        WorkloadFamily.LM,
+                        prompt,
+                        sampling=SamplingParams(max_new_tokens=6),
+                    )
+                ]
             )
         summary = engine.stats.summary()
         assert summary.pool_hits > 0
@@ -213,9 +232,10 @@ class TestEngineWiring:
         results = {r.request_id: r for r in engine.serve(requests)}
         assert len(results) == 3
         gen_out = results[requests[0].request_id].output
-        assert len(gen_out["generated_tokens"]) == 3
+        assert len(gen_out.token_ids) == 3
         score_out = results[requests[1].request_id].output
-        assert "generated_tokens" not in score_out and "next_tokens" in score_out
+        assert score_out.finish_reason is None and not score_out.token_ids
+        assert score_out.next_tokens
         summary = engine.stats.summary()
         assert summary.decode_rounds > 0
         assert summary.generated_tokens == 8
@@ -250,19 +270,6 @@ class TestEngineWiring:
         with pytest.raises(ServingError, match="positions"):
             engine.result(too_long.request_id)
 
-    def test_whole_batch_mode_position_overflow_fails_batch(self, repo):
-        engine = ServingEngine(
-            repository=repo, max_batch_size=2, max_wait=0.0, continuous_batching=False
-        )
-        config = repo.get("gpt2-xl", WorkloadFamily.LM).model.config
-        request = gen_request(
-            seq_len=config.max_positions, max_new_tokens=2, seed=8
-        )
-        engine.submit(request)
-        engine.run_until_idle()
-        with pytest.raises(ServingError, match="positions"):
-            engine.result(request.request_id)
-
     def test_position_budget_boundary_request_is_served(self, repo):
         """The last generated token is never embedded, so a full-table prompt
         can still generate exactly one token."""
@@ -270,12 +277,15 @@ class TestEngineWiring:
         config = repo.get("gpt2-xl", WorkloadFamily.LM).model.config
         request = gen_request(seq_len=config.max_positions, max_new_tokens=1, seed=8)
         results = engine.serve([request])
-        assert len(results[0].output["generated_tokens"]) == 1
+        assert len(results[0].output.token_ids) == 1
 
     def test_out_of_vocabulary_prompt_fails_only_that_request(self, repo):
         engine = ServingEngine(repository=repo, max_batch_size=4, max_wait=0.0)
         bad = InferenceRequest(
-            "gpt2-xl", WorkloadFamily.LM, np.array([1, 2, 10_000]), max_new_tokens=2
+            "gpt2-xl",
+            WorkloadFamily.LM,
+            np.array([1, 2, 10_000]),
+            sampling=SamplingParams(max_new_tokens=2),
         )
         good = gen_request(seq_len=3, max_new_tokens=2, seed=9)
         engine.submit(bad)
@@ -313,30 +323,33 @@ class TestEngineWiring:
         assert engine.lm_scheduler.num_active == 0
         # ...and later generation traffic is served normally.
         revived = engine.serve([gen_request(max_new_tokens=2, seed=21)])
-        assert len(revived[0].output["generated_tokens"]) == 2
+        assert len(revived[0].output.token_ids) == 2
 
     def test_score_request_logits_independent_of_cobatched_generation(self, repo):
-        """A score-only LM request's logits must not change when a generation
-        request shares its micro-batch (whole-batch mode)."""
+        """A score-only LM request's logits must not change when generation
+        requests are served alongside it (their decode rounds interleave with
+        its micro-batch)."""
         prompt = np.random.default_rng(30).integers(0, 96, size=8)
-        alone = ServingEngine(
-            repository=repo, max_batch_size=2, max_wait=0.0, continuous_batching=False
-        )
-        solo = alone.serve(
-            [InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt, top_k=3)]
-        )[0]
-        mixed_engine = ServingEngine(
-            repository=repo, max_batch_size=2, max_wait=0.0, continuous_batching=False
-        )
+
+        def score_request():
+            return InferenceRequest(
+                "gpt2-xl", WorkloadFamily.LM, prompt, sampling=SamplingParams(logprobs=3)
+            )
+
+        alone = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
+        solo = alone.serve([score_request()])[0]
+        mixed_engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
         mixed = mixed_engine.serve(
             [
-                InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt, top_k=3),
                 gen_request(max_new_tokens=4, seed=31),
+                score_request(),
+                gen_request(max_new_tokens=2, seed=32),
             ]
-        )[0]
-        assert mixed.output["next_tokens"] == solo.output["next_tokens"]
-        assert mixed.output["log_probs"] == solo.output["log_probs"]
-        assert "generated_tokens" not in mixed.output
+        )
+        [scored] = [r for r in mixed if not r.output.token_ids]
+        assert len(solo.output.next_tokens) == 3
+        assert scored.output.next_tokens == solo.output.next_tokens
+        assert scored.output.log_probs == solo.output.log_probs
 
     def test_pending_counts_scheduler_sequences(self, repo):
         engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
@@ -346,34 +359,113 @@ class TestEngineWiring:
         assert engine.pending == 0
 
 
-class TestDecodeMicroRounds:
-    """decode_micro_rounds batches several plain rounds into one step()."""
+class RecordingStats(ServingStats):
+    """ServingStats that also keeps every decode-round record it receives."""
 
-    def test_token_identity_and_fewer_steps(self, repo):
-        def run(micro_rounds):
-            scheduler = ContinuousBatchingScheduler(
-                repo, num_slots=2,
-                cache_config=KVCacheConfig(bits=4, page_size=8),
-                decode_micro_rounds=micro_rounds,
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def record_decode_round(self, record):
+        self.records.append(record)
+        super().record_decode_round(record)
+
+
+class TestRoundLedger:
+    """Per-round bookkeeping: every terminal outcome, first token and
+    inter-token gap reaches exactly one decode-round record, with its class
+    and tenant alongside."""
+
+    def _scheduler(self, repo, num_slots):
+        stats = RecordingStats()
+        return ContinuousBatchingScheduler(repo, num_slots=num_slots, stats=stats), stats
+
+    @staticmethod
+    def _flat(records, name):
+        return [value for record in records for value in getattr(record, name)]
+
+    def test_every_finish_recorded_once_with_class_and_tenant(self, repo):
+        scheduler, stats = self._scheduler(repo, num_slots=2)
+        labels = [("interactive", "acme"), ("batch", "globex"), ("batch", "acme")]
+        for seed, (slo_class, tenant) in enumerate(labels):
+            scheduler.submit(
+                gen_request(
+                    max_new_tokens=seed + 1,
+                    seed=40 + seed,
+                    slo_class=slo_class,
+                    tenant=tenant,
+                )
             )
-            requests = [gen_request(seq_len=11, max_new_tokens=9, seed=s)
-                        for s in (41, 42)]
-            ids = [scheduler.submit(r) for r in requests]
-            steps = 0
-            outputs = {}
-            while len(scheduler):
-                for result in scheduler.step():
-                    outputs[result.request_id] = result.output["generated_tokens"]
-                steps += 1
-                assert steps < 100
-            return [outputs[i] for i in ids], steps
+        scheduler.run_until_idle()
+        for record in stats.records:
+            assert len(record.finish_classes) == len(record.finish_reasons)
+            assert len(record.finish_tenants) == len(record.finish_reasons)
+            assert len(record.latency_classes) == len(record.latencies)
+        assert self._flat(stats.records, "finish_reasons") == ["length"] * 3
+        finished = zip(
+            self._flat(stats.records, "finish_classes"),
+            self._flat(stats.records, "finish_tenants"),
+        )
+        assert sorted(finished) == sorted(labels)
+        assert sorted(self._flat(stats.records, "latency_classes")) == sorted(
+            cls for cls, _ in labels
+        )
 
-        single_tokens, single_steps = run(1)
-        multi_tokens, multi_steps = run(3)
-        assert multi_tokens == single_tokens
-        assert multi_steps < single_steps
+    def test_token_timings_recorded_once_per_token(self, repo):
+        scheduler, stats = self._scheduler(repo, num_slots=2)
+        budgets = (3, 1, 4)
+        for seed, budget in enumerate(budgets):
+            scheduler.submit(
+                gen_request(max_new_tokens=budget, seed=50 + seed, slo_class="c%d" % seed)
+            )
+        scheduler.run_until_idle()
+        assert sorted(self._flat(stats.records, "first_token_classes")) == [
+            "c0",
+            "c1",
+            "c2",
+        ]
+        assert len(self._flat(stats.records, "first_token_seconds")) == len(budgets)
+        gaps = self._flat(stats.records, "inter_token_seconds")
+        assert len(gaps) == sum(budget - 1 for budget in budgets)
+        assert all(gap >= 0.0 for gap in gaps)
 
-    def test_validation(self, repo):
-        with pytest.raises(ServingError):
-            ContinuousBatchingScheduler(repo, num_slots=1,
-                                        decode_micro_rounds=0)
+    def test_queued_cancel_rides_the_next_round(self, repo):
+        scheduler, stats = self._scheduler(repo, num_slots=1)
+        scheduler.submit(gen_request(max_new_tokens=3, seed=60))
+        doomed = gen_request(max_new_tokens=3, seed=61, slo_class="gone", tenant="t1")
+        scheduler.submit(doomed)
+        scheduler.step()
+        recorded = len(stats.records)
+        assert scheduler.cancel(doomed.request_id) is not None
+        # Traffic is still active, so the cancel waits for the next round.
+        assert len(stats.records) == recorded
+        scheduler.step()
+        record = stats.records[recorded]
+        assert record.finish_reasons == ("aborted",)
+        assert record.finish_classes == ("gone",)
+        assert record.finish_tenants == ("t1",)
+        assert record.latency_classes == ("gone",)
+        scheduler.run_until_idle()
+        assert self._flat(stats.records, "finish_reasons").count("aborted") == 1
+
+    def test_cancel_that_empties_scheduler_is_recorded_alone(self, repo):
+        scheduler, stats = self._scheduler(repo, num_slots=1)
+        request = gen_request(max_new_tokens=5, seed=62, tenant="t2")
+        scheduler.submit(request)
+        scheduler.step()
+        recorded = len(stats.records)
+        scheduler.cancel(request.request_id)
+        assert len(stats.records) == recorded + 1
+        record = stats.records[-1]
+        assert record.finish_reasons == ("aborted",)
+        assert record.finish_tenants == ("t2",)
+        assert record.generated_tokens == 0
+
+    def test_idle_step_records_nothing(self, repo):
+        scheduler, stats = self._scheduler(repo, num_slots=1)
+        scheduler.submit(gen_request(max_new_tokens=2, seed=63))
+        scheduler.run_until_idle()
+        recorded = len(stats.records)
+        assert scheduler.step() == []
+        assert len(stats.records) == recorded
+        assert self._flat(stats.records, "finish_reasons") == ["length"]
