@@ -46,11 +46,7 @@ from repro.serve.stats import ServingStats
 
 MODEL = "gpt2-xl-scaled"
 VOCAB = 96
-#: Long contexts thrash a small decoded-page LRU, which would hide the
-#: attend-shape difference behind identical re-decode costs on both sides.
-CACHE = KVCacheConfig(
-    bits=4, page_size=32, prefix_sharing=False, pool_decoded_mb=512.0
-)
+CACHE = KVCacheConfig(bits=4, page_size=32, prefix_sharing=False)
 
 # Speculation recipe for the scaled tier: the 1-layer draft keeps the
 # proposal pass at ~a quarter of a target round, single-token depth keeps

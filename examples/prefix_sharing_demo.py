@@ -9,11 +9,10 @@ and shows
    prompt's KV pages; every later request's prompt hashes to those sealed
    pages and *attaches* to them copy-on-write instead of re-running (and
    re-quantizing) the prefill, so admission cost drops to the suffix;
-2. **decode-once paging**: sealed pages are OVP-decoded once into the page
-   pool's bounded LRU and every later decode round (of every sequence) reuses
-   the decoded values — the per-round attend stops paying O(cached tokens)
-   re-decode;
-3. the pool's accounting: hit rate, decode bytes saved, shared-page counts.
+2. **decode-once paging**: each sealed page is OVP-decoded once — when it
+   seals, or when a later request attaches it — into K/V rows the sequence
+   owns, so decode rounds read those rows and never re-decode a page;
+3. the pool's accounting: pages decoded, prefix pages attached, live pages.
 """
 
 import time
@@ -82,11 +81,10 @@ def main() -> None:
 
     pool = engine.page_pool
     stats = pool.stats()
-    summary = engine.stats.summary()
     print("\n== page pool ==")
-    print(f"  decode hit rate      : {summary.pool_hit_rate * 100:.0f}% "
-          f"({stats['decode_hits']} hits / {stats['decode_misses']} decodes)")
-    print(f"  decode bytes saved   : {stats['decoded_bytes_saved']:,}")
+    print(f"  pages decoded        : {stats['decode_misses']} "
+          f"({stats['pages_registered']} sealed + "
+          f"{stats['prefix_pages_attached']} attached, each decoded once)")
     print(f"  prefix pages attached: {stats['prefix_pages_attached']}")
     print(f"  live pages / nodes   : {stats['entries']} / {stats['prefix_nodes']}")
 
@@ -94,8 +92,7 @@ def main() -> None:
         repository=engine.repository,
         max_batch_size=4,
         max_wait=0.0,
-        kv_cache_config=KVCacheConfig(bits=4, page_size=8, prefix_sharing=False,
-                                      pool_decoded_mb=0.0),
+        kv_cache_config=KVCacheConfig(bits=4, page_size=8, prefix_sharing=False),
     )
     cold_results, cold_seconds = serve_one_by_one(
         cold_engine, make_requests(system_prompt)
@@ -105,7 +102,7 @@ def main() -> None:
         a.output.token_ids == b.output.token_ids
         for a, b in zip(results, cold_results)
     )
-    print("\n== shared pool vs cold (no sharing, re-decode every round) ==")
+    print("\n== shared pool vs cold (no prefix sharing) ==")
     print(f"  shared pool : {shared_seconds * 1e3:6.0f} ms")
     print(f"  cold        : {cold_seconds * 1e3:6.0f} ms")
     print(f"  speedup     : {cold_seconds / shared_seconds:.2f}x, "

@@ -35,9 +35,23 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Gaussian error linear unit (tanh approximation, as used by BERT/GPT-2)."""
+    """Gaussian error linear unit (tanh approximation, as used by BERT/GPT-2).
+
+    ``0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))``, evaluated in place
+    on one output buffer; the cube is two multiplies rather than a float
+    power, which is both faster and within an ulp of ``x ** 3``.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+    out = np.multiply(x, x, out=np.empty_like(x))
+    out *= x
+    out *= 0.044715
+    out += x
+    out *= np.sqrt(2.0 / np.pi)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:

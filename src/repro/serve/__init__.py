@@ -12,8 +12,10 @@ request/response engine:
   the synchronous scheduler;
 * :mod:`repro.serve.kvcache` — per-sequence paged KV caches whose sealed
   pages are memory-aligned OVP byte streams (quantize-on-append) held in a
-  shared refcounted :class:`~repro.serve.kvcache.PagePool` with a decode-once
-  LRU and a prompt-prefix index for copy-on-write page sharing;
+  shared refcounted :class:`~repro.serve.kvcache.PagePool` with a
+  prompt-prefix index for copy-on-write page sharing; each page decodes once,
+  when it seals or attaches, into K/V rows the sequence owns, so attention
+  reads views of those rows;
 * :mod:`repro.serve.sampling` — the generation API surface:
   :class:`~repro.serve.sampling.SamplingParams` (temperature / top-k / top-p /
   stop tokens / seed), a pluggable logits-processor chain and

@@ -32,7 +32,7 @@ from repro.serve.health import (
     SLOClass,
     unified_event_log,
 )
-from repro.serve.kvcache import KVCacheConfig
+from repro.serve.kvcache import KVCacheConfig, PagePool
 from repro.serve.repository import ModelRepository, PackedModel
 from repro.serve.requests import (
     InferenceRequest,
@@ -282,9 +282,9 @@ class ServingEngine:
             max_queue_depth=admission.max_queue_depth if admission is not None else None,
         )
         self.kv_cache_config = kv_cache_config or KVCacheConfig(bits=self.repository.bits)
-        # One page pool for every generation slot: decoded pages and the
+        # One page pool for every generation slot: sealed pages and the
         # prefix index are shared across sequences.
-        self.page_pool = self.kv_cache_config.make_pool()
+        self.page_pool = PagePool()
         self.page_pool.tracer = self.tracer
         self.engine = InferenceEngine(self.repository)
         self.stats = ServingStats(clock=clock)
@@ -643,11 +643,11 @@ class ServingEngine:
         open alerts, and live resource accounting.
 
         Always carries ``resources`` (queue depth, slot occupancy, per-slot
-        KV bytes, pool sealed/decoded-LRU footprint, top KV consumers); the
-        ``slo``/``alerts`` sections are filled — after a fresh evaluation —
-        only when the engine was built with ``health=``.  ``status`` is
-        ``"ok"`` unless a burn-rate alert is currently firing
-        (``"degraded"``).
+        KV bytes, pool sealed bytes vs. decoded K/V rows, top KV
+        consumers); the ``slo``/``alerts`` sections are filled — after a
+        fresh evaluation — only when the engine was built with
+        ``health=``.  ``status`` is ``"ok"`` unless a burn-rate alert is
+        currently firing (``"degraded"``).
         """
         resources = self.lm_scheduler.resource_snapshot()
         resources["batcher_depth"] = len(self.batcher)

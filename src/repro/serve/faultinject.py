@@ -16,8 +16,9 @@ through the seams the scheduler already exposes:
   timestamp, so a wrapped clock with a forward-only offset simulates
   stalls and deadline pressure without sleeping;
 * the **page pool** — ``decoded_many`` is the single funnel every packed
-  KV read passes through, so shadowing it on the pool instance simulates
-  decode failures mid-round.
+  page decode passes through (a page decodes when it seals on append and
+  when a prefix attaches it), so shadowing it on the pool instance
+  simulates decode failures mid-prefill and mid-round.
 
 Faults raise :class:`~repro.serve.errors.InjectedFault` (retryable), and
 :func:`drive` mirrors the engine's recovery discipline — a fault escaping

@@ -1,41 +1,43 @@
-"""OVP-quantized paged KV caches with a shared, decode-once page pool.
+"""OVP-quantized paged KV caches that decode each sealed page once.
 
 The KV cache is the dominant memory consumer of LM serving: every decoded
 token appends one K and one V vector per layer per head, and a full-precision
 cache grows as ``4 bytes × 2 × layers × heads × head_dim`` per token.  OVP
 encoding is a natural fit because it is *memory aligned* — a packed page is a
 plain byte stream with no side tables, so paging the cache keeps the exact
-DRAM layout the paper's accelerator assumes for weights.
+DRAM layout the paper's accelerator assumes for weights, and each page
+decodes on its own.
 
 Layout
 ------
 Each sequence owns one :class:`SequenceKVCache`; each layer of the sequence
 owns a :class:`LayerKVCache` holding
 
-* a list of *sealed pages* — ``page_size`` timesteps of K (and V) quantized
-  on append into one :class:`~repro.core.ovp.PackedOVPTensor` per page, with
-  a per-page 3σ scale (the paper's initial-scale rule; no MSE search on the
-  hot append path);
-* one *open page* — the most recent ``< page_size`` timesteps kept in full
-  precision until the page fills.
+* one contiguous K buffer and one V buffer, each ``(heads, capacity,
+  head_dim)``, whose rows ``[0, seq_len)`` are exactly what attention reads:
+  the dequantized values of the sealed pages, then the newest *open* rows
+  (not yet sealed) in full precision;
+* the list of *sealed pages* — ``page_size`` timesteps of K (and V) quantized
+  into one :class:`~repro.core.ovp.PackedOVPTensor` per page once they fill,
+  with a per-page 3σ scale (the paper's initial-scale rule; no MSE search on
+  the hot append path).
 
-Sealed pages live in a :class:`PagePool` as refcounted
-:class:`PageHandle` entries.  Sealed pages are immutable byte streams, so the
-pool can
+A page seals by encoding its rows, registering the packed bytes in the
+:class:`PagePool` and decoding them **once** back over the same rows.  After
+that the rows already hold what every later round attends, so ``kv()`` is a
+view of the buffer — no pool call, no copy.  Capacity is sized at admission
+(prompt plus ``max_new_tokens``); a standalone cache grows on demand.
 
-* **decode each page once** — a bounded LRU side-cache holds the decoded
-  fp values, so the per-round attend cost stops paying an O(cached tokens)
-  re-decode (``decoded-on-first-attend``, reused by every later round and by
-  every sequence referencing the page);
-* **share prompt prefixes** — requests whose token prefix hashes to
-  already-sealed pages attach to the existing entries copy-on-write (sealed
-  pages are never mutated; each sequence still owns its open page), skipping
-  the prefill *and* the re-quantization of the shared tokens.
+Sealed pages live in the pool as refcounted :class:`PageHandle` entries.
+Sealed pages are immutable byte streams, so requests whose token prefix
+hashes to already-sealed pages *attach* to the existing entries
+copy-on-write: the shared pages decode once into the new sequence's rows,
+skipping the prefill *and* the re-quantization of the shared tokens.
 
 ``quantize=False`` keeps sealed pages in full precision; this reference mode
 is what the incremental-decode equivalence tests compare against full
 recompute.  Reference pages flow through the same pool/refcount machinery
-(prefix sharing included) but need no decode cache.
+(prefix sharing included) but need no decode.
 
 Sequences release their page references on retire/abort via
 :meth:`SequenceKVCache.release`; a page is dropped once no sequence and no
@@ -81,11 +83,6 @@ class KVCacheConfig:
     quantize:
         ``False`` keeps sealed pages in full precision — the bit-exact
         reference mode used by the equivalence tests.
-    pool_decoded_mb:
-        Capacity of the page pool's decoded-page LRU side-cache in MiB.
-        ``0`` disables decoded-page reuse entirely — every attend re-decodes
-        every sealed page, the pre-pool baseline the benchmarks compare
-        against.
     prefix_sharing:
         Let the continuous scheduler attach new requests to already-sealed
         pages of a matching token prefix instead of re-prefilling them.
@@ -94,7 +91,6 @@ class KVCacheConfig:
     bits: int = 4
     page_size: int = 16
     quantize: bool = True
-    pool_decoded_mb: float = 64.0
     prefix_sharing: bool = True
 
     def __post_init__(self) -> None:
@@ -102,18 +98,12 @@ class KVCacheConfig:
             raise ServingError("KV caches support 4- and 8-bit OVP only")
         if self.page_size < 1:
             raise ServingError("page_size must be >= 1")
-        if self.pool_decoded_mb < 0:
-            raise ServingError("pool_decoded_mb must be >= 0")
 
     def make_codec(self) -> OVPairCodec:
         """Codec for sealed pages (paper defaults for the chosen width)."""
         normal_dtype = "int4" if self.bits == 4 else "int8"
         normal, outlier, bias = OVPQuantizerConfig(normal_dtype=normal_dtype).resolve()
         return OVPairCodec(normal, outlier, bias)
-
-    def make_pool(self) -> "PagePool":
-        """A page pool sized to this config's decoded-cache budget."""
-        return PagePool(decoded_capacity_bytes=int(self.pool_decoded_mb * (1 << 20)))
 
 
 #: A sealed page payload: packed byte stream when quantizing, float otherwise.
@@ -165,46 +155,38 @@ class _PrefixNode:
 
 
 class PagePool:
-    """Shared store of sealed KV pages: refcounts, decode-once LRU, prefixes.
+    """Shared store of sealed KV pages: refcounts, batched decode, prefixes.
 
     A pool is owned by one scheduler/engine (single-threaded use); sequences
     register pages as they seal, attach to existing pages on prefix hits, and
     release their references on retire.  Three concerns live here:
 
-    * **refcounting** — a page is dropped (and its decoded entry evicted)
-      once its last holder releases it;
-    * **decoded-page LRU** — packed pages decode at most once while the
-      decoded values fit ``decoded_capacity_bytes``; every further attend is
-      a pool hit that skips the OVP decode entirely;
+    * **refcounting** — a page is dropped once its last holder releases it;
+    * **batched decode** — :meth:`decoded_many` is the one funnel every packed
+      page decode passes through (a page decodes when it seals and when a
+      prefix attaches it to a new sequence, never per round);
     * **prefix index** — a bounded LRU mapping page-aligned token-prefix hash
       chains to the sealed pages holding those tokens' K/V, enabling
       copy-on-write prompt sharing across requests.
     """
 
-    def __init__(
-        self,
-        decoded_capacity_bytes: int = 64 << 20,
-        prefix_capacity: int = 1024,
-    ) -> None:
-        if decoded_capacity_bytes < 0:
-            raise ServingError("decoded_capacity_bytes must be >= 0")
+    def __init__(self, prefix_capacity: int = 1024) -> None:
         if prefix_capacity < 1:
             raise ServingError("prefix_capacity must be >= 1")
-        self.decoded_capacity_bytes = int(decoded_capacity_bytes)
         self.prefix_capacity = int(prefix_capacity)
         # Span tracer for the batched pool decode; the owning engine/
         # scheduler assigns its own tracer here (last assignment wins when a
         # pool is shared, so share a tracer along with the pool).
         self.tracer = NULL_TRACER
         self._entries: Dict[int, PageHandle] = {}
-        self._decoded: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        # Decoded sealed rows held by the live caches of this pool; each
+        # LayerKVCache adds and subtracts its own share.
         self._decoded_bytes = 0
         self._sealed_bytes = 0
         self._prefix_nodes: "OrderedDict[Tuple, _PrefixNode]" = OrderedDict()
         # Cumulative counters (monotonic; callers diff snapshots per round).
         self.decode_hits = 0
         self.decode_misses = 0
-        self.decoded_bytes_saved = 0
         self.pages_registered = 0
         self.pages_dropped = 0
         self.prefix_lookups = 0
@@ -240,36 +222,27 @@ class PagePool:
         if handle.refcount == 0:
             if self._entries.pop(handle.page_id, None) is not None:
                 self._sealed_bytes -= handle.nbytes_resident
-            cached = self._decoded.pop(handle.page_id, None)
-            if cached is not None:
-                self._decoded_bytes -= cached.nbytes
             self.pages_dropped += 1
 
     # ------------------------------------------------------------------ #
-    # Decode-once LRU
+    # Batched decode
     # ------------------------------------------------------------------ #
     def decoded_many(
         self, handles: Sequence[PageHandle], codec: Optional[OVPairCodec]
     ) -> List[np.ndarray]:
-        """Decoded fp values of many pages, decoding each page at most once.
+        """Decoded fp values of many pages, each distinct page decoded once.
 
         Reference-mode (ndarray) payloads pass straight through.  Packed
-        pages are served from the decoded LRU when present; the misses are
-        decoded in one batched codec pass per page shape, deduplicated so a
-        page referenced by several sequences in one round decodes once.
+        pages decode in one batched codec pass per page shape; a page listed
+        twice decodes once (a hit) and both positions share the result.
+        The returned arrays are read-only by contract: callers copy them into
+        their own rows.
         """
         out: List[Optional[np.ndarray]] = [None] * len(handles)
-        pending: "OrderedDict[int, List[int]]" = OrderedDict()
+        pending: Dict[int, List[int]] = {}
         for j, handle in enumerate(handles):
             if not handle.is_packed:
                 out[j] = handle.payload
-                continue
-            cached = self._decoded.get(handle.page_id)
-            if cached is not None:
-                self._decoded.move_to_end(handle.page_id)
-                self.decode_hits += 1
-                self.decoded_bytes_saved += cached.nbytes
-                out[j] = cached
                 continue
             positions = pending.get(handle.page_id)
             if positions is None:
@@ -277,6 +250,7 @@ class PagePool:
                 self.decode_misses += 1
             else:
                 positions.append(j)
+                self.decode_hits += 1
         if pending:
             if codec is None:
                 raise ServingError("decoding packed KV pages requires a codec")
@@ -288,14 +262,14 @@ class PagePool:
                 self._decode_pending(handles, pending, codec, out)
         return out  # type: ignore[return-value]
 
+    @staticmethod
     def _decode_pending(
-        self,
         handles: Sequence[PageHandle],
-        pending: "OrderedDict[int, List[int]]",
+        pending: Dict[int, List[int]],
         codec: OVPairCodec,
         out: List[Optional[np.ndarray]],
     ) -> None:
-        """Batched OVP decode of the LRU misses (one codec pass per shape)."""
+        """Batched OVP decode of the distinct pages (one codec pass per shape)."""
         by_shape: Dict[Tuple[int, ...], List[List[int]]] = {}
         for positions in pending.values():
             shape = tuple(handles[positions[0]].payload.shape)
@@ -304,26 +278,9 @@ class PagePool:
             pages = codec.decode_tensor_batch(
                 [handles[positions[0]].payload for positions in groups]
             )
-            for row, positions in enumerate(groups):
-                array = self._admit_decoded(handles[positions[0]], pages[row])
-                out[positions[0]] = array
-                for j in positions[1:]:
-                    # Same page requested twice in one round: the extra
-                    # decode was saved even if the LRU is disabled.
-                    self.decode_hits += 1
-                    self.decoded_bytes_saved += array.nbytes
-                    out[j] = array
-
-    def _admit_decoded(self, handle: PageHandle, array: np.ndarray) -> np.ndarray:
-        if self.decoded_capacity_bytes <= 0 or array.nbytes > self.decoded_capacity_bytes:
-            return array
-        array = array.copy()  # own the row, not a view of the batch decode
-        self._decoded[handle.page_id] = array
-        self._decoded_bytes += array.nbytes
-        while self._decoded_bytes > self.decoded_capacity_bytes and self._decoded:
-            _, evicted = self._decoded.popitem(last=False)
-            self._decoded_bytes -= evicted.nbytes
-        return array
+            for page, positions in zip(pages, groups):
+                for j in positions:
+                    out[j] = page
 
     # ------------------------------------------------------------------ #
     # Prefix sharing
@@ -415,7 +372,7 @@ class PagePool:
 
     @property
     def decoded_cache_bytes(self) -> int:
-        """Bytes held by the decoded-page LRU right now."""
+        """Bytes of decoded sealed K/V rows held by this pool's live caches."""
         return self._decoded_bytes
 
     @property
@@ -432,7 +389,6 @@ class PagePool:
         return {
             "decode_hits": self.decode_hits,
             "decode_misses": self.decode_misses,
-            "decoded_bytes_saved": self.decoded_bytes_saved,
             "pages_registered": self.pages_registered,
             "pages_dropped": self.pages_dropped,
             "prefix_lookups": self.prefix_lookups,
@@ -456,37 +412,75 @@ class PagePool:
 
 
 class LayerKVCache:
-    """Paged K/V store of one layer of one sequence."""
+    """Paged K/V store of one layer of one sequence.
+
+    ``capacity`` is the number of timesteps to reserve up front (rounded up
+    to whole pages); the scheduler passes ``prompt + max_new_tokens`` so a
+    request's rows never move.  Appending past the capacity grows the
+    buffers geometrically.
+    """
 
     def __init__(self, num_heads: int, head_dim: int, config: KVCacheConfig,
                  codec: Optional[OVPairCodec] = None,
-                 pool: Optional[PagePool] = None) -> None:
+                 pool: Optional[PagePool] = None,
+                 capacity: int = 0) -> None:
         self.num_heads = int(num_heads)
         self.head_dim = int(head_dim)
         self.config = config
         self.codec = codec if codec is not None else (
             config.make_codec() if config.quantize else None
         )
-        self.pool = pool if pool is not None else config.make_pool()
+        self.pool = pool if pool is not None else PagePool()
         self._sealed_k: List[PageHandle] = []
         self._sealed_v: List[PageHandle] = []
-        # Open page: a preallocated (num_heads, page_size, head_dim) buffer
-        # holding the newest _open_len (< page_size) timesteps, so appends
-        # write rows in place instead of reallocating per step.
-        self._open_k = np.zeros((self.num_heads, config.page_size, self.head_dim))
-        self._open_v = np.zeros((self.num_heads, config.page_size, self.head_dim))
-        self._open_len = 0
+        # Rows [0, seq_len) of K and V: the decoded sealed pages, then the
+        # open rows in full precision.  Rows past seq_len are never read.
+        rows = self._rounded(max(int(capacity), 1))
+        self._k = np.empty((self.num_heads, rows, self.head_dim))
+        self._v = np.empty((self.num_heads, rows, self.head_dim))
         self._seq_len = 0
-        # Deferred-seal mode (speculative verify): appends accumulate in a
-        # grown open buffer instead of sealing, so a rollback of rejected
-        # draft tokens never has to reopen a quantized page.
+        # Deferred-seal mode (speculative verify): appends stay in full
+        # precision past page boundaries, so a rollback of rejected draft
+        # tokens never has to reopen a quantized page.
         self._hold_seals = False
-        # Reusable K/V assembly buffers for the batched round path (kv_many):
-        # grown geometrically, so a steady decode loop stops allocating a
-        # fresh concatenation every layer every round.  Callers read the
-        # assembled views within one attend only (same contract as the
-        # open-buffer view _finish already exposes).
-        self._assembly: Dict[str, np.ndarray] = {}
+
+    def _rounded(self, tokens: int) -> int:
+        size = self.config.page_size
+        return -(-tokens // size) * size
+
+    def _reserve(self, tokens: int) -> None:
+        """Grow the K/V buffers (keeping rows ``[0, seq_len)``) to ``tokens``."""
+        capacity = self._k.shape[1]
+        if tokens <= capacity:
+            return
+        rows = self._rounded(max(tokens, 2 * capacity))
+        for name in ("_k", "_v"):
+            grown = np.empty((self.num_heads, rows, self.head_dim))
+            grown[:, : self._seq_len] = getattr(self, name)[:, : self._seq_len]
+            setattr(self, name, grown)
+
+    # ------------------------------------------------------------------ #
+    # Sealed-page ownership (with the pool's decoded-row gauge)
+    # ------------------------------------------------------------------ #
+    @property
+    def _page_nbytes(self) -> int:
+        """Bytes of one page's decoded rows in one of the K/V buffers."""
+        return self.num_heads * self.config.page_size * self.head_dim * 8
+
+    def _hold(self, k_handles: Sequence[PageHandle], v_handles: Sequence[PageHandle]) -> None:
+        """Take ownership of pages sealed (or attached) after the current ones."""
+        self._sealed_k.extend(k_handles)
+        self._sealed_v.extend(v_handles)
+        self.pool._decoded_bytes += (len(k_handles) + len(v_handles)) * self._page_nbytes
+
+    def _drop(self, keep_pages: int) -> None:
+        """Release every sealed page from ``keep_pages`` on."""
+        dropped = self._sealed_k[keep_pages:] + self._sealed_v[keep_pages:]
+        for handle in dropped:
+            self.pool.release(handle)
+        self.pool._decoded_bytes -= len(dropped) * self._page_nbytes
+        del self._sealed_k[keep_pages:]
+        del self._sealed_v[keep_pages:]
 
     # ------------------------------------------------------------------ #
     # Append (quantize-on-append)
@@ -505,59 +499,47 @@ class LayerKVCache:
                 f"K/V step shapes {k_new.shape}/{v_new.shape} do not match "
                 f"(num_heads={self.num_heads}, t, head_dim={self.head_dim})"
             )
+        start, stop = self._seq_len, self._seq_len + k_new.shape[1]
+        self._reserve(stop)
+        self._k[:, start:stop] = k_new
+        self._v[:, start:stop] = v_new
+        self._seq_len = stop
+        if not self._hold_seals:
+            self._seal_full_pages()
+
+    def _seal_full_pages(self) -> None:
+        """Seal every full page past the sealed ones, then decode it in place.
+
+        The K and V pages all encode through one codec pass, register in the
+        pool, and decode once through :meth:`PagePool.decoded_many`; the
+        decoded values overwrite the rows, which is what every later attend
+        reads.
+        """
         size = self.config.page_size
-        offset, total = 0, k_new.shape[1]
-        if self._hold_seals:
-            # Speculative verify appends: keep everything in full precision
-            # (growing the open buffer past page_size if needed) so rejected
-            # tokens roll back exactly; flush_seals() restores the invariant.
-            needed = self._open_len + total
-            if needed > self._open_k.shape[1]:
-                self._open_k = self._grown(self._open_k, needed)
-                self._open_v = self._grown(self._open_v, needed)
-            self._open_k[:, self._open_len:needed] = k_new
-            self._open_v[:, self._open_len:needed] = v_new
-            self._open_len = needed
-            self._seq_len += total
+        first, stop = len(self._sealed_k), self._seq_len // size
+        if first >= stop:
             return
-        while offset < total:
-            take = min(size - self._open_len, total - offset)
-            stop = self._open_len + take
-            self._open_k[:, self._open_len:stop] = k_new[:, offset:offset + take]
-            self._open_v[:, self._open_len:stop] = v_new[:, offset:offset + take]
-            self._open_len = stop
-            offset += take
-            if self._open_len == size:
-                self._seal_open_page()
-                self._open_len = 0
-        self._seq_len += total
-
-    def _seal_open_page(self) -> None:
-        size = self.config.page_size
-        self._seal_page(self._open_k[:, :size], self._open_v[:, :size])
-
-    def _seal_page(self, k_page: np.ndarray, v_page: np.ndarray) -> None:
-        """Seal one full ``(num_heads, page_size, head_dim)`` K/V page pair."""
+        pages = []
+        for page in range(first, stop):
+            rows = slice(page * size, (page + 1) * size)
+            pages += [self._k[:, rows], self._v[:, rows]]
         if not self.config.quantize:
-            self._sealed_k.append(self.pool.register(k_page.copy()))
-            self._sealed_v.append(self.pool.register(v_page.copy()))
+            handles = [self.pool.register(page.copy()) for page in pages]
+            self._hold(handles[0::2], handles[1::2])
             return
-        if k_page.size % 2 == 0:
-            # K and V pages seal together through one codec pass.
-            pages = self.codec.encode_tensor_batch(
-                [k_page, v_page],
-                [self._page_scale(k_page), self._page_scale(v_page)],
-                self.codec.normal_dtype.max_value,
-            )
-            self._sealed_k.append(self.pool.register(pages[0]))
-            self._sealed_v.append(self.pool.register(pages[1]))
-            return
-        self._sealed_k.append(self.pool.register(self._seal(k_page)))
-        self._sealed_v.append(self.pool.register(self._seal(v_page)))
-
-    def _seal(self, page: np.ndarray) -> PackedOVPTensor:
-        scale = self._page_scale(page)
-        return self.codec.encode_tensor(page, scale, self.codec.normal_dtype.max_value)
+        scales = [self._page_scale(page) for page in pages]
+        threshold = self.codec.normal_dtype.max_value
+        if pages[0].size % 2 == 0:
+            packed = self.codec.encode_tensor_batch(pages, scales, threshold)
+        else:
+            packed = [
+                self.codec.encode_tensor(page, scale, threshold)
+                for page, scale in zip(pages, scales)
+            ]
+        handles = [self.pool.register(payload) for payload in packed]
+        self._hold(handles[0::2], handles[1::2])
+        for page, decoded in zip(pages, self.pool.decoded_many(handles, self.codec)):
+            page[...] = decoded
 
     def _page_scale(self, page: np.ndarray) -> float:
         """3σ scale rule: normals span 3σ, anything beyond is an OVP outlier."""
@@ -577,68 +559,58 @@ class LayerKVCache:
     ) -> None:
         """Adopt already-sealed pages as this cache's prefix (copy-on-write).
 
-        Sealed pages are immutable, so attaching is reference-taking only;
-        this cache appends its own open/sealed pages after them.  Only an
-        empty cache may attach, and the pages must match this cache's
-        geometry page for page.
+        Sealed pages are immutable, so attaching takes references and decodes
+        the shared pages once into rows ``[0, num_tokens)``; this cache
+        appends its own pages after them.  Only an empty cache may attach,
+        and the pages must match this cache's geometry page for page.
         """
         if self._seq_len:
             raise ServingError("prefix pages attach to an empty KV cache only")
         if len(k_handles) != len(v_handles):
             raise ServingError("prefix attach needs matching K and V page lists")
-        if num_tokens != len(k_handles) * self.config.page_size:
+        size = self.config.page_size
+        if num_tokens != len(k_handles) * size:
             raise ServingError(
                 f"prefix of {num_tokens} tokens does not fill "
-                f"{len(k_handles)} pages of {self.config.page_size}"
+                f"{len(k_handles)} pages of {size}"
             )
-        expected = (self.num_heads, self.config.page_size, self.head_dim)
-        for handle in list(k_handles) + list(v_handles):
+        expected = (self.num_heads, size, self.head_dim)
+        handles = [h for pair in zip(k_handles, v_handles) for h in pair]
+        for handle in handles:
             if tuple(handle.payload.shape) != expected:
                 raise ServingError(
                     f"shared page shape {tuple(handle.payload.shape)} does not "
                     f"match cache geometry {expected}"
                 )
-        for handle in k_handles:
-            self._sealed_k.append(self.pool.incref(handle))
-        for handle in v_handles:
-            self._sealed_v.append(self.pool.incref(handle))
+        self._reserve(num_tokens)
+        decoded = self.pool.decoded_many(handles, self.codec)
+        for page in range(len(k_handles)):
+            rows = slice(page * size, (page + 1) * size)
+            self._k[:, rows] = decoded[2 * page]
+            self._v[:, rows] = decoded[2 * page + 1]
+        self._hold(
+            [self.pool.incref(h) for h in k_handles],
+            [self.pool.incref(h) for h in v_handles],
+        )
         self._seq_len = int(num_tokens)
-        self.pool.prefix_pages_attached += len(k_handles) + len(v_handles)
+        self.pool.prefix_pages_attached += len(handles)
 
     def release(self) -> None:
         """Drop this cache's page references (retire/abort); cache resets empty."""
-        for handle in self._sealed_k:
-            self.pool.release(handle)
-        for handle in self._sealed_v:
-            self.pool.release(handle)
-        self._sealed_k, self._sealed_v = [], []
-        self._open_len = 0
+        self._drop(0)
         self._seq_len = 0
         self._hold_seals = False
-        self._assembly.clear()
 
     # ------------------------------------------------------------------ #
     # Rollback (speculative decoding)
     # ------------------------------------------------------------------ #
-    def _grown(self, buffer: np.ndarray, capacity: int) -> np.ndarray:
-        """A larger open buffer carrying the current rows.
-
-        Growth is geometric and the grown buffer is kept for the cache's
-        lifetime, so a steady stream of speculative verify rounds amortizes
-        to zero allocations per round.
-        """
-        capacity = max(capacity, 2 * buffer.shape[1])
-        grown = np.zeros((self.num_heads, capacity, self.head_dim))
-        grown[:, : self._open_len] = buffer[:, : self._open_len]
-        return grown
-
     def hold_seals(self) -> None:
         """Defer page sealing: subsequent appends stay in full precision.
 
         The speculative verify pass appends ``k + 1`` tokens that may be
         partially rolled back; holding the seals keeps every appended row in
-        the (grown) open buffer so :meth:`truncate_to` is exact — no sealed
-        page has to be reopened through the lossy OVP round-trip.  Call
+        full precision so :meth:`truncate_to` is exact — no sealed page has
+        to be reopened through the lossy OVP round-trip.  Call
         :meth:`flush_seals` once the accepted length is settled.
         """
         self._hold_seals = True
@@ -651,90 +623,48 @@ class LayerKVCache:
         bitwise identical to the eager-sealing path.
         """
         self._hold_seals = False
-        size = self.config.page_size
-        offset = 0
-        while self._open_len - offset >= size:
-            self._seal_page(
-                self._open_k[:, offset:offset + size],
-                self._open_v[:, offset:offset + size],
-            )
-            offset += size
-        if offset:
-            remainder = self._open_len - offset
-            self._open_k[:, :remainder] = self._open_k[:, offset:self._open_len]
-            self._open_v[:, :remainder] = self._open_v[:, offset:self._open_len]
-            self._open_len = remainder
+        self._seal_full_pages()
 
     def truncate_to(self, num_tokens: int) -> None:
         """Roll the cache back to its first ``num_tokens`` timesteps.
 
         Speculative decoding appends draft tokens optimistically and rolls
         the rejected suffix back here.  Truncating to the current length is
-        an exact no-op.  A cut inside the open page just shortens it; a cut
-        inside a sealed page reopens that page *copy-on-write* — the payload
-        is decoded (never mutated, so pool-shared pages stay valid for every
-        other holder) and the kept rows move into the open buffer — then this
-        cache's references to the dropped pages are released.
+        an exact no-op.  A cut inside the open rows just shortens them; a
+        cut inside a sealed page reopens that page *copy-on-write*: its kept
+        rows already hold the decoded values and stay in place as open rows
+        (the shared payload is never mutated), and this cache's references
+        to the dropped pages are released.
         """
         num_tokens = int(num_tokens)
         if not 0 <= num_tokens <= self._seq_len:
             raise ServingError(
                 f"cannot truncate a {self._seq_len}-token cache to {num_tokens}"
             )
-        if num_tokens == self._seq_len:
-            return
-        size = self.config.page_size
-        sealed_tokens = len(self._sealed_k) * size
-        if num_tokens >= sealed_tokens:
-            # The cut lands in the open page: forget the tail rows (stale
-            # values beyond _open_len are never read and get overwritten).
-            self._open_len = num_tokens - sealed_tokens
-            self._seq_len = num_tokens
-            return
-        keep_pages, tail = divmod(num_tokens, size)
-        kept_k = kept_v = None
-        if tail:
-            decoded = self.pool.decoded_many(
-                [self._sealed_k[keep_pages], self._sealed_v[keep_pages]], self.codec
-            )
-            kept_k = decoded[0][:, :tail].copy()
-            kept_v = decoded[1][:, :tail].copy()
-        for handle in self._sealed_k[keep_pages:]:
-            self.pool.release(handle)
-        for handle in self._sealed_v[keep_pages:]:
-            self.pool.release(handle)
-        del self._sealed_k[keep_pages:]
-        del self._sealed_v[keep_pages:]
-        if tail:
-            self._open_k[:, :tail] = kept_k
-            self._open_v[:, :tail] = kept_v
-        self._open_len = tail
+        keep_pages = num_tokens // self.config.page_size
+        if keep_pages < len(self._sealed_k):
+            self._drop(keep_pages)
         self._seq_len = num_tokens
 
     # ------------------------------------------------------------------ #
-    # Attend (decode-once-on-attend)
+    # Attend
     # ------------------------------------------------------------------ #
     def kv(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Decode and return the full ``(K, V)``, each ``(heads, seq, dim)``."""
+        """The full ``(K, V)``, each ``(heads, seq, dim)``, as views of the rows.
+
+        The views are valid until the next append, seal or truncation.
+        """
         if self._seq_len == 0:
             raise ServingError("KV cache is empty; append before attending")
-        decoded = self.pool.decoded_many(self._sealed_k + self._sealed_v, self.codec)
-        split = len(self._sealed_k)
-        return (
-            self._finish(decoded[:split], self._open_k),
-            self._finish(decoded[split:], self._open_v),
-        )
+        return self._k[:, : self._seq_len], self._v[:, : self._seq_len]
 
     @classmethod
     def kv_many(cls, caches: Sequence["LayerKVCache"]) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """``kv()`` for many caches with one batched page-pool fetch.
+        """``kv()`` for every slot of a decode round.
 
-        A continuous-batching decode round attends every active slot against
-        this layer; fetching each slot's pages separately pays the pool/codec
-        per-call overhead ``2 × slots`` times.  All pages of one pool are
-        fetched in a single pass instead (hits straight from the decoded LRU,
-        misses in one batched codec decode per page shape), then each cache's
-        K/V are reassembled in order.  (:meth:`MultiHeadAttention.forward_incremental
+        Every sealed page was decoded into its cache's rows when it sealed or
+        attached, so this is a list of views: no pool call and no copy.
+        (:meth:`MultiHeadAttention.forward_incremental
         <repro.nn.attention.MultiHeadAttention.forward_incremental>` picks
         this up by duck-typing, keeping ``repro.nn`` free of serve imports.)
 
@@ -760,68 +690,10 @@ class LayerKVCache:
         for cache in caches:
             if cache.seq_len == 0:
                 raise ServingError("KV cache is empty; append before attending")
-        decoded_k: List[Optional[List[np.ndarray]]] = [None] * len(caches)
-        decoded_v: List[Optional[List[np.ndarray]]] = [None] * len(caches)
-        by_pool: Dict[int, List[int]] = {}
-        for index, cache in enumerate(caches):
-            by_pool.setdefault(id(cache.pool), []).append(index)
-        for indices in by_pool.values():
-            pool = caches[indices[0]].pool
-            codec = next(
-                (caches[i].codec for i in indices if caches[i].codec is not None), None
-            )
-            handles: List[PageHandle] = []
-            for i in indices:
-                handles.extend(caches[i]._sealed_k)
-                handles.extend(caches[i]._sealed_v)
-            arrays = pool.decoded_many(handles, codec)
-            offset = 0
-            for i in indices:
-                nk, nv = len(caches[i]._sealed_k), len(caches[i]._sealed_v)
-                decoded_k[i] = arrays[offset:offset + nk]
-                decoded_v[i] = arrays[offset + nk:offset + nk + nv]
-                offset += nk + nv
         return [
-            (
-                cache._finish(decoded_k[i], cache._open_k, reuse="k"),
-                cache._finish(decoded_v[i], cache._open_v, reuse="v"),
-            )
-            for i, cache in enumerate(caches)
+            (cache._k[:, : cache._seq_len], cache._v[:, : cache._seq_len])
+            for cache in caches
         ]
-
-    def _finish(
-        self,
-        decoded_pages: List[np.ndarray],
-        open_buffer: np.ndarray,
-        reuse: Optional[str] = None,
-    ) -> np.ndarray:
-        """Concatenate decoded sealed pages with the open-page rows.
-
-        Callers only read the assembled K/V within one attend, so exposing a
-        view of the reusable open buffer (rather than a copy) is safe.  The
-        batched round path passes ``reuse`` ("k"/"v") to assemble into this
-        cache's persistent buffer instead of a fresh ``np.concatenate`` —
-        same copies, no per-layer-per-round allocation; the returned view is
-        only valid until the next round assembles over it.
-        """
-        parts = list(decoded_pages)
-        if self._open_len:
-            parts.append(open_buffer[:, : self._open_len])
-        if len(parts) == 1:
-            return parts[0]
-        if reuse is None:
-            return np.concatenate(parts, axis=1)
-        total = sum(part.shape[1] for part in parts)
-        buffer = self._assembly.get(reuse)
-        if buffer is None or buffer.shape[1] < total:
-            capacity = max(total, 2 * (0 if buffer is None else buffer.shape[1]))
-            buffer = np.empty((self.num_heads, capacity, self.head_dim))
-            self._assembly[reuse] = buffer
-        offset = 0
-        for part in parts:
-            buffer[:, offset : offset + part.shape[1]] = part
-            offset += part.shape[1]
-        return buffer[:, :total]
 
     # ------------------------------------------------------------------ #
     # Accounting
@@ -861,12 +733,13 @@ class LayerKVCache:
         ``quantize=False`` reference mode) is charged at fp32 — the dtype a
         production fp cache would hold — even though NumPy computes in
         float64.  Shared pages are charged to every holder (the per-sequence
-        view); pool-level dedup shows up in the pool's own gauges.
+        view); pool-level dedup shows up in the pool's own gauges.  The
+        decoded rows attention reads are the pool's ``decoded_cache_bytes``.
         """
         sealed = sum(h.nbytes_resident for h in self._sealed_k)
         sealed += sum(h.nbytes_resident for h in self._sealed_v)
-        open_elems = 2 * self.num_heads * self._open_len * self.head_dim
-        return int(sealed + open_elems * 4)
+        open_len = self._seq_len - len(self._sealed_k) * self.config.page_size
+        return int(sealed + 2 * self.num_heads * open_len * self.head_dim * 4)
 
 
 class SequenceKVCache:
@@ -874,19 +747,24 @@ class SequenceKVCache:
 
     All layers share one codec instance (the lookup tables are immutable) and
     one :class:`PagePool` (a private pool is built when none is passed), so
-    building a cache per admitted request stays cheap.
+    building a cache per admitted request stays cheap.  ``capacity`` reserves
+    that many timesteps of K/V rows per layer (see :class:`LayerKVCache`).
     """
 
     def __init__(self, num_layers: int, num_heads: int, head_dim: int,
                  config: Optional[KVCacheConfig] = None,
-                 pool: Optional[PagePool] = None) -> None:
+                 pool: Optional[PagePool] = None,
+                 capacity: int = 0) -> None:
         if num_layers < 1:
             raise ServingError("a KV cache needs at least one layer")
         self.config = config or KVCacheConfig()
-        self.pool = pool if pool is not None else self.config.make_pool()
+        self.pool = pool if pool is not None else PagePool()
         codec = self.config.make_codec() if self.config.quantize else None
         self._layers = [
-            LayerKVCache(num_heads, head_dim, self.config, codec=codec, pool=self.pool)
+            LayerKVCache(
+                num_heads, head_dim, self.config, codec=codec, pool=self.pool,
+                capacity=capacity,
+            )
             for _ in range(num_layers)
         ]
 
@@ -995,13 +873,16 @@ def cache_for_model(
     model,
     config: Optional[KVCacheConfig] = None,
     pool: Optional[PagePool] = None,
+    capacity: int = 0,
 ) -> SequenceKVCache:
     """Build an empty cache matching a causal LM's decoder geometry.
 
     Accepts a :class:`~repro.models.zoo.CausalLM` (or any module exposing a
     ``backbone``) or a bare decoder with ``layer_i.self_attention`` children.
     Pass ``pool`` to share one :class:`PagePool` across sequences (the
-    scheduler does); otherwise the cache gets a private pool.
+    scheduler does); otherwise the cache gets a private pool.  ``capacity``
+    reserves K/V rows for that many timesteps (the scheduler passes prompt
+    plus ``max_new_tokens``); without it the cache grows as it appends.
     """
     backbone = getattr(model, "backbone", model)
     num_layers = getattr(backbone, "num_layers", None)
@@ -1018,4 +899,5 @@ def cache_for_model(
         head_dim=attention.head_dim,
         config=config,
         pool=pool,
+        capacity=capacity,
     )

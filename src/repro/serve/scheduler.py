@@ -214,6 +214,11 @@ class _ResumeState:
 class ContinuousBatchingScheduler:
     """Admit/retire LM generation sequences over a fixed slot pool.
 
+    Each admitted sequence gets a KV cache whose K/V rows are reserved for
+    ``prompt + max_new_tokens`` timesteps.  Its pages decode once, when they
+    seal or attach from the prefix index, so a decode round attends views
+    of those rows without touching the page pool.
+
     Parameters
     ----------
     repository:
@@ -228,8 +233,7 @@ class ContinuousBatchingScheduler:
         :class:`~repro.serve.stats.DecodeRoundRecord` per non-empty round.
     page_pool:
         Optional shared :class:`~repro.serve.kvcache.PagePool`; by default the
-        scheduler builds its own from ``cache_config`` (decoded-page LRU
-        capacity, prefix sharing on/off).
+        scheduler builds its own.
     share_generated_suffix:
         Also register pages sealed *during decode* in the pool's prefix index
         at retirement, so a follow-up turn whose prompt is
@@ -322,9 +326,9 @@ class ContinuousBatchingScheduler:
             raise ServingError(
                 "speculative must be a SpeculativeConfig or SpeculativeDecoder"
             )
-        # One shared pool for every admitted sequence: sealed pages decode at
-        # most once across rounds/sequences, and the prefix index lives here.
-        self.page_pool = page_pool if page_pool is not None else self.cache_config.make_pool()
+        # One shared pool for every admitted sequence: sealed pages are
+        # refcounted here and the prefix index lives here.
+        self.page_pool = page_pool if page_pool is not None else PagePool()
         if tracer is not None:
             # Only adopt the pool when a tracer was passed explicitly, so a
             # shared pool's tracer is never clobbered with the null default.
@@ -598,10 +602,6 @@ class ContinuousBatchingScheduler:
                 latencies=tuple(ledger.latencies),
                 pool_hits=pool_after["decode_hits"] - pool_before["decode_hits"],
                 pool_misses=pool_after["decode_misses"] - pool_before["decode_misses"],
-                pool_decoded_bytes_saved=(
-                    pool_after["decoded_bytes_saved"]
-                    - pool_before["decoded_bytes_saved"]
-                ),
                 prefix_pages_attached=(
                     pool_after["prefix_pages_attached"]
                     - pool_before["prefix_pages_attached"]
@@ -620,7 +620,7 @@ class ContinuousBatchingScheduler:
                 queue_depth=len(self._queue),
                 slot_kv_bytes=slot_kv_bytes,
                 pool_sealed_bytes=self.page_pool.sealed_bytes,
-                pool_decoded_lru_bytes=self.page_pool.decoded_cache_bytes,
+                kv_decoded_bytes=self.page_pool.decoded_cache_bytes,
             )
         )
 
@@ -648,10 +648,11 @@ class ContinuousBatchingScheduler:
         """Live resource accounting for ``health_report()`` / dashboards.
 
         Everything here is a point-in-time gauge read: queue depth, slot
-        occupancy, resident KV bytes per slot, the shared pool's sealed vs.
-        decoded-LRU footprint, and the top KV consumers (largest resident
-        caches first) so the memory-pressure question "who is holding the
-        bytes?" has an answer before eviction policy work needs it.
+        occupancy, resident KV bytes per slot, the shared pool's sealed
+        pages vs. the decoded K/V rows the slots attend, and the top KV
+        consumers (largest resident caches first) so the memory-pressure
+        question "who is holding the bytes?" has an answer before eviction
+        policy work needs it.
         """
         consumers = []
         for index, slot in enumerate(self._slots):
@@ -695,7 +696,7 @@ class ContinuousBatchingScheduler:
             "pool": {
                 "entries": self.page_pool.num_entries,
                 "sealed_bytes": self.page_pool.sealed_bytes,
-                "decoded_lru_bytes": self.page_pool.decoded_cache_bytes,
+                "kv_decoded_bytes": self.page_pool.decoded_cache_bytes,
                 "shared_pages": self.page_pool.num_shared_pages,
                 "prefix_nodes": self.page_pool.num_prefix_nodes,
             },
@@ -776,14 +777,17 @@ class ContinuousBatchingScheduler:
         delivered before its eviction.
         """
         index, queued, entry, shared, chain = item
+        cache = None
         try:
-            cache = cache_for_model(entry.model, self.cache_config, pool=self.page_pool)
+            cache = self._new_cache(entry, queued.request)
             if shared is not None:
                 num_pages, layers_k, layers_v = shared
                 cache.attach_prefix(
                     layers_k, layers_v, num_pages * self.cache_config.page_size
                 )
         except Exception as exc:
+            if cache is not None:
+                cache.release()  # drop any layers a failed attach already took
             self._failed.append((queued.request.request_id, exc))
             if self.tracer.enabled:
                 self.tracer.lifecycle_end(
@@ -1117,6 +1121,20 @@ class ContinuousBatchingScheduler:
         )
         return found if found[0] else None
 
+    def _new_cache(self, entry: PackedModel, request: InferenceRequest) -> SequenceKVCache:
+        """An empty pooled cache with rows reserved for the whole request.
+
+        ``prompt + max_new_tokens`` is the budget ``validate_token_budget``
+        admitted and speculative proposals are capped to, so the rows never
+        move.
+        """
+        return cache_for_model(
+            entry.model,
+            self.cache_config,
+            pool=self.page_pool,
+            capacity=request.seq_len + request.sampling.max_new_tokens,
+        )
+
     def _prepare(self, queued: QueuedRequest) -> Optional[PackedModel]:
         """Fetch the request's model entry and validate its token budget."""
         request = queued.request
@@ -1409,13 +1427,13 @@ class ContinuousBatchingScheduler:
         caches: List[SequenceKVCache] = []
         try:
             for _, queued, _, shared, chain in group:
-                cache = cache_for_model(entry.model, self.cache_config, pool=self.page_pool)
+                cache = self._new_cache(entry, queued.request)
+                caches.append(cache)  # released with the rest if attach fails
                 if shared is not None:
                     num_pages, layers_k, layers_v = shared
                     cache.attach_prefix(
                         layers_k, layers_v, num_pages * self.cache_config.page_size
                     )
-                caches.append(cache)
             suffixes = np.stack(
                 [
                     chain[cache.seq_len:]

@@ -58,7 +58,7 @@ from repro.models.zoo import DRAFT_NAME_SEPARATOR, parse_draft_name
 from repro.nn import functional as F
 from repro.nn.attention import AttendScratch
 from repro.serve.errors import ServingError
-from repro.serve.kvcache import KVCacheConfig, SequenceKVCache, cache_for_model
+from repro.serve.kvcache import KVCacheConfig, PagePool, SequenceKVCache, cache_for_model
 from repro.serve.repository import ModelRepository, PackedModel
 from repro.serve.requests import WorkloadFamily
 from repro.serve.telemetry import NULL_TRACER
@@ -156,7 +156,7 @@ class _BorrowedLayerCache:
     weights — and therefore the K/V it would cache for any token — are the
     target's layer ``i`` values.  Instead of re-computing and re-storing
     them, the draft borrows the target's pages copy-on-write: ``kv`` reads
-    the target's cache (decoded once, through the shared page pool) and
+    the target's decoded K/V rows (each page decoded once, when it sealed) and
     appends only the current round's one in-flight token, which is kept
     locally and discarded — the verify pass re-derives and truly appends it.
     The target cache is never mutated, and the draft needs no KV memory,
@@ -186,7 +186,7 @@ class _BorrowedLayerCache:
 
     @classmethod
     def kv_many(cls, caches):
-        """Batched fetch: one pool pass over every slot's borrowed pages."""
+        """Batched fetch: every slot's borrowed rows plus its in-flight token."""
         base_kvs = type(caches[0]._base).kv_many([c._base for c in caches])
         return [
             (
@@ -346,7 +346,7 @@ class SpeculativeDecoder:
         long_prompt = 3 * short
         if max_positions is not None:
             long_prompt = min(long_prompt, max(short, max_positions // 2))
-        pool = self.target_cache_config.make_pool()
+        pool = PagePool()
         groups: List[Tuple[np.ndarray, np.ndarray, int]] = []
         plans = (
             (short, (cfg.calibration_sequences + 1) // 2),
@@ -366,7 +366,10 @@ class SpeculativeDecoder:
                 )
             prompts = rng.integers(0, vocab, size=(count, prompt_len))
             caches = [
-                cache_for_model(target, self.target_cache_config, pool=pool)
+                cache_for_model(
+                    target, self.target_cache_config, pool=pool,
+                    capacity=prompt_len + steps,
+                )
                 for _ in range(count)
             ]
             depth = draft.backbone.num_layers

@@ -128,9 +128,8 @@ class DecodeRoundRecord:
     kv_fp32_bytes: int         # fp32 cache footprint for the same tokens
     latencies: tuple = ()      # enqueue → completion of requests retired this round
     # Page-pool activity this round (deltas of the pool's counters).
-    pool_hits: int = 0                 # sealed-page fetches served pre-decoded
-    pool_misses: int = 0               # sealed pages that had to be OVP-decoded
-    pool_decoded_bytes_saved: int = 0  # decode output bytes the hits avoided
+    pool_hits: int = 0                 # repeat pages a batched decode skipped
+    pool_misses: int = 0               # sealed pages OVP-decoded (seal/attach)
     prefix_pages_attached: int = 0     # pages adopted from the prefix index
     shared_pages: int = 0              # pool pages with >1 holder at round end
     # Streaming / sampling telemetry.
@@ -154,7 +153,7 @@ class DecodeRoundRecord:
     queue_depth: int = 0               # requests waiting for a slot
     slot_kv_bytes: tuple = ()          # resident KV bytes per slot (idle = 0)
     pool_sealed_bytes: int = 0         # live sealed pages in the shared pool
-    pool_decoded_lru_bytes: int = 0    # decoded-page LRU footprint
+    kv_decoded_bytes: int = 0          # decoded sealed K/V rows of live caches
 
     @property
     def occupancy(self) -> float:
@@ -163,7 +162,7 @@ class DecodeRoundRecord:
 
     @property
     def pool_hit_rate(self) -> float:
-        """Fraction of sealed-page fetches that skipped the OVP decode."""
+        """Fraction of page decode requests that reused a decode in the batch."""
         fetches = self.pool_hits + self.pool_misses
         return self.pool_hits / fetches if fetches else 0.0
 
@@ -204,7 +203,6 @@ class ServingSummary:
     # Page-pool metrics over the window (zero when no pages were fetched).
     pool_hits: int = 0
     pool_misses: int = 0
-    pool_decoded_bytes_saved: int = 0
     prefix_pages_attached: int = 0
     shared_pages_peak: int = 0
     # Generation finish reasons over the window (zero when nothing finished).
@@ -244,7 +242,7 @@ class ServingSummary:
 
     @property
     def pool_hit_rate(self) -> float:
-        """Fraction of sealed-page fetches served from the decoded LRU."""
+        """Fraction of page decode requests that reused a decode in the batch."""
         fetches = self.pool_hits + self.pool_misses
         return self.pool_hits / fetches if fetches else 0.0
 
@@ -285,7 +283,6 @@ class ServingSummary:
             "pool_hits": self.pool_hits,
             "pool_misses": self.pool_misses,
             "pool_hit_rate": round(self.pool_hit_rate, 4),
-            "pool_decoded_bytes_saved": self.pool_decoded_bytes_saved,
             "prefix_pages_attached": self.prefix_pages_attached,
             "shared_pages_peak": self.shared_pages_peak,
             "finish_stop": self.finish_stop,
@@ -344,13 +341,10 @@ class ServingStats:
             "serve_generated_tokens_total", "Tokens generated by decode rounds"
         )
         self._m_pool_hits = r.counter(
-            "serve_pool_hits_total", "Sealed-page fetches served from the decoded LRU"
+            "serve_pool_hits_total", "Repeat pages a batched pool decode skipped"
         )
         self._m_pool_misses = r.counter(
-            "serve_pool_misses_total", "Sealed-page fetches that had to OVP-decode"
-        )
-        self._m_pool_saved = r.counter(
-            "serve_pool_decoded_bytes_saved_total", "Decode output bytes avoided by pool hits"
+            "serve_pool_misses_total", "Sealed pages OVP-decoded at seal or prefix attach"
         )
         self._m_prefix_pages = r.counter(
             "serve_prefix_pages_attached_total", "Pages adopted from the prefix index"
@@ -428,8 +422,8 @@ class ServingStats:
         self._m_pool_sealed = r.gauge(
             "serve_pool_sealed_bytes", "Live sealed-page bytes in the shared pool"
         )
-        self._m_pool_lru = r.gauge(
-            "serve_pool_decoded_lru_bytes", "Decoded-page LRU footprint"
+        self._m_kv_decoded = r.gauge(
+            "serve_kv_decoded_bytes", "Decoded sealed K/V rows held by live caches"
         )
         self._m_slot_kv = r.gauge(
             "serve_slot_kv_bytes", "Resident KV bytes per scheduler slot",
@@ -461,7 +455,6 @@ class ServingStats:
         self._m_round_seconds.observe(record.compute_seconds)
         self._m_pool_hits.inc(record.pool_hits)
         self._m_pool_misses.inc(record.pool_misses)
-        self._m_pool_saved.inc(record.pool_decoded_bytes_saved)
         self._m_prefix_pages.inc(record.prefix_pages_attached)
         self._m_proposed.inc(record.draft_proposed_tokens)
         self._m_accepted.inc(record.draft_accepted_tokens)
@@ -489,7 +482,7 @@ class ServingStats:
         self._m_shared.set(record.shared_pages)
         self._m_queue_depth.set(record.queue_depth)
         self._m_pool_sealed.set(record.pool_sealed_bytes)
-        self._m_pool_lru.set(record.pool_decoded_lru_bytes)
+        self._m_kv_decoded.set(record.kv_decoded_bytes)
         for slot_index, nbytes in enumerate(record.slot_kv_bytes):
             self._m_slot_kv.set(nbytes, slot=str(slot_index))
 
@@ -620,7 +613,6 @@ class ServingStats:
             kv_fp32_bytes_peak=kv_peak.kv_fp32_bytes if kv_peak else 0,
             pool_hits=sum(r.pool_hits for r in rounds),
             pool_misses=sum(r.pool_misses for r in rounds),
-            pool_decoded_bytes_saved=sum(r.pool_decoded_bytes_saved for r in rounds),
             prefix_pages_attached=sum(r.prefix_pages_attached for r in rounds),
             shared_pages_peak=max((r.shared_pages for r in rounds), default=0),
             finish_stop=reasons.count("stop"),

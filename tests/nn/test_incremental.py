@@ -36,15 +36,55 @@ def set_ragged_attend(model, mode):
         getattr(model.backbone, f"layer_{i}").self_attention.ragged_attend = mode
 
 
-def stepwise_log_probs(model, tokens, prefix_len, config):
+def stepwise_log_probs(model, tokens, prefix_len, config, cache=None):
     """Prefill ``tokens[:prefix_len]`` then decode the rest one at a time."""
-    cache = cache_for_model(model, config)
+    cache = cache if cache is not None else cache_for_model(model, config)
     log_probs = model.log_probs_incremental(tokens[None, :prefix_len], [cache])
     for position in range(prefix_len, tokens.size):
         log_probs = model.log_probs_incremental(
             np.array([[tokens[position]]]), [cache]
         )
     return log_probs[0, -1], cache
+
+
+class _RedecodeLayer:
+    """A layer cache whose ``kv`` re-decodes every sealed page's packed bytes
+    on every call, then appends the open rows: the re-decode oracle."""
+
+    def __init__(self, layer):
+        self._layer = layer
+
+    @property
+    def seq_len(self):
+        return self._layer.seq_len
+
+    def append(self, k_new, v_new):
+        self._layer.append(k_new, v_new)
+
+    def kv(self):
+        layer = self._layer
+        sealed = len(layer._sealed_k) * layer.config.page_size
+        k_rows, v_rows = layer.kv()
+        return tuple(
+            np.concatenate(
+                [layer.codec.decode_tensor(h.payload) for h in handles]
+                + [rows[:, sealed:]],
+                axis=1,
+            )
+            for handles, rows in ((layer._sealed_k, k_rows), (layer._sealed_v, v_rows))
+        )
+
+
+class _RedecodeCache:
+    def __init__(self, cache):
+        self._layers = [_RedecodeLayer(cache.layer(i)) for i in range(cache.num_layers)]
+
+    @property
+    def seq_len(self):
+        return self._layers[0].seq_len
+
+    def layer(self, index):
+        return self._layers[index]
 
 
 class TestFP32Equivalence:
@@ -213,16 +253,17 @@ class TestIncrementalAPI:
         )
 
     def test_pool_decode_reuse_is_bitwise_equal_to_redecode(self, model):
-        """The decoded-page LRU must change nothing: logits with the pool
-        cache enabled are bitwise identical to re-decoding every round."""
+        """Decoding each sealed page once into the cache's own rows must
+        change nothing: logits are bitwise identical to re-decoding every
+        sealed page from its packed bytes on every step."""
         tokens = np.random.default_rng(21).integers(0, 96, size=TOTAL_LEN)
-        logits = {}
-        for mb in (64.0, 0.0):  # decode-once pool vs re-decode baseline
-            config = KVCacheConfig(bits=4, page_size=4, pool_decoded_mb=mb)
-            logits[mb], cache = stepwise_log_probs(model, tokens, 8, config)
-            hits = cache.pool.decode_hits
-            assert hits > 0 if mb else hits == 0
-        np.testing.assert_array_equal(logits[64.0], logits[0.0])
+        config = KVCacheConfig(bits=4, page_size=4)
+        once, cache = stepwise_log_probs(model, tokens, 8, config)
+        assert cache.pool.decode_misses == cache.pool.pages_registered
+        assert cache.pool.decode_hits == 0
+        redecode = _RedecodeCache(cache_for_model(model, config))
+        redecoded, _ = stepwise_log_probs(model, tokens, 8, config, cache=redecode)
+        np.testing.assert_array_equal(once, redecoded)
 
     def test_ragged_decode_round_matches_per_sequence(self, model):
         """A batched decode round over ragged slots equals row-by-row decode."""

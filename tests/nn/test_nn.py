@@ -44,6 +44,13 @@ class TestFunctional:
         x = np.array([-10.0, 10.0])
         np.testing.assert_allclose(F.gelu(x), [0.0, 10.0], atol=1e-3)
 
+    def test_gelu_matches_closed_form(self):
+        x = np.random.default_rng(3).normal(0.0, 3.0, size=(128, 2048))
+        closed = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+        out = F.gelu(x)
+        assert not np.shares_memory(out, x)
+        assert float(np.max(np.abs(out - closed))) <= 1e-15
+
 
 class TestModuleSystem:
     def test_parameter_tracking(self):

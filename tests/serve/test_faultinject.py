@@ -120,8 +120,8 @@ class TestInjection:
             repository, num_slots=1, cache_config=packed_config()
         )
         injector = FaultInjector(schedule).attach(scheduler)
-        # A long prompt seals pages mid-prefill and attention reads them
-        # back through decoded_many — the injection funnel — so the very
+        # A long prompt seals pages mid-prefill and each seal decodes its
+        # pages through decoded_many — the injection funnel — so the very
         # first decode call fails the prefill pass; the request must still
         # reach exactly one terminal outcome, as a recorded failure.
         request = lm_request(np.arange(9), max_new_tokens=6)
@@ -132,6 +132,30 @@ class TestInjection:
         assert isinstance(failures[request.request_id], InjectedFault)
         assert not report["results"]
         check_refcounts(scheduler)
+
+    @pytest.mark.parametrize("chunk", [None, 8])
+    def test_pool_decode_error_mid_attach_releases_every_layer(
+        self, repository, chunk
+    ):
+        scheduler = ContinuousBatchingScheduler(
+            repository,
+            num_slots=1,
+            cache_config=packed_config(),
+            prefill_chunk_tokens=chunk,
+        )
+        prompt = np.arange(30) % VOCAB
+        scheduler.submit(lm_request(prompt, max_new_tokens=2))
+        scheduler.run_until_idle()  # seals and indexes the prompt's pages
+        # The next decode call is layer 0's prefix attach; the second one,
+        # layer 1's, fails after layer 0 already took its page references.
+        schedule = FaultSchedule((FaultSpec("pool_decode_error", at_count=2),))
+        injector = FaultInjector(schedule).attach(scheduler)
+        request = lm_request(np.concatenate([prompt, np.arange(20)]), max_new_tokens=2)
+        report = drive(scheduler, injector, [request])
+        assert [s.kind for s in injector.fired] == ["pool_decode_error"]
+        assert set(dict(report["failures"])) == {request.request_id}
+        check_refcounts(scheduler)
+        assert scheduler.page_pool.decoded_cache_bytes == 0
 
     def test_clock_jump_expires_deadlines(self, repository):
         schedule = FaultSchedule(

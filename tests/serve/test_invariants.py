@@ -6,6 +6,10 @@ speculative decoding — and asserts after every step that
 
 * PagePool refcounts balance exactly against the holders (slot caches and
   prefix-index nodes), and every live handle is accounted for;
+* every active slot's sealed K/V rows hold exactly the codec decode of its
+  sealed pages (each page decoded once, into rows the slot reserved at
+  admission), and the pool's decoded-row gauge is back to zero once the
+  scheduler drains;
 * slot occupancy never exceeds capacity;
 * no retired request ever re-emits a :class:`TokenChunk` (indices are
   gapless, terminals are single and final — a preempted stream pauses
@@ -97,6 +101,29 @@ def check_refcounts(scheduler):
         assert key in entries and count > 0
 
 
+def check_decoded_rows(scheduler):
+    """Each active slot's sealed rows equal the codec decode of its pages,
+    inside the rows reserved at admission (they never grow or move)."""
+    for slot in scheduler._slots:
+        if slot is None:
+            continue
+        budget = slot.request.seq_len + slot.request.sampling.max_new_tokens
+        for layer_index in range(slot.cache.num_layers):
+            layer = slot.cache.layer(layer_index)
+            size = layer.config.page_size
+            assert layer._k.shape[1] == -(-budget // size) * size
+            for page, (k_page, v_page) in enumerate(
+                zip(layer._sealed_k, layer._sealed_v)
+            ):
+                rows = slice(page * size, (page + 1) * size)
+                np.testing.assert_array_equal(
+                    layer._k[:, rows], layer.codec.decode_tensor(k_page.payload)
+                )
+                np.testing.assert_array_equal(
+                    layer._v[:, rows], layer.codec.decode_tensor(v_page.payload)
+                )
+
+
 class _ChunkLedger:
     """Tracks streamed chunks per request and enforces stream discipline."""
 
@@ -183,6 +210,7 @@ def run_sequence(repository, cache_config, speculative, plan, seeds):
         assert 0.0 <= scheduler.slot_occupancy <= 1.0
         ledger.consume(scheduler.take_chunks())
         check_refcounts(scheduler)
+        check_decoded_rows(scheduler)
 
     for op in plan:
         if op == 0:  # submit
@@ -225,6 +253,7 @@ def run_sequence(repository, cache_config, speculative, plan, seeds):
             prefix_held[id(handle)] += 1
     for handle in scheduler.page_pool._entries.values():
         assert handle.refcount == prefix_held[id(handle)]
+    assert scheduler.page_pool.decoded_cache_bytes == 0
     return terminals
 
 

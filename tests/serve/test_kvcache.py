@@ -110,6 +110,86 @@ class TestLayerCache:
             np.testing.assert_array_equal(v_b, v)
 
 
+class TestDecodedRows:
+    """Sealed pages decode once into the cache's own K/V rows; attending
+    reads views of those rows."""
+
+    def test_kv_views_share_memory_across_calls(self):
+        rng = np.random.default_rng(20)
+        cache = LayerKVCache(HEADS, DIM, KVCacheConfig(bits=4, page_size=4))
+        cache.append(step(rng, 10), step(rng, 10))
+        k_first, v_first = cache.kv()
+        k_again, v_again = cache.kv()
+        assert np.shares_memory(k_first, k_again)
+        assert np.shares_memory(v_first, v_again)
+        [(k_many, v_many)] = LayerKVCache.kv_many([cache])
+        assert np.shares_memory(k_many, k_first)
+        assert np.shares_memory(v_many, v_first)
+
+    def test_kv_many_rounds_make_no_pool_calls(self):
+        rng = np.random.default_rng(21)
+        caches = []
+        for t in (5, 12, 33):
+            cache = LayerKVCache(HEADS, DIM, KVCacheConfig(bits=4, page_size=4))
+            cache.append(step(rng, t), step(rng, t))
+            caches.append(cache)
+        pools = [cache.pool for cache in caches]
+        before = [pool.counters() for pool in pools]
+        first = LayerKVCache.kv_many(caches)
+        for _ in range(10):
+            rounds = LayerKVCache.kv_many(caches)
+        assert [pool.counters() for pool in pools] == before
+        for (k_a, v_a), (k_b, v_b) in zip(first, rounds):
+            assert np.shares_memory(k_a, k_b) and np.shares_memory(v_a, v_b)
+
+    def test_sealed_rows_hold_the_codec_decode(self):
+        rng = np.random.default_rng(22)
+        k_src, v_src = step(rng, 11), step(rng, 11)
+        cache = LayerKVCache(HEADS, DIM, KVCacheConfig(bits=4, page_size=4))
+        cache.append(k_src, v_src)
+        k, v = cache.kv()
+        for page, (hk, hv) in enumerate(zip(cache._sealed_k, cache._sealed_v)):
+            rows = slice(4 * page, 4 * page + 4)
+            np.testing.assert_array_equal(k[:, rows], cache.codec.decode_tensor(hk.payload))
+            np.testing.assert_array_equal(v[:, rows], cache.codec.decode_tensor(hv.payload))
+        # The open rows stay full precision.
+        np.testing.assert_array_equal(k[:, 8:], k_src[:, 8:])
+        np.testing.assert_array_equal(v[:, 8:], v_src[:, 8:])
+
+    def test_reserved_rows_never_move_and_growth_keeps_them(self):
+        rng = np.random.default_rng(23)
+        config = KVCacheConfig(bits=4, page_size=4)
+        cache = LayerKVCache(HEADS, DIM, config, capacity=10)  # 3 pages
+        cache.append(step(rng, 5), step(rng, 5))
+        k_first, _ = cache.kv()
+        for _ in range(7):
+            cache.append(step(rng, 1), step(rng, 1))
+        k_full, _ = cache.kv()
+        assert np.shares_memory(k_first, k_full)  # 12 rows fit the reservation
+        kept = k_full.copy()
+        cache.append(step(rng, 1), step(rng, 1))  # past capacity: rows grow
+        k_grown, _ = cache.kv()
+        assert not np.shares_memory(k_grown, k_full)
+        np.testing.assert_array_equal(k_grown[:, :12], kept)
+
+    def test_pool_gauge_counts_decoded_rows_of_live_caches(self):
+        rng = np.random.default_rng(24)
+        config = KVCacheConfig(bits=4, page_size=4)
+        owner = LayerKVCache(HEADS, DIM, config)
+        owner.append(step(rng, 9), step(rng, 9))  # 2 sealed pages per side
+        page_bytes = HEADS * 4 * DIM * 8
+        pool = owner.pool
+        assert pool.decoded_cache_bytes == 4 * page_bytes
+        borrower = LayerKVCache(HEADS, DIM, config, pool=pool)
+        borrower.attach(owner._sealed_k, owner._sealed_v, 8)
+        assert pool.decoded_cache_bytes == 8 * page_bytes
+        owner.truncate_to(5)  # drops one page per side
+        assert pool.decoded_cache_bytes == 6 * page_bytes
+        owner.release()
+        borrower.release()
+        assert pool.decoded_cache_bytes == 0
+
+
 class TestSequenceCache:
     def test_layers_and_compression(self):
         rng = np.random.default_rng(5)

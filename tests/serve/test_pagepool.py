@@ -1,4 +1,4 @@
-"""Page-pool tests: refcounts, decode-once LRU, prefix sharing, release."""
+"""Page-pool tests: refcounts, decode-once rows, prefix sharing, release."""
 
 import numpy as np
 import pytest
@@ -51,8 +51,8 @@ class TestRefcounts:
         pool = PagePool()
         cache = sealed_cache(np.random.default_rng(0), pool=pool)
         assert pool.num_entries == cache.num_sealed_pages == 8
-        cache.kv()  # populate the decoded LRU
-        assert pool.decoded_cache_bytes > 0
+        # 16 sealed timesteps of K and V, decoded float64 rows.
+        assert pool.decoded_cache_bytes == 2 * HEADS * 16 * DIM * 8
         cache.release()
         assert pool.num_entries == 0
         assert pool.decoded_cache_bytes == 0
@@ -61,17 +61,16 @@ class TestRefcounts:
             cache.kv()
 
 
-class TestDecodedLRU:
+class TestDecodeOnce:
     def test_pages_decode_once_and_hits_are_bitwise_identical(self):
         pool = PagePool()
         cache = sealed_cache(np.random.default_rng(1), pool=pool)
+        assert pool.decode_misses == 8 and pool.decode_hits == 0  # at seal
         k_first, v_first = cache.kv()
-        assert pool.decode_misses == 8 and pool.decode_hits == 0
         k_again, v_again = cache.kv()
-        assert pool.decode_misses == 8 and pool.decode_hits == 8
+        assert pool.decode_misses == 8 and pool.decode_hits == 0
         np.testing.assert_array_equal(k_first, k_again)
         np.testing.assert_array_equal(v_first, v_again)
-        assert pool.decoded_bytes_saved > 0
 
     def test_decoded_values_match_direct_codec_decode(self):
         pool = PagePool()
@@ -82,31 +81,15 @@ class TestDecodedLRU:
         )
         np.testing.assert_array_equal(k_pool, direct)
 
-    def test_zero_capacity_disables_reuse(self):
-        pool = PagePool(decoded_capacity_bytes=0)
-        cache = sealed_cache(np.random.default_rng(3), pool=pool)
-        cache.kv()
-        cache.kv()
-        assert pool.decode_hits == 0 and pool.decode_misses == 16
-        assert pool.decoded_cache_bytes == 0
-
-    def test_lru_evicts_oldest_under_pressure(self):
-        page_bytes = HEADS * 4 * DIM * 8  # one decoded float64 page
-        pool = PagePool(decoded_capacity_bytes=page_bytes * 3)
-        cache = sealed_cache(np.random.default_rng(4), pool=pool)  # 8 pages
-        cache.kv()
-        assert pool.decoded_cache_bytes <= page_bytes * 3
-        # Everything still decodes correctly even with most pages evicted.
-        k, _ = cache.kv()
-        assert k.shape == (HEADS, 16, DIM)
-
     def test_duplicate_fetch_in_one_call_decodes_once(self):
         pool = PagePool()
         cache = sealed_cache(np.random.default_rng(5), pool=pool, t=4)  # 1 page/side
         handle = cache._sealed_k[0]
+        before = pool.counters()
         arrays = pool.decoded_many([handle, handle], cache.codec)
         assert arrays[0] is arrays[1]
-        assert pool.decode_misses == 1 and pool.decode_hits == 1
+        assert pool.decode_misses - before["decode_misses"] == 1
+        assert pool.decode_hits - before["decode_hits"] == 1
 
     def test_reference_mode_passes_through_without_decode(self):
         pool = PagePool()
@@ -165,7 +148,7 @@ class TestPrefixSharing:
     @pytest.mark.parametrize("quantize", [True, False])
     def test_attached_prefix_is_bitwise_equal_to_donor(self, model, quantize):
         config = KVCacheConfig(bits=4, page_size=8, quantize=quantize)
-        pool = config.make_pool()
+        pool = PagePool()
         tokens = np.random.default_rng(11).integers(0, 96, size=35)
         donor = self.prefilled(model, tokens, pool, config)
         pool.register_prefix("m", tokens, donor)
@@ -184,7 +167,7 @@ class TestPrefixSharing:
 
     def test_prefix_index_keeps_pages_alive_after_donor_release(self, model):
         config = KVCacheConfig(bits=4, page_size=8)
-        pool = config.make_pool()
+        pool = PagePool()
         tokens = np.random.default_rng(12).integers(0, 96, size=24)
         donor = self.prefilled(model, tokens, pool, config)
         pool.register_prefix("m", tokens, donor)
@@ -200,7 +183,7 @@ class TestPrefixSharing:
 
     def test_lookup_scoped_by_key_and_alignment(self, model):
         config = KVCacheConfig(bits=4, page_size=8)
-        pool = config.make_pool()
+        pool = PagePool()
         tokens = np.random.default_rng(13).integers(0, 96, size=24)
         donor = self.prefilled(model, tokens, pool, config)
         pool.register_prefix("model-a", tokens, donor)
@@ -214,7 +197,7 @@ class TestPrefixSharing:
 
     def test_prefix_eviction_releases_references(self, model):
         config = KVCacheConfig(bits=4, page_size=8)
-        pool = PagePool(decoded_capacity_bytes=0, prefix_capacity=2)
+        pool = PagePool(prefix_capacity=2)
         tokens = np.random.default_rng(14).integers(0, 96, size=40)
         donor = self.prefilled(model, tokens, pool, config)
         pool.register_prefix("m", tokens, donor)  # 5 pages -> 3 evicted
@@ -225,7 +208,7 @@ class TestPrefixSharing:
 
     def test_attach_rejects_geometry_and_state_mismatches(self, model):
         config = KVCacheConfig(bits=4, page_size=8)
-        pool = config.make_pool()
+        pool = PagePool()
         tokens = np.random.default_rng(15).integers(0, 96, size=16)
         donor = self.prefilled(model, tokens, pool, config)
         pool.register_prefix("m", tokens, donor)
