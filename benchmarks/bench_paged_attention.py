@@ -1,4 +1,4 @@
-"""Benchmark: decode-once K/V rows, prefix-shared prefill, bucketed attend.
+"""Benchmark: decode-once K/V rows, prefix-shared prefill, per-slot attend.
 
 Three perf properties guard the paged-attention decode hot path:
 
@@ -8,17 +8,19 @@ Three perf properties guard the paged-attention decode hot path:
   concatenates every round, at 256+ cached tokens per slot;
 * prefix-shared prefill of a common prompt must be ≥1.5× faster than cold
   prefill (the shared pages attach instead of re-running the model);
-* the length-bucketed ragged attend must be no slower than the single-bucket
-  padded attend on uniform lengths and faster on mixed lengths.
+* the round attend, which attends each slot over its own K/V rows in place,
+  must be no slower than a padded attend on uniform lengths and faster on
+  mixed lengths.
 
 Every comparison also checks the fast path is *equivalent*: the decoded
-rows are bitwise identical to a fresh decode, prefix sharing reproduces the cold path's greedy tokens,
-and the bucketed kernel matches the padded oracle's outputs.
+rows are bitwise identical to a fresh decode, prefix sharing reproduces the
+cold path's greedy tokens, and the round attend matches the padded
+baseline's outputs.
 """
 
 import numpy as np
 
-from repro.nn.attention import AttendScratch, MultiHeadAttention, attend_padding_waste
+from repro.nn.attention import MultiHeadAttention
 from repro.serve import (
     InferenceRequest,
     KVCacheConfig,
@@ -179,26 +181,29 @@ def test_bench_prefix_shared_prefill_1_5x_over_cold(
     assert speedup >= 1.5, f"prefix-shared prefill only {speedup:.2f}x over cold"
 
 
-def test_bench_bucketed_attend_vs_padded(run_once, best_of, benchmark, serve_trajectory):
-    """Bucketed ragged attend: ~free on uniform lengths, faster on mixed."""
+def test_bench_round_attend_vs_padded(
+    run_once, best_of, benchmark, serve_trajectory, padded_attend
+):
+    """Per-slot round attend: no slower on uniform lengths, faster on mixed."""
     mha = MultiHeadAttention(HEADS * DIM, HEADS, rng=np.random.default_rng(2))
     layers_per_round = 4
 
-    def kernel_seconds(lengths, mode):
-        # Fresh fixed-seed rng per call: both kernels see identical K/V and q.
+    def inputs(lengths):
+        # Fresh fixed-seed rng per call: both sides see identical K/V and q.
         rng = np.random.default_rng(3)
         config = KVCacheConfig(quantize=False, page_size=16)
-        caches = _filled_caches(lengths, config, rng)
-        kvs = LayerKVCache.kv_many(caches)
-        q = rng.normal(size=(len(lengths), HEADS, 1, DIM))
+        kvs = LayerKVCache.kv_many(_filled_caches(lengths, config, rng))
+        return rng.normal(size=(len(lengths), HEADS, 1, DIM)), kvs
+
+    def kernel_seconds(lengths, mode):
+        q, kvs = inputs(lengths)
 
         def run():
-            scratch = AttendScratch()  # one per round, shared across layers
             for _ in range(layers_per_round):
                 if mode == "padded":
-                    out = mha._padded_attend(q, kvs, lengths)
+                    out = padded_attend(mha, q, kvs)
                 else:
-                    out = mha._bucketed_attend(q, kvs, lengths, scratch=scratch)
+                    out = mha._attend(q, kvs)
             return out
 
         return best_of(run, repeats=5), run()
@@ -207,49 +212,43 @@ def test_bench_bucketed_attend_vs_padded(run_once, best_of, benchmark, serve_tra
     mixed = [16] * 6 + [384] * 2
 
     uniform_padded_s, uniform_padded = kernel_seconds(uniform, "padded")
-    uniform_bucketed_s, uniform_bucketed = kernel_seconds(uniform, "bucketed")
+    uniform_round_s, uniform_round = kernel_seconds(uniform, "round")
     mixed_padded_s, mixed_padded = kernel_seconds(mixed, "padded")
-    mixed_bucketed_s, mixed_bucketed = kernel_seconds(mixed, "bucketed")
+    mixed_round_s, mixed_round = kernel_seconds(mixed, "round")
 
     # Equivalence: same attended outputs (and the same winner per slot/head).
-    np.testing.assert_allclose(uniform_bucketed, uniform_padded, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(mixed_bucketed, mixed_padded, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(uniform_round, uniform_padded, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(mixed_round, mixed_padded, rtol=1e-9, atol=1e-12)
     np.testing.assert_array_equal(
-        mixed_bucketed.argmax(axis=-1), mixed_padded.argmax(axis=-1)
+        mixed_round.argmax(axis=-1), mixed_padded.argmax(axis=-1)
     )
 
-    padded_waste, bucketed_waste = attend_padding_waste(mixed)
-    mixed_speedup = mixed_padded_s / mixed_bucketed_s
-    uniform_ratio = uniform_bucketed_s / uniform_padded_s
+    # Share of the padded K/V cells that hold masked padding; the round
+    # attend reads only each slot's own rows, so it has none.
+    padded_waste = 1.0 - sum(mixed) / (len(mixed) * max(mixed))
+    mixed_speedup = mixed_padded_s / mixed_round_s
+    uniform_ratio = uniform_round_s / uniform_padded_s
     benchmark.extra_info.update(
         {
             "uniform_padded_ms": round(uniform_padded_s * 1e3, 3),
-            "uniform_bucketed_ms": round(uniform_bucketed_s * 1e3, 3),
+            "uniform_round_ms": round(uniform_round_s * 1e3, 3),
             "mixed_padded_ms": round(mixed_padded_s * 1e3, 3),
-            "mixed_bucketed_ms": round(mixed_bucketed_s * 1e3, 3),
+            "mixed_round_ms": round(mixed_round_s * 1e3, 3),
             "mixed_speedup": round(mixed_speedup, 2),
             "padded_waste_fraction": round(padded_waste, 4),
-            "bucketed_waste_fraction": round(bucketed_waste, 4),
         }
     )
     serve_trajectory(
-        "bucketed_attend",
+        "round_attend",
         mixed_speedup=round(mixed_speedup, 2),
         padded_waste_fraction=round(padded_waste, 4),
-        bucketed_waste_fraction=round(bucketed_waste, 4),
     )
-    # Uniform lengths collapse to one identical GEMM; allow scheduling noise.
+    # The padded side also pays the pad copies; allow scheduling noise.
     assert uniform_ratio <= 1.15, (
-        f"bucketed attend {uniform_ratio:.2f}x slower on uniform lengths"
+        f"round attend {uniform_ratio:.2f}x slower than padded on uniform lengths"
     )
     assert mixed_speedup > 1.0, (
-        f"bucketed attend {mixed_speedup:.2f}x did not beat padded on mixed lengths"
+        f"round attend {mixed_speedup:.2f}x did not beat padded on mixed lengths"
     )
-    assert bucketed_waste < padded_waste
 
-    rng = np.random.default_rng(3)
-    config = KVCacheConfig(quantize=False, page_size=16)
-    caches = _filled_caches(mixed, config, rng)
-    kvs = LayerKVCache.kv_many(caches)
-    q = rng.normal(size=(len(mixed), HEADS, 1, DIM))
-    run_once(mha._bucketed_attend, q, kvs, mixed)
+    run_once(mha._attend, *inputs(mixed))

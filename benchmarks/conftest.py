@@ -19,7 +19,10 @@ import platform
 import statistics
 import time
 
+import numpy as np
 import pytest
+
+from repro.nn import functional as F
 
 _SERVE_TRAJECTORY = {}
 _TRAJECTORY_PATH = os.path.join(os.path.dirname(__file__), "BENCH_serve.json")
@@ -82,6 +85,36 @@ def paired_ratio():
         return candidate_median / baseline_median, candidate_median, baseline_median
 
     return _ratio
+
+
+def _padded_attend(attention, q, kvs):
+    """Padded round attend: the baseline the per-slot attend is timed against.
+
+    Copies every slot's K/V into one buffer padded to the round's longest
+    sequence, masks the padding (causally inside the appended block when
+    ``t_new > 1``) and attends all slots as one batched op.  Signature-
+    compatible with ``MultiHeadAttention._attend``, so a bench can swap it
+    in for a whole decode.
+    """
+    num_seqs, num_heads, t_new, head_dim = q.shape
+    lengths = [k.shape[1] for k, _ in kvs]
+    max_len = max(lengths)
+    k_pad = np.zeros((num_seqs, num_heads, max_len, head_dim))
+    v_pad = np.zeros((num_seqs, num_heads, max_len, head_dim))
+    mask = np.full((num_seqs, 1, t_new, max_len), -np.inf)
+    for i, (k, v) in enumerate(kvs):
+        k_pad[i, :, : lengths[i]] = k
+        v_pad[i, :, : lengths[i]] = v
+        for j in range(t_new):
+            mask[i, 0, j, : lengths[i] - t_new + 1 + j] = 0.0
+    scores = q @ k_pad.transpose(0, 1, 3, 2) / np.sqrt(attention.head_dim) + mask
+    return F.softmax(scores, axis=-1) @ v_pad
+
+
+@pytest.fixture
+def padded_attend():
+    """The padded round-attend baseline (see :func:`_padded_attend`)."""
+    return _padded_attend
 
 
 @pytest.fixture

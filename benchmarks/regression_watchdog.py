@@ -30,7 +30,7 @@ everything else           informational never flagged
 Two refinements on top of the name rules: per-section overrides widen the
 noise bands for the ``scaled_decode`` wall-clock tier (real timing, shared
 runners), and ``_FLOORS`` pins absolute exit criteria (the scaled-tier
-speculative/bucketed wall ratios must stay above 1.0) that flag even when
+speculative and padded-over-round-attend wall ratios must stay above 1.0) that flag even when
 the baseline has no entry yet.  Metrics present in the baseline but absent
 from the current run warn — like missing sections — instead of silently
 rotting in the diff table.
@@ -95,10 +95,11 @@ _SECTION_RULES = {
 # Absolute floors enforced independently of the baseline (and even for
 # metrics the baseline has not learned yet).  These encode exit criteria,
 # not noise bands: the scaled tier exists to show speculation and the
-# bucketed attend winning in wall clock, so parity (1.0) is the hard line.
+# per-slot round attend beating a padded attend in wall clock, so parity
+# (1.0) is the hard line.
 _FLOORS = {
     ("scaled_decode", "speculative_wall_ratio"): 1.0,
-    ("scaled_decode", "bucketed_wall_ratio"): 1.0,
+    ("scaled_decode", "padded_over_round_attend_wall_ratio"): 1.0,
 }
 
 

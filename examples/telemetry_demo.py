@@ -4,7 +4,7 @@ Run with ``python examples/telemetry_demo.py``.  The demo
 
 1. serves a greedy speculative request stream under an enabled
    :class:`~repro.serve.telemetry.Tracer` — every decode round records its
-   phase spans (admit, draft_propose, verify_batch, per-bucket attend,
+   phase spans (admit, draft_propose, verify_batch, per-layer attend,
    kv_append, sample, retire) and every request records its lifecycle
    (queued -> prefill -> decode -> finish);
 2. prints the per-phase wall-clock breakdown (``phase_report``) and an

@@ -179,7 +179,7 @@ _ANALOGUES: Dict[str, AnalogueConfig] = {
     ),
     # Scaled wall-clock tier.  Same outlier profile as the gpt2-xl analogue
     # but hidden/depth large enough that a decode round is GEMM-bound rather
-    # than Python-overhead-bound, so kernel wins (bucketed attend, speculative
+    # than Python-overhead-bound, so kernel wins (per-slot attend, speculative
     # verify batching) show up in *wall time*, not just modeled round counts.
     # Accuracy experiments stay on the toy tier; this one exists for
     # benchmarks/bench_scaled_decode.py and equivalence tests.

@@ -94,7 +94,6 @@ class CausalLM(Module):
         last_only: bool = False,
         batched_rounds: Optional[bool] = None,
         tracer=None,
-        scratch=None,
     ) -> np.ndarray:
         """Log-probabilities of new tokens only, via per-sequence KV caches.
 
@@ -104,17 +103,14 @@ class CausalLM(Module):
         ``last_only`` runs the LM head on the final position alone — what a
         prefill needs for next-token selection — skipping an
         O(prompt × vocab) head GEMM; the returned array then has one
-        position.  ``batched_rounds=True`` routes attention through the
-        ragged round kernel — the speculative verify pass uses it to advance
-        ``m`` tokens per slot in one batched pass.  ``tracer`` (duck-typed,
+        position.  ``batched_rounds=True`` projects Q/K/V with one fused GEMM
+        per layer — the speculative verify pass uses it to advance ``m``
+        tokens per slot in one batched pass.  ``tracer`` (duck-typed,
         optional — the serving tracer's span protocol) records per-phase
-        spans down the forward path.  ``scratch`` is an optional persistent
-        :class:`~repro.nn.attention.AttendScratch` threaded to the backbone
-        so a serve loop reuses its round buffers across rounds.
+        spans down the forward path.
         """
         hidden = self.backbone.forward_incremental(
-            token_ids, caches, batched_rounds=batched_rounds, tracer=tracer,
-            scratch=scratch,
+            token_ids, caches, batched_rounds=batched_rounds, tracer=tracer
         )
         if last_only:
             hidden = hidden[:, -1:]

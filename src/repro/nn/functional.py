@@ -20,11 +20,16 @@ __all__ = [
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
+    """Numerically stable softmax.
+
+    Shifts into one fresh array and finishes in place: bitwise the
+    three-temporary ``exp(x - max) / sum`` form, with two fewer allocations.
+    """
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    out = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.attention import AttendScratch, MultiHeadAttention
+from repro.nn.attention import MultiHeadAttention
 from repro.nn.layers import Embedding, LayerNorm, Linear, PositionalEmbedding
 from repro.nn.module import Module
 
@@ -109,18 +109,16 @@ class TransformerDecoderLayer(Module):
         self,
         x: np.ndarray,
         layer_caches: Sequence,
-        scratch: Optional[AttendScratch] = None,
         batched_rounds: Optional[bool] = None,
         tracer=None,
     ) -> np.ndarray:
         """Decode new tokens against per-sequence KV caches (decoder-only).
 
         ``x`` is ``(num_seqs, t_new, hidden)`` with one cache per row; see
-        :meth:`MultiHeadAttention.forward_incremental`.  ``scratch`` is the
-        round-level pad/mask buffer pool shared across layers;
-        ``batched_rounds`` forces the ragged round kernel (speculative
-        verify rounds feed ``m`` tokens per slot through it); ``tracer``
-        (duck-typed, optional) records attend/FFN phase spans.
+        :meth:`MultiHeadAttention.forward_incremental`.  ``batched_rounds``
+        forces the fused QKV projection (speculative verify rounds feed
+        ``m`` tokens per slot through it); ``tracer`` (duck-typed, optional)
+        records attend/FFN phase spans.
         """
         if self.cross_attention is not None:
             raise ValueError(
@@ -128,8 +126,7 @@ class TransformerDecoderLayer(Module):
                 "cross-attention layers recompute against encoder states"
             )
         x = x + self.self_attention.forward_incremental(
-            self.norm_self(x), layer_caches, scratch=scratch,
-            batched_rounds=batched_rounds, tracer=tracer,
+            self.norm_self(x), layer_caches, batched_rounds=batched_rounds, tracer=tracer
         )
         if tracer is not None and tracer.enabled:
             with tracer.span("ffn"):
@@ -243,7 +240,6 @@ class TransformerDecoder(Module):
         caches: Sequence,
         batched_rounds: Optional[bool] = None,
         tracer=None,
-        scratch: Optional[AttendScratch] = None,
     ) -> np.ndarray:
         """Run only the new tokens, appending K/V to per-sequence caches.
 
@@ -257,16 +253,11 @@ class TransformerDecoder(Module):
             One :class:`~repro.serve.kvcache.SequenceKVCache` (or anything
             exposing ``seq_len``/``layer(i)``) per row.
         batched_rounds:
-            Route attention through the ragged round kernel.  Defaults to
+            Project each layer's Q/K/V with one fused GEMM.  Defaults to
             auto (single-token multi-slot rounds only); a speculative verify
-            round passes ``True`` so all ``m`` tokens of every slot advance
-            in one bucketed attend instead of the per-sequence prefill loop.
-        scratch:
-            Optional persistent :class:`AttendScratch` owned by the caller
-            (the scheduler keeps one for the serve loop's lifetime, so round
-            temporaries stop reallocating every round).  ``None`` keeps the
-            old behaviour of one fresh scratch per batched round; either way
-            the outputs are bitwise identical.
+            round passes ``True`` so its ``m`` tokens per slot fuse too.
+            Attention itself runs per sequence over each cache's own rows
+            either way.
 
         Returns hidden states of the new positions, ``(num_seqs, t_new, h)``.
         Appending a whole sequence to an empty cache computes exactly what
@@ -287,24 +278,10 @@ class TransformerDecoder(Module):
                 hidden = self.embeddings(token_ids, position_offsets=offsets)
         else:
             hidden = self.embeddings(token_ids, position_offsets=offsets)
-        # A multi-slot decode/verify round reuses one pad/mask scratch across
-        # all layers (bucket shapes are identical layer to layer in a round).
-        # A caller-owned scratch persists across rounds; begin_round() drops
-        # the previous round's masks while keeping the buffer allocations.
-        if batched_rounds is None:
-            batched_rounds = token_ids.shape[0] > 1 and token_ids.shape[1] == 1
-        if batched_rounds:
-            if scratch is None:
-                scratch = AttendScratch()
-            else:
-                scratch.begin_round()
-        else:
-            scratch = None
         for i in range(self.num_layers):
             layer_caches = [cache.layer(i) for cache in caches]
             hidden = getattr(self, f"layer_{i}").forward_incremental(
-                hidden, layer_caches, scratch=scratch, batched_rounds=batched_rounds,
-                tracer=tracer,
+                hidden, layer_caches, batched_rounds=batched_rounds, tracer=tracer
             )
         return self.final_norm(hidden)
 

@@ -70,7 +70,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.attention import AttendScratch
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.batcher import QueuedRequest
 from repro.serve.errors import AdmissionRejectedError, QueueFullError
@@ -216,8 +215,9 @@ class ContinuousBatchingScheduler:
 
     Each admitted sequence gets a KV cache whose K/V rows are reserved for
     ``prompt + max_new_tokens`` timesteps.  Its pages decode once, when they
-    seal or attach from the prefix index, so a decode round attends views
-    of those rows without touching the page pool.
+    seal or attach from the prefix index, so a decode round attends each
+    slot over views of those rows in place, without touching the page pool
+    and without padding or copying them.
 
     Parameters
     ----------
@@ -349,11 +349,6 @@ class ContinuousBatchingScheduler:
         self._deadline_watch = bool(
             admission is not None and admission.queue_timeout_s is not None
         )
-        # One AttendScratch for the scheduler's lifetime: decode/verify
-        # rounds reuse the padded K/V buffers, masks and fused-QKV/score
-        # temporaries round after round instead of reallocating per round
-        # (see AttendScratch for the persistence contract).
-        self._round_scratch = AttendScratch()
         self.admitted = 0
         self.retired = 0
         self.cancelled = 0
@@ -1555,7 +1550,6 @@ class ContinuousBatchingScheduler:
                 step_tokens,
                 caches,
                 tracer=tracer if tracer.enabled else None,
-                scratch=self._round_scratch,
             )
             now = self.clock()
             with tracer.span("sample"):
@@ -1655,8 +1649,8 @@ class ContinuousBatchingScheduler:
     ) -> int:
         """One batched ``width``-token verify pass over ``group``.
 
-        Feeds ``[last_token, d_1 … d_k, pad…]`` per slot through the
-        multi-token round kernel (seals deferred so the rollback below is
+        Feeds ``[last_token, d_1 … d_k, pad…]`` per slot through one
+        multi-token round (seals deferred so the rollback below is
         exact), then samples each verified position with the slot's own
         sampler: the sampled token is always emitted, and the row keeps
         consuming positions while the sample matches the draft's proposal —
@@ -1704,7 +1698,6 @@ class ContinuousBatchingScheduler:
                 caches,
                 batched_rounds=True,
                 tracer=tracer if tracer.enabled else None,
-                scratch=self._round_scratch,
             )
             now = self.clock()
             emitted_total = 0

@@ -3,8 +3,9 @@
 Decode rounds are latency-bound: every generated token pays one full pass of
 the target model.  Speculative decoding breaks the one-token-per-pass wall by
 pairing each served model with a *draft* — a cheaper proposer whose guesses
-the target then verifies **in one batched multi-token pass** (the PR 3 ragged
-round kernel generalised from 1 to ``m`` tokens per slot per round):
+the target then verifies **in one batched multi-token pass** (a decode round
+generalised from 1 to ``m`` tokens per slot, each slot attending its own
+K/V rows):
 
 * **draft** — :func:`repro.models.zoo.build_draft_lm` truncates the target to
   its first ``draft_layers`` decoder layers (same seed → bit-identical shared
@@ -56,7 +57,6 @@ import numpy as np
 
 from repro.models.zoo import DRAFT_NAME_SEPARATOR, parse_draft_name
 from repro.nn import functional as F
-from repro.nn.attention import AttendScratch
 from repro.serve.errors import ServingError
 from repro.serve.kvcache import KVCacheConfig, PagePool, SequenceKVCache, cache_for_model
 from repro.serve.repository import ModelRepository, PackedModel
@@ -241,10 +241,6 @@ class SpeculativeDecoder:
         )
         self._pairs: Dict[Tuple[str, str], Optional[_DraftPair]] = {}
         self.pair_errors: Dict[Tuple[str, str], Exception] = {}
-        # Persistent round scratch for the draft's batched single-token
-        # pass, mirroring the scheduler's: pad/mask/temporary buffers
-        # survive across rounds instead of reallocating each plan() call.
-        self._round_scratch = AttendScratch()
 
     # ------------------------------------------------------------------ #
     # Pairing / calibration
@@ -391,10 +387,7 @@ class SpeculativeDecoder:
                     ]
                     hiddens.append(
                         draft.backbone.forward_incremental(
-                            step_tokens[:, None],
-                            borrowed,
-                            batched_rounds=True,
-                            scratch=self._round_scratch,
+                            step_tokens[:, None], borrowed, batched_rounds=True
                         )[:, -1, :]
                     )
                     log_probs = target.log_probs_incremental(
@@ -497,7 +490,7 @@ class SpeculativeDecoder:
         tokens = np.array([[slot.generated[-1]] for _, slot in staged], dtype=np.int64)
         borrowed = [_BorrowedSequenceCache(slot.cache, depth) for _, slot in staged]
         hidden = pair.model.backbone.forward_incremental(
-            tokens, borrowed, batched_rounds=True, scratch=self._round_scratch
+            tokens, borrowed, batched_rounds=True
         )[:, -1, :]
         self._propose(pair, hidden, [index for index, _ in staged], max_tokens, proposals)
         return proposals

@@ -15,12 +15,15 @@ lengths:
   and the greedy token stays inside the full-precision top-5.
 """
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.models.zoo import build_causal_lm
-from repro.nn.attention import attend_padding_waste, bucket_by_length
+from repro.nn.attention import MultiHeadAttention
 from repro.serve.kvcache import KVCacheConfig, cache_for_model
 
 TOTAL_LEN = 24
@@ -31,9 +34,26 @@ def model():
     return build_causal_lm("gpt2-xl", seed=0)
 
 
-def set_ragged_attend(model, mode):
-    for i in range(model.backbone.num_layers):
-        getattr(model.backbone, f"layer_{i}").self_attention.ragged_attend = mode
+@contextlib.contextmanager
+def unfused_qkv():
+    """Project Q/K/V separately, so a round and the per-sequence loop run
+    the same GEMMs and any logits difference comes from the attend."""
+    previous = MultiHeadAttention.qkv_mode
+    MultiHeadAttention.qkv_mode = "unfused"
+    try:
+        yield
+    finally:
+        MultiHeadAttention.qkv_mode = previous
+
+
+def prefilled(model, prompts, config, capacity=0):
+    """One cache per prompt, each prefilled with its prompt."""
+    caches = []
+    for prompt in prompts:
+        cache = cache_for_model(model, config, capacity=capacity)
+        model.log_probs_incremental(prompt[None], [cache])
+        caches.append(cache)
+    return caches
 
 
 def stepwise_log_probs(model, tokens, prefix_len, config, cache=None):
@@ -198,59 +218,31 @@ class TestIncrementalAPI:
                 np.zeros((1, 1), dtype=np.int64), [cache]
             )
 
-    def test_bucketing_groups_by_power_of_two(self):
-        buckets = bucket_by_length([5, 11, 19, 500, 16], min_bucket=16)
-        assert buckets == [([0, 1, 4], 16), ([2], 19), ([3], 500)]
-
-    def test_uniform_lengths_collapse_to_one_bucket(self):
-        assert bucket_by_length([37, 37, 37]) == [([0, 1, 2], 37)]
-
-    def test_padding_waste_accounting(self):
-        padded, bucketed = attend_padding_waste([16, 16, 512], min_bucket=16)
-        assert padded == pytest.approx(1 - 544 / 1536)
-        assert bucketed == pytest.approx(0.0)
-        uniform_padded, uniform_bucketed = attend_padding_waste([40, 40])
-        assert uniform_padded == uniform_bucketed == pytest.approx(0.0)
-
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(
         lengths=st.lists(st.integers(min_value=1, max_value=50), min_size=2, max_size=6),
         quantize=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_bucketed_attend_matches_padded_oracle(self, model, lengths, quantize, seed):
-        """Property: the length-bucketed decode round equals the padded oracle.
+    def test_decode_round_bitwise_equals_per_sequence_loop(
+        self, model, lengths, quantize, seed
+    ):
+        """Property: a multi-slot decode round is bitwise the per-sequence loop.
 
-        Both kernels attend the same decoded pages with the same masked
-        columns; only the GEMM padding width differs, so logits agree to
-        float64 round-off (BLAS kernels may reduce in a different order) and
-        the greedy token matches exactly — quantized and reference mode.
+        Each slot attends its own K/V rows with the expression a one-slot
+        call evaluates, so nothing but the (shared, unfused) projection GEMMs
+        batches across slots — quantized and reference mode alike.
         """
         rng = np.random.default_rng(seed)
         prompts = [rng.integers(0, 96, size=n) for n in lengths]
         config = KVCacheConfig(bits=4, page_size=4, quantize=quantize)
-
-        def decode_round(mode):
-            caches = []
-            for prompt in prompts:
-                cache = cache_for_model(model, config)
-                model.log_probs_incremental(prompt[None], [cache])
-                caches.append(cache)
-            step = rng.integers(0, 96, size=(len(prompts), 1))
-            set_ragged_attend(model, mode)
-            try:
-                return model.log_probs_incremental(step, caches)
-            finally:
-                set_ragged_attend(model, "bucketed")
-
-        rng_state = rng.bit_generator.state
-        bucketed = decode_round("bucketed")
-        rng.bit_generator.state = rng_state  # same step tokens for the oracle
-        padded = decode_round("padded")
-        np.testing.assert_allclose(bucketed, padded, rtol=1e-9, atol=1e-12)
-        np.testing.assert_array_equal(
-            bucketed[:, -1].argmax(axis=-1), padded[:, -1].argmax(axis=-1)
-        )
+        step = rng.integers(0, 96, size=(len(prompts), 1))
+        with unfused_qkv():
+            batched = model.log_probs_incremental(step, prefilled(model, prompts, config))
+            looped = model.log_probs_incremental(
+                step, prefilled(model, prompts, config), batched_rounds=False
+            )
+        np.testing.assert_array_equal(batched, looped)
 
     def test_pool_decode_reuse_is_bitwise_equal_to_redecode(self, model):
         """Decoding each sealed page once into the cache's own rows must
@@ -265,38 +257,55 @@ class TestIncrementalAPI:
         redecoded, _ = stepwise_log_probs(model, tokens, 8, config, cache=redecode)
         np.testing.assert_array_equal(once, redecoded)
 
-    def test_ragged_decode_round_matches_per_sequence(self, model):
-        """A batched decode round over ragged slots equals row-by-row decode."""
+    @pytest.mark.parametrize("width", [1, 4], ids=["decode", "verify"])
+    def test_ragged_round_bitwise_equals_per_sequence_loop(self, model, width):
+        """Decode and verify rounds over ragged slots are bitwise the
+        per-sequence loop, and match row-by-row one-slot calls."""
         rng = np.random.default_rng(9)
-        prompts = [rng.integers(0, 96, size=n) for n in (5, 11, 19)]
+        prompts = [rng.integers(0, 96, size=n) for n in (5, 12, 20)]
         config = KVCacheConfig(quantize=False, page_size=4)
-        batched_caches = []
-        for prompt in prompts:
-            cache = cache_for_model(model, config)
-            model.log_probs_incremental(prompt[None], [cache])
-            batched_caches.append(cache)
-        step_tokens = np.array([[1], [2], [3]], dtype=np.int64)
-        batched = model.log_probs_incremental(step_tokens, batched_caches)
-        for row, prompt in enumerate(prompts):
-            cache = cache_for_model(model, config)
-            model.log_probs_incremental(prompt[None], [cache])
-            single = model.log_probs_incremental(step_tokens[row][None], [cache])
-            np.testing.assert_allclose(
-                batched[row], single[0], rtol=1e-9, atol=1e-12
+        step = rng.integers(0, 96, size=(len(prompts), width))
+        with unfused_qkv():
+            batched = model.log_probs_incremental(
+                step, prefilled(model, prompts, config), batched_rounds=True
             )
+            looped = model.log_probs_incremental(
+                step, prefilled(model, prompts, config), batched_rounds=False
+            )
+            for row, prompt in enumerate(prompts):
+                [cache] = prefilled(model, [prompt], config)
+                single = model.log_probs_incremental(step[row][None], [cache])
+                np.testing.assert_allclose(
+                    batched[row], single[0], rtol=1e-9, atol=1e-12
+                )
+        np.testing.assert_array_equal(batched, looped)
+
+    def test_decode_round_allocates_less_than_one_padded_buffer(self, model):
+        """A decode round attends each slot's rows in place: its peak traced
+        allocation stays below one ``(slots, heads, max_len, head_dim)``
+        float64 buffer, the size of a single padded K (or V) copy."""
+        rng = np.random.default_rng(4)
+        lengths = [40, 42, 44, 46, 48, 50, 52, 54]
+        prompts = [rng.integers(0, 96, size=n) for n in lengths]
+        config = KVCacheConfig(bits=4, page_size=4)
+        caches = prefilled(model, prompts, config, capacity=max(lengths) + 2)
+        step = rng.integers(0, 96, size=(len(prompts), 2))
+        # The first round builds the fused QKV operands; measure the second.
+        model.log_probs_incremental(step[:, :1], caches)
+        tracemalloc.start()
+        try:
+            model.log_probs_incremental(step[:, 1:], caches)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        attention = model.backbone.layer_0.self_attention
+        padded = 8 * len(lengths) * attention.num_heads * (max(lengths) + 2) * attention.head_dim
+        assert peak < padded, f"round peak {peak} B >= one padded buffer {padded} B"
 
 
 class TestMultiTokenRound:
-    """The speculative verify round: ``m`` tokens per slot through the
-    batched ragged kernel (``batched_rounds=True``)."""
-
-    def _prefilled(self, model, prompts, config):
-        caches = []
-        for prompt in prompts:
-            cache = cache_for_model(model, config)
-            model.log_probs_incremental(prompt[None], [cache])
-            caches.append(cache)
-        return caches
+    """The speculative verify round: ``m`` tokens per slot in one batched
+    pass (``batched_rounds=True``)."""
 
     def test_m1_explicit_flag_bitwise_equal_to_auto_dispatch(self, model):
         """batched_rounds=True with one token per slot IS the decode round."""
@@ -304,9 +313,9 @@ class TestMultiTokenRound:
         prompts = [rng.integers(0, 96, size=n) for n in (5, 12, 20)]
         config = KVCacheConfig(bits=4, page_size=4)
         step = rng.integers(0, 96, size=(3, 1))
-        auto = model.log_probs_incremental(step, self._prefilled(model, prompts, config))
+        auto = model.log_probs_incremental(step, prefilled(model, prompts, config))
         explicit = model.log_probs_incremental(
-            step, self._prefilled(model, prompts, config), batched_rounds=True
+            step, prefilled(model, prompts, config), batched_rounds=True
         )
         np.testing.assert_array_equal(explicit, auto)
 
@@ -330,34 +339,14 @@ class TestMultiTokenRound:
         config = KVCacheConfig(bits=4, page_size=4, quantize=quantize)
         step = rng.integers(0, 96, size=(len(prompts), m))
         batched = model.log_probs_incremental(
-            step, self._prefilled(model, prompts, config), batched_rounds=True
+            step, prefilled(model, prompts, config), batched_rounds=True
         )
         looped = model.log_probs_incremental(
-            step, self._prefilled(model, prompts, config), batched_rounds=False
+            step, prefilled(model, prompts, config), batched_rounds=False
         )
         np.testing.assert_allclose(batched, looped, rtol=1e-9, atol=1e-12)
         np.testing.assert_array_equal(
             batched.argmax(axis=-1), looped.argmax(axis=-1)
-        )
-
-    def test_multi_token_round_padded_oracle_agrees(self, model):
-        rng = np.random.default_rng(13)
-        prompts = [rng.integers(0, 96, size=n) for n in (4, 18, 9)]
-        config = KVCacheConfig(bits=4, page_size=4)
-        step = rng.integers(0, 96, size=(3, 4))
-        bucketed = model.log_probs_incremental(
-            step, self._prefilled(model, prompts, config), batched_rounds=True
-        )
-        set_ragged_attend(model, "padded")
-        try:
-            padded = model.log_probs_incremental(
-                step, self._prefilled(model, prompts, config), batched_rounds=True
-            )
-        finally:
-            set_ragged_attend(model, "bucketed")
-        np.testing.assert_allclose(bucketed, padded, rtol=1e-9, atol=1e-12)
-        np.testing.assert_array_equal(
-            bucketed.argmax(axis=-1), padded.argmax(axis=-1)
         )
 
     def test_verify_then_rollback_continues_like_stepwise(self, model):

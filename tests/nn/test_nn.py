@@ -51,6 +51,20 @@ class TestFunctional:
         assert not np.shares_memory(out, x)
         assert float(np.max(np.abs(out - closed))) <= 1e-15
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_softmax_bitwise_equals_three_temporary_form(self, masked):
+        x = np.random.default_rng(5).normal(0.0, 4.0, size=(8, 16, 40))
+        if masked:
+            x = x + F.incremental_causal_mask(24, 16)[None]
+        shifted = x - np.max(x, axis=-1, keepdims=True)
+        exp = np.exp(shifted)
+        expected = exp / np.sum(exp, axis=-1, keepdims=True)
+        out = F.softmax(x, axis=-1)
+        assert not np.shares_memory(out, x)
+        np.testing.assert_array_equal(out, expected)
+        if masked:
+            assert np.all(out[np.isinf(x)] == 0.0)
+
 
 class TestModuleSystem:
     def test_parameter_tracking(self):

@@ -589,6 +589,23 @@ class TestEndToEnd:
             assert {"sample", "verify_batch", "round"} <= ancestor_names(span)
         assert all(s.end is not None for s in spans)
 
+    def test_each_round_layer_records_one_attend_span(self, traced_run):
+        engine, tracer, _ = traced_run
+        spans = tracer.spans()
+        layers = engine.repository.get(MODEL, WorkloadFamily.LM).model.backbone.num_layers
+        attends = {}
+        for span in spans:
+            if span.name != "attend":
+                continue
+            assert set(span.attrs) == {"slots", "kv_tokens"}
+            assert span.attrs["kv_tokens"] >= span.attrs["slots"] >= 1
+            owner = spans[span.parent]
+            while owner.name not in ("plain_round", "verify_batch"):
+                owner = spans[owner.parent]
+            attends[owner.index] = attends.get(owner.index, 0) + 1
+        passes = [s.index for s in spans if s.name in ("plain_round", "verify_batch")]
+        assert passes and attends == {index: layers for index in passes}
+
     def test_request_lifecycles_cover_queued_prefill_decode(self, traced_run):
         _, tracer, results = traced_run
         phases = {}
