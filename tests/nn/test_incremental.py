@@ -303,6 +303,128 @@ class TestIncrementalAPI:
         assert peak < padded, f"round peak {peak} B >= one padded buffer {padded} B"
 
 
+def padded_reference_attend(attention, q, kvs):
+    """Round attend with every slot padded to the longest sequence.
+
+    Copies each slot's K/V into one zero-padded buffer, masks the padding
+    (causally inside the appended block when ``t_new > 1``) and attends all
+    slots as one batched op: an independent oracle for the per-slot attend.
+    """
+    num_seqs, num_heads, t_new, head_dim = q.shape
+    lengths = [k.shape[1] for k, _ in kvs]
+    k_pad = np.zeros((num_seqs, num_heads, max(lengths), head_dim))
+    v_pad = np.zeros_like(k_pad)
+    mask = np.full((num_seqs, 1, t_new, max(lengths)), -np.inf)
+    for i, (k, v) in enumerate(kvs):
+        k_pad[i, :, : lengths[i]] = k
+        v_pad[i, :, : lengths[i]] = v
+        for j in range(t_new):
+            mask[i, 0, j, : lengths[i] - t_new + 1 + j] = 0.0
+    scores = q @ k_pad.transpose(0, 1, 3, 2) / np.sqrt(head_dim) + mask
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return weights / weights.sum(axis=-1, keepdims=True) @ v_pad
+
+
+class TestRoundAttend:
+    """``MultiHeadAttention._attend`` on one round's queries and K/V rows."""
+
+    @staticmethod
+    def round_operands(attention, lengths, t_new, seed):
+        rng = np.random.default_rng(seed)
+        heads, dim = attention.num_heads, attention.head_dim
+        q = rng.normal(size=(len(lengths), heads, t_new, dim))
+        kvs = [
+            (rng.normal(size=(heads, n, dim)), rng.normal(size=(heads, n, dim)))
+            for n in lengths
+        ]
+        return q, kvs
+
+    @pytest.mark.parametrize("t_new", [1, 4], ids=["decode", "verify"])
+    def test_round_rows_bitwise_equal_one_slot_attend(self, model, t_new):
+        """Each slot of a round attends exactly as a one-slot call does."""
+        attention = model.backbone.layer_0.self_attention
+        q, kvs = self.round_operands(attention, [4, 17, 9, 30], t_new, seed=3)
+        attended = attention._attend(q, kvs)
+        for i, kv in enumerate(kvs):
+            np.testing.assert_array_equal(
+                attended[i], attention._attend(q[i : i + 1], [kv])[0]
+            )
+
+    @pytest.mark.parametrize("t_new", [1, 4], ids=["decode", "verify"])
+    def test_round_matches_padded_reference(self, model, t_new):
+        """Attending each slot's own rows equals the padded, masked round."""
+        attention = model.backbone.layer_0.self_attention
+        q, kvs = self.round_operands(attention, [4, 17, 9, 30], t_new, seed=5)
+        np.testing.assert_allclose(
+            attention._attend(q, kvs),
+            padded_reference_attend(attention, q, kvs),
+            rtol=1e-9,
+            atol=1e-12,
+        )
+
+
+def one_slot_trajectories(model, prompts, widths, config, seed):
+    """Prefill ``prompts`` and run ``len(widths)`` rounds twice: once as
+    batched rounds over every slot, once as one-slot calls per sequence.
+
+    Round ``r`` feeds ``widths[r]`` fresh tokens per sequence (a verify-style
+    round when > 1).  Returns the two lists of per-round logits.
+    """
+    rng = np.random.default_rng(seed)
+    steps = [rng.integers(0, 96, size=(len(prompts), w)) for w in widths]
+    caches = prefilled(model, prompts, config)
+    batched = [
+        model.log_probs_incremental(step, caches, batched_rounds=True)
+        for step in steps
+    ]
+    singles = prefilled(model, prompts, config)
+    looped = [
+        np.concatenate(
+            [
+                model.log_probs_incremental(step[i][None], [cache], batched_rounds=True)
+                for i, cache in enumerate(singles)
+            ]
+        )
+        for step in steps
+    ]
+    return batched, looped
+
+
+class TestRoundTrajectory:
+    """Several rounds in a row over the same caches: rows sealed and grown by
+    earlier rounds must not leak into later ones, so a multi-slot trajectory
+    tracks each sequence run on its own."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        lengths=st.lists(st.integers(min_value=1, max_value=20), min_size=2, max_size=5),
+        widths=st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+        quantize=st.booleans(),
+    )
+    def test_round_trajectory_matches_one_slot_trajectories(
+        self, model, lengths, widths, seed, quantize
+    ):
+        rng = np.random.default_rng(seed)
+        prompts = [rng.integers(0, 96, size=n) for n in lengths]
+        config = KVCacheConfig(bits=4, page_size=8, quantize=quantize)
+        batched, looped = one_slot_trajectories(model, prompts, widths, config, seed)
+        for got, want in zip(batched, looped):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            np.testing.assert_array_equal(got.argmax(axis=-1), want.argmax(axis=-1))
+
+    def test_alternating_round_widths_match_one_slot_trajectories(self, model):
+        """Alternate wide and narrow rounds across several page seals."""
+        rng = np.random.default_rng(11)
+        prompts = [rng.integers(0, 96, size=n) for n in (3, 17, 9, 26)]
+        config = KVCacheConfig(bits=4, page_size=4)
+        widths = [3, 1, 2, 1, 3]
+        batched, looped = one_slot_trajectories(model, prompts, widths, config, 11)
+        for got, want in zip(batched, looped):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            np.testing.assert_array_equal(got.argmax(axis=-1), want.argmax(axis=-1))
+
+
 class TestMultiTokenRound:
     """The speculative verify round: ``m`` tokens per slot in one batched
     pass (``batched_rounds=True``)."""
