@@ -3,7 +3,9 @@
 Three perf properties guard the serving subsystem:
 
 * the vectorized codec must decode a 1M-element int4 tensor at least 20x
-  faster than the scalar per-pair oracle (decode-on-demand viability);
+  faster than the scalar per-pair oracle (decode-on-demand viability), and
+  encode it in at most 1.5x the vectorized decode time (KV pages are encoded
+  once per seal, on the prefill path);
 * the quantizer's stacked candidate sweep must not lose to the per-candidate
   reference loop on serving-sized weight tensors (model-load/warm latency);
 * the serving engine must sustain batched traffic across all three workload
@@ -21,7 +23,7 @@ from repro.core.quantizer import OVPQuantizerConfig, OVPTensorQuantizer
 from repro.serve import InferenceRequest, ServingEngine, WorkloadFamily
 
 
-def test_bench_codec_decode_speedup(run_once, best_of, benchmark):
+def test_bench_codec_decode_speedup(run_once, best_of, benchmark, serve_trajectory):
     codec = OVPairCodec(INT4, ABFLOAT_E2M1, bias=2)
     rng = np.random.default_rng(0)
     tensor = rng.normal(0.0, 2.5, size=1_000_000)
@@ -34,6 +36,7 @@ def test_bench_codec_decode_speedup(run_once, best_of, benchmark):
     decoded_gb_per_s = tensor.size * 8 / vec_seconds / 1e9  # float64 produced
 
     encode_vec = best_of(lambda: codec.encode_tensor(tensor, 1.0, 7.0), repeats=3)
+    encode_over_decode = encode_vec / vec_seconds
     result = run_once(codec.decode_tensor, packed)
     np.testing.assert_array_equal(result, codec.decode_tensor_scalar(packed))
 
@@ -43,9 +46,14 @@ def test_bench_codec_decode_speedup(run_once, best_of, benchmark):
             "decode_ms_1m_elements": round(vec_seconds * 1e3, 2),
             "decode_gb_per_s_f64_out": round(decoded_gb_per_s, 2),
             "encode_ms_1m_elements": round(encode_vec * 1e3, 2),
+            "encode_over_decode_ratio": round(encode_over_decode, 3),
         }
     )
+    serve_trajectory("codec", encode_over_decode_ratio=round(encode_over_decode, 3))
     assert speedup >= 20.0, f"vectorized decode only {speedup:.1f}x faster than scalar"
+    assert encode_over_decode <= 1.5, (
+        f"vectorized encode takes {encode_over_decode:.2f}x the decode time (budget 1.5x)"
+    )
 
 
 def test_bench_quantizer_fit_vectorized_sweep(run_once, best_of, benchmark):

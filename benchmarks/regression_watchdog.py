@@ -17,6 +17,7 @@ Direction and tolerance are inferred from the metric name:
 name pattern              direction     tolerance
 ========================  ============  =====================================
 ``*_over_absent``         lower better  +0.05 absolute (overhead ratios)
+``*_over_decode_ratio``   lower better  +25% relative (codec encode cost)
 ``*coverage``             higher better -0.02 absolute
 ``*_ms`` / ``*_wall_ms``  lower better  +25% relative (wall-clock noise)
 ``*waste_fraction``       lower better  +0.05 absolute
@@ -60,6 +61,7 @@ INFO = "info"
 # baseline +/- tol, "rel" allows a fractional move of the baseline.
 _RULES = (
     ("_over_absent", "suffix", LOWER, "abs", 0.05),
+    ("_over_decode_ratio", "suffix", LOWER, "rel", 0.25),
     ("coverage", "suffix", HIGHER, "abs", 0.02),
     ("waste_fraction", "suffix", LOWER, "abs", 0.05),
     ("overhead_pct", "suffix", LOWER, "abs", 5.0),

@@ -70,8 +70,11 @@ class NormalDataType:
     identifier_code: int
     code_of_value: Dict[float, int] = field(repr=False)
     value_of_code: Dict[int, float] = field(repr=False)
-    #: True when ``values`` are the consecutive integers ``-max … max``,
-    #: unlocking the closed-form rounding fast path in :meth:`quantize`.
+    #: True when ``values`` are the consecutive integers ``-max … max`` and
+    #: each value's code is its two's-complement bit pattern (``int4``,
+    #: ``int8``).  :meth:`quantize` then rounds in closed form, and the OVP
+    #: encoder turns a quantized value into its code by an integer cast and
+    #: a ``bits``-wide mask instead of a table lookup.
     uniform_int_grid: bool = field(default=False, repr=False)
 
     # ------------------------------------------------------------------ #
@@ -101,8 +104,11 @@ class NormalDataType:
             # Consecutive-integer grid: nearest-with-ties-to-lower is
             # ``ceil(x - 0.5)`` in closed form, which skips the searchsorted
             # walk below — the dominant cost of the quantizer threshold sweep.
+            # One buffer serves all three steps.
             max_value = float(self.values[-1])
-            return np.clip(np.ceil(x - 0.5), -max_value, max_value)
+            out = np.subtract(x, 0.5, out=np.empty_like(x))
+            np.ceil(out, out=out)
+            return np.clip(out, -max_value, max_value, out=out)
         sorted_vals = self.values
         idx = np.searchsorted(sorted_vals, x)
         idx = np.clip(idx, 1, len(sorted_vals) - 1)

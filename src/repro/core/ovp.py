@@ -129,8 +129,9 @@ class OVPairCodec:
     def _build_vector_tables(self) -> None:
         """Precompute the lookup tables the vectorized codec paths use.
 
-        * ``_normal_value_codes`` maps the index of a value in the sorted
-          ``normal_dtype.values`` array to its bit pattern;
+        * ``_normal_code_lut`` maps a quantized normal value ``q`` (every
+          normal grid holds integers) to its bit pattern at ``lut[q + max]``;
+          only grids without ``uniform_int_grid`` (``flint4``) read it;
         * ``_normal_decode_lut`` maps every possible code to its normal value
           (identifier/invalid slots hold 0 and are overwritten by the pair
           logic before use);
@@ -138,9 +139,11 @@ class OVPairCodec:
           abfloat value.
         """
         dtype = self.normal_dtype
-        self._normal_value_codes = np.array(
-            [dtype.code_of_value[float(v)] for v in dtype.values], dtype=np.uint8
-        )
+        offset = int(dtype.max_value)
+        code_lut = np.zeros(2 * offset + 1, dtype=np.uint8)
+        for value, code in dtype.code_of_value.items():
+            code_lut[int(value) + offset] = code
+        self._normal_code_lut = code_lut
         normal_lut = np.zeros(dtype.num_codes, dtype=np.float64)
         for code, value in dtype.value_of_code.items():
             normal_lut[code] = value
@@ -209,25 +212,50 @@ class OVPairCodec:
     # Vectorised element paths
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _pair_outlier_masks(a: np.ndarray, b: np.ndarray, threshold: float):
-        """Vectorised Algorithm-1 pair classification.
+    def _pair_outlier_masks(pairs: np.ndarray, threshold: float) -> np.ndarray:
+        """Vectorised Algorithm-1 pair classification, sparse in the outliers.
 
-        Returns ``(a_is_outlier, b_is_outlier)``; at most one is True per
-        pair (the larger magnitude wins an outlier-outlier tie, matching
-        :meth:`encode_pair`).  Both the fake-quantization path and the
-        bit-packed encoder share this single predicate so the
+        ``pairs`` is the ``(n, 2)`` view of a flat grid.  Returns the flat
+        grid positions of the kept outliers, at most one per pair; the victim
+        of the outlier at position ``p`` is its partner ``p ^ 1``.  A pair is
+        a candidate when either magnitude exceeds ``threshold`` (``fmax``, so
+        a NaN never hides its partner), and only candidates go through the
+        tie-break: the first element is kept when it exceeds ``threshold``
+        and is strictly larger than its partner, otherwise the second when it
+        exceeds ``threshold``, matching :meth:`encode_pair`.  Outliers are a
+        fraction of a percent of real tensors, so callers scatter only these
+        slots instead of masking every pair.  Both the fake-quantization path
+        and the bit-packed encoder share this single predicate so the
         ``decode(encode(x)) == fake_quantize(x)`` invariant cannot drift.
         """
-        abs_a, abs_b = np.abs(a), np.abs(b)
-        a_is_outlier = (abs_a > threshold) & (abs_a > abs_b)
-        b_is_outlier = (abs_b > threshold) & ~a_is_outlier
-        return a_is_outlier, b_is_outlier
+        mags = np.abs(pairs)
+        abs_a, abs_b = mags[:, 0], mags[:, 1]
+        candidates = np.flatnonzero(np.fmax(abs_a, abs_b) > threshold)
+        if not candidates.size:
+            return candidates
+        abs_a, abs_b = abs_a[candidates], abs_b[candidates]
+        a_wins = (abs_a > threshold) & (abs_a > abs_b)
+        b_wins = (abs_b > threshold) & ~a_wins
+        kept = a_wins | b_wins  # all candidates unless a NaN is involved
+        return 2 * candidates[kept] + b_wins[kept]
 
     def _encode_normal_values(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised normal-value encode: quantize, then map value → code."""
-        quantized = self.normal_dtype.quantize(values)
-        idx = np.searchsorted(self.normal_dtype.values, quantized)
-        return self._normal_value_codes[idx]
+        """Vectorised normal-value encode: quantize, then map value → code.
+
+        Quantized values are integers in ``[-max, max]``.  On a
+        ``uniform_int_grid`` the code is the two's-complement bit pattern
+        ``_build_int_type`` assigns, i.e. the ``int8`` cast masked to
+        ``bits``; other grids (``flint4``) index ``_normal_code_lut`` at
+        ``q + max``.  Callers reject NaN first: its cast is undefined.
+        """
+        dtype = self.normal_dtype
+        quantized = dtype.quantize(values)
+        if dtype.uniform_int_grid:
+            codes = quantized.astype(np.int8).view(np.uint8)
+            codes &= np.uint8(dtype.num_codes - 1)
+            return codes
+        quantized += dtype.max_value
+        return self._normal_code_lut[quantized.astype(np.intp)]
 
     def _encode_outlier_values(self, values: np.ndarray) -> np.ndarray:
         """Vectorised abfloat outlier encode (Algorithm 2, bit-exact).
@@ -265,22 +293,20 @@ class OVPairCodec:
         return ((sign_bit << abf.magnitude_bits) | codes).astype(np.uint8)
 
     def _encode_grid(self, grid: np.ndarray, threshold: float) -> np.ndarray:
-        """Encode an even-length grid array into one code per element."""
-        pairs = grid.reshape(-1, 2)
-        a, b = pairs[:, 0], pairs[:, 1]
-        a_is_outlier, b_is_outlier = self._pair_outlier_masks(a, b, threshold)
+        """Encode an even-length flat grid array into one code per element.
 
-        identifier = np.uint8(self.normal_dtype.identifier_code)
-        codes = np.empty(pairs.shape, dtype=np.uint8)
-        codes[:, 0] = self._encode_normal_values(a)
-        codes[:, 1] = self._encode_normal_values(b)
-        if np.any(a_is_outlier):
-            codes[a_is_outlier, 0] = self._encode_outlier_values(a[a_is_outlier])
-            codes[a_is_outlier, 1] = identifier
-        if np.any(b_is_outlier):
-            codes[b_is_outlier, 0] = identifier
-            codes[b_is_outlier, 1] = self._encode_outlier_values(b[b_is_outlier])
-        return codes.reshape(-1)
+        Every slot is first encoded as a normal value; then only the outlier
+        slots and their victims are overwritten.  NaN has no code and raises
+        :class:`EncodingError`; ±inf saturates to the largest outlier code.
+        """
+        if np.isnan(grid.min(initial=0.0)):  # min propagates NaN
+            raise EncodingError("cannot encode NaN values")
+        codes = self._encode_normal_values(grid)
+        outliers = self._pair_outlier_masks(grid.reshape(-1, 2), threshold)
+        if outliers.size:
+            codes[outliers] = self._encode_outlier_values(grid[outliers])
+            codes[outliers ^ 1] = self.normal_dtype.identifier_code
+        return codes
 
     def _decode_codes(self, codes: np.ndarray) -> np.ndarray:
         """Decode one-code-per-element arrays back into grid values.
@@ -317,25 +343,15 @@ class OVPairCodec:
         """
         grid = np.asarray(grid, dtype=np.float64)
         flat, padded = self._grid_of(grid, 1.0)
-        pairs = flat.reshape(-1, 2)
-        a, b = pairs[:, 0], pairs[:, 1]
-        a_is_outlier, b_is_outlier = self._pair_outlier_masks(a, b, threshold)
-
-        out = np.empty_like(pairs)
         # Normal path for everything first, then overwrite outlier/victim slots.
-        out[:, 0] = self.normal_dtype.quantize(a)
-        out[:, 1] = self.normal_dtype.quantize(b)
-        if np.any(a_is_outlier):
-            out[a_is_outlier, 0] = self._quantize_outlier_values(a[a_is_outlier])
-            out[a_is_outlier, 1] = 0.0
-        if np.any(b_is_outlier):
-            out[b_is_outlier, 1] = self._quantize_outlier_values(b[b_is_outlier])
-            out[b_is_outlier, 0] = 0.0
-
-        result = out.reshape(-1)
+        out = self.normal_dtype.quantize(flat)
+        outliers = self._pair_outlier_masks(flat.reshape(-1, 2), threshold)
+        if outliers.size:
+            out[outliers] = self._quantize_outlier_values(flat[outliers])
+            out[outliers ^ 1] = 0.0
         if padded:
-            result = result[:-1]
-        return result.reshape(grid.shape)
+            out = out[:-1]
+        return out.reshape(grid.shape)
 
     def _quantize_outlier_values(self, values: np.ndarray) -> np.ndarray:
         """Snap outlier grid values to what the bit-packed stream stores.
@@ -364,7 +380,7 @@ class OVPairCodec:
             raise EncodingError("scale must be positive")
         grid, padded = self._grid_of(tensor, scale)
         codes = self._encode_grid(grid, threshold)
-        return self._pack(codes, tensor.shape, scale, padded)
+        return self._packed(self._pack_codes(codes), tensor.shape, scale, padded)
 
     def encode_tensor_scalar(
         self, tensor: np.ndarray, scale: float, threshold: float
@@ -379,17 +395,22 @@ class OVPairCodec:
             c1, c2 = self.encode_pair(grid[i], grid[i + 1], threshold)
             codes[i] = c1
             codes[i + 1] = c2
-        return self._pack(codes, tensor.shape, scale, padded)
+        return self._packed(self._pack_codes(codes), tensor.shape, scale, padded)
 
     def encode_tensor_batch(self, tensors, scales, threshold: float):
         """Encode several even-sized tensors in one vectorized pass.
 
         Each tensor gets its own scale but they share one threshold (in grid
-        units) and one trip through the pair classifier — the per-call
-        overhead matters when many small tensors are encoded at once (the KV
-        cache seals a K page and a V page together on the append path).
-        Odd-sized tensors are rejected: their zero pad would shift the pair
-        alignment of every stream that follows.  Returns one
+        units) and one trip through the encoder — the per-call overhead
+        matters when many small tensors are encoded at once (the KV cache
+        seals every newly full K and V page together).  Each tensor divides
+        straight into its slice of one preallocated grid (tensors may be
+        non-contiguous views), the whole grid is encoded and nibble-packed
+        once, and each result gets a copy of its own byte slice, so a page
+        never pins its batch-mates' bytes.  The bytes equal per-tensor
+        :meth:`encode_tensor` calls.  Odd-sized tensors are rejected: their
+        zero pad would shift the pair alignment of every stream that follows.
+        NaN raises :class:`EncodingError`.  Returns one
         :class:`PackedOVPTensor` per input.
         """
         if len(tensors) != len(scales):
@@ -405,22 +426,26 @@ class OVPairCodec:
                     "encode_tensor_batch supports even-sized tensors only; "
                     "use encode_tensor for odd sizes"
                 )
-        grid = np.concatenate(
-            [tensor.ravel() / float(scale) for tensor, scale in zip(tensors, scales)]
-        )
-        codes = self._encode_grid(grid, threshold)
-        packed, offset = [], 0
+        grid = np.empty(sum(tensor.size for tensor in tensors))
+        offset = 0
         for tensor, scale in zip(tensors, scales):
             stop = offset + tensor.size
+            np.divide(tensor, float(scale), out=grid[offset:stop].reshape(tensor.shape))
+            offset = stop
+        data = self._pack_codes(self._encode_grid(grid, threshold))
+        per_byte = 2 if self.normal_dtype.bits == 4 else 1
+        packed, offset = [], 0
+        for tensor, scale in zip(tensors, scales):
+            stop = offset + tensor.size // per_byte
             packed.append(
-                self._pack(codes[offset:stop], tensor.shape, float(scale), padded=False)
+                self._packed(data[offset:stop].copy(), tensor.shape, float(scale), False)
             )
             offset = stop
         return packed
 
     def decode_tensor(self, packed: PackedOVPTensor) -> np.ndarray:
         """Decode a packed OVP tensor back into real values (vectorized)."""
-        grid = self._decode_codes(self._unpack(packed))
+        grid = self._decode_codes(self._unpack_codes(packed.data))
         if packed.padded:
             grid = grid[:-1]
         return (grid * packed.scale).reshape(packed.shape)
@@ -449,13 +474,7 @@ class OVPairCodec:
                 or packed.bias != self.bias
             ):
                 raise EncodingError("packed tensor does not match this codec")
-        data = np.concatenate([packed.data for packed in packed_list])
-        if self.normal_dtype.bits == 4:
-            codes = np.empty(data.size * 2, dtype=np.uint8)
-            codes[0::2] = data >> 4
-            codes[1::2] = data & 0x0F
-        else:
-            codes = data
+        codes = self._unpack_codes(np.concatenate([packed.data for packed in packed_list]))
         # Equal shapes mean equal (padded) stream lengths, so every stream
         # boundary falls on a pair boundary and one decode pass is safe.
         grid = self._decode_codes(codes).reshape(len(packed_list), -1)
@@ -466,7 +485,7 @@ class OVPairCodec:
 
     def decode_tensor_scalar(self, packed: PackedOVPTensor) -> np.ndarray:
         """Per-pair scalar decoder, kept as the bit oracle."""
-        codes = self._unpack(packed)
+        codes = self._unpack_codes(packed.data)
         grid = np.empty(codes.size, dtype=np.float64)
         for i in range(0, codes.size, 2):
             v1, v2 = self.decode_pair(int(codes[i]), int(codes[i + 1]))
@@ -494,16 +513,18 @@ class OVPairCodec:
             padded = True
         return grid, padded
 
-    def _pack(
-        self, codes: np.ndarray, shape: Tuple[int, ...], scale: float, padded: bool
-    ) -> PackedOVPTensor:
+    def _pack_codes(self, codes: np.ndarray) -> np.ndarray:
         """Nibble-pack (4-bit) or pass through (8-bit) a code stream."""
         if self.normal_dtype.bits == 4:
-            packed = ((codes[0::2] << 4) | codes[1::2]).astype(np.uint8)
-        else:
-            packed = codes
+            return (codes[0::2] << 4) | codes[1::2]
+        return codes
+
+    def _packed(
+        self, data: np.ndarray, shape: Tuple[int, ...], scale: float, padded: bool
+    ) -> PackedOVPTensor:
+        """Wrap a packed byte stream with this codec's decode metadata."""
         return PackedOVPTensor(
-            data=packed,
+            data=data,
             shape=tuple(shape),
             scale=float(scale),
             normal_dtype=self.normal_dtype.name,
@@ -512,11 +533,11 @@ class OVPairCodec:
             padded=padded,
         )
 
-    def _unpack(self, packed: PackedOVPTensor) -> np.ndarray:
+    def _unpack_codes(self, data: np.ndarray) -> np.ndarray:
         """Expand a byte stream back into one code per element."""
         if self.normal_dtype.bits == 4:
-            codes = np.empty(packed.data.size * 2, dtype=np.uint8)
-            codes[0::2] = packed.data >> 4
-            codes[1::2] = packed.data & 0x0F
+            codes = np.empty(data.size * 2, dtype=np.uint8)
+            codes[0::2] = data >> 4
+            codes[1::2] = data & 0x0F
             return codes
-        return packed.data
+        return data

@@ -513,12 +513,23 @@ class LayerKVCache:
         The K and V pages all encode through one codec pass, register in the
         pool, and decode once through :meth:`PagePool.decoded_many`; the
         decoded values overwrite the rows, which is what every later attend
-        reads.
+        reads.  An enabled pool tracer records the work as one ``seal`` span
+        whose ``pages`` attribute counts the K and V pages sealed.
         """
         size = self.config.page_size
         first, stop = len(self._sealed_k), self._seq_len // size
         if first >= stop:
             return
+        tracer = self.pool.tracer
+        if tracer.enabled:
+            with tracer.span("seal", attrs={"pages": 2 * (stop - first)}):
+                self._seal_pages(first, stop)
+        else:
+            self._seal_pages(first, stop)
+
+    def _seal_pages(self, first: int, stop: int) -> None:
+        """Seal pages ``[first, stop)`` (see :meth:`_seal_full_pages`)."""
+        size = self.config.page_size
         pages = []
         for page in range(first, stop):
             rows = slice(page * size, (page + 1) * size)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.abfloat import ABFLOAT_E2M1, ABFLOAT_E4M3
 from repro.core.dtypes import FLINT4, INT4, INT8
+from repro.core.errors import EncodingError
 from repro.core.ovp import OVPairCodec
 from repro.core.quantizer import OVPQuantizerConfig, OVPTensorQuantizer
 
@@ -29,6 +30,32 @@ CODEC_CONFIGS = {
 def make_codec(name):
     dtype, abf, bias, threshold = CODEC_CONFIGS[name]
     return OVPairCodec(dtype, abf, bias), threshold
+
+
+def edge_values(name):
+    """Grid values where the encoder's branches meet: exact ``k + 0.5``
+    rounding ties, ±0.0, ±max, ``|x|`` at every tested threshold, values past
+    the accumulator clip (saturation) and arbitrary finite values."""
+    dtype, _, _, max_value = CODEC_CONFIGS[name]
+    m = int(max_value)
+    special = [0.0, -0.0]
+    for value in (max_value, max_value - 0.5, max_value + 0.5, 2.0 ** 15, 1e6):
+        special += [value, -value]
+    return st.one_of(
+        st.integers(-m - 2, m + 1).map(lambda k: k + 0.5),
+        st.sampled_from(special),
+        st.sampled_from([float(v) for v in dtype.values]),
+        st.floats(min_value=-40.0 * max_value, max_value=40.0 * max_value),
+    )
+
+
+def edge_pairs(name):
+    """Pairs of edge values; the partner often repeats ``±x`` so equal
+    magnitudes (the outlier-outlier tie-break) come up as often as not."""
+    values = edge_values(name)
+    return values.flatmap(
+        lambda x: st.tuples(st.just(x), st.one_of(values, st.sampled_from([x, -x])))
+    )
 
 
 def outlier_tensor(rng, size, spread):
@@ -123,6 +150,97 @@ class TestVectorizedMatchesScalarOracle:
         np.testing.assert_array_equal(
             codec.decode_tensor(fast), codec.decode_tensor_scalar(oracle)
         )
+
+
+    @pytest.mark.parametrize("name", sorted(CODEC_CONFIGS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_property_bits_identical_at_edge_values(self, name, data):
+        codec, max_value = make_codec(name)
+        pairs = data.draw(st.lists(edge_pairs(name), min_size=1, max_size=16))
+        tail = data.draw(st.lists(edge_values(name), max_size=1))  # odd lengths
+        values = [value for pair in pairs for value in pair] + tail
+        threshold = data.draw(
+            st.sampled_from([max_value, max_value - 0.5, max_value + 0.5])
+        )
+        tensor = np.asarray(values, dtype=np.float64)
+        fast = codec.encode_tensor(tensor, 1.0, threshold)
+        oracle = codec.encode_tensor_scalar(tensor, 1.0, threshold)
+        np.testing.assert_array_equal(fast.data, oracle.data)
+        if tensor.size % 2 == 0:
+            (batched,) = codec.encode_tensor_batch([tensor], [1.0], threshold)
+            np.testing.assert_array_equal(batched.data, oracle.data)
+        np.testing.assert_array_equal(
+            codec.decode_tensor(fast),
+            codec.fake_quantize_grid(tensor, threshold),
+        )
+
+
+class TestEncodeTensorBatch:
+    """``encode_tensor_batch`` as the KV cache calls it when sealing pages."""
+
+    @staticmethod
+    def seal_pages(name, seed):
+        """Non-contiguous ``(heads, page, head_dim)`` pages of a larger buffer."""
+        _, max_value = make_codec(name)
+        rng = np.random.default_rng(seed)
+        rows = outlier_tensor(rng, 4 * 96 * 8, max_value / 3.0).reshape(4, 96, 8)
+        pages = [rows[:, i * 32 : (i + 1) * 32] for i in range(3)]
+        scales = [0.4, 1.3, 2.9]
+        return pages, scales
+
+    @pytest.mark.parametrize("name", sorted(CODEC_CONFIGS))
+    def test_strided_pages_equal_per_page_encode(self, name):
+        codec, max_value = make_codec(name)
+        pages, scales = self.seal_pages(name, seed=len(name))
+        assert not pages[1].flags.c_contiguous
+        batched = codec.encode_tensor_batch(pages, scales, max_value)
+        for page, scale, packed in zip(pages, scales, batched):
+            single = codec.encode_tensor(page, scale, max_value)
+            np.testing.assert_array_equal(packed.data, single.data)
+            assert packed.data.dtype == single.data.dtype == np.uint8
+            assert packed.shape == page.shape and packed.scale == scale
+            assert not packed.padded
+
+    @pytest.mark.parametrize("name", sorted(CODEC_CONFIGS))
+    def test_each_page_owns_its_bytes(self, name):
+        codec, max_value = make_codec(name)
+        pages, scales = self.seal_pages(name, seed=3)
+        batched = codec.encode_tensor_batch(pages, scales, max_value)
+        for packed in batched:
+            assert packed.data.flags.owndata
+            assert packed.data.nbytes == packed.nbytes
+        for first, second in zip(batched, batched[1:]):
+            assert not np.shares_memory(first.data, second.data)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("name", sorted(CODEC_CONFIGS))
+    @pytest.mark.parametrize("partner", [1.0, 1e4])  # normal or outlier partner
+    def test_nan_raises_encoding_error(self, name, partner):
+        codec, max_value = make_codec(name)
+        tensor = np.array([0.5, -2.0, np.nan, partner])
+        with pytest.raises(EncodingError, match="NaN"):
+            codec.encode_tensor(tensor, 1.0, max_value)
+        with pytest.raises(EncodingError, match="NaN"):
+            codec.encode_tensor_batch([np.ones(4), tensor], [1.0, 1.0], max_value)
+
+    @pytest.mark.parametrize("name", sorted(CODEC_CONFIGS))
+    def test_infinity_saturates_to_the_largest_outlier_code(self, name):
+        codec, max_value = make_codec(name)
+        tensor = np.array([np.inf, 1.0, -2.0, -np.inf, np.inf, -np.inf])
+        huge = np.where(np.isinf(tensor), np.sign(tensor) * 1e300, tensor)
+        packed = codec.encode_tensor(tensor, 1.0, max_value)
+        np.testing.assert_array_equal(
+            packed.data, codec.encode_tensor(huge, 1.0, max_value).data
+        )
+        np.testing.assert_array_equal(
+            packed.data, codec.encode_tensor_scalar(tensor, 1.0, max_value).data
+        )
+        (batched,) = codec.encode_tensor_batch([tensor], [1.0], max_value)
+        np.testing.assert_array_equal(batched.data, packed.data)
+        decoded = codec.decode_tensor(packed)
+        assert decoded[0] == codec._outlier_grid[-1] == -decoded[3]
 
 
 class TestQuantizerRoundTrip:

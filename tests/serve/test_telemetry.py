@@ -670,6 +670,30 @@ class TestEndToEnd:
         assert "serve_ttft_seconds_bucket" in text
         assert "serve_request_latency_seconds_count" in text
 
+    def test_seal_spans_sum_to_the_pages_sealed(self):
+        tracer = Tracer()
+        engine = ServingEngine(
+            ModelRepository(bits=4, seed=0),
+            num_slots=2,
+            kv_cache_config=KVCacheConfig(bits=4, page_size=8),
+            tracer=tracer,
+        )
+        engine.warm(MODEL, WorkloadFamily.LM)
+        tracer.reset()
+        registered = engine.page_pool.pages_registered
+        # 20-token prompts seal two pages per layer in prefill, one more in decode.
+        engine.serve(lm_requests(17, count=2, seq_len=20, max_new_tokens=6))
+        spans = tracer.spans()
+        seals = [span for span in spans if span.name == "seal"]
+        assert seals
+        # Round appends run inside ``kv_append``; admission prefill has no
+        # per-layer spans, so its seals sit directly under ``admit``.
+        assert {spans[span.parent].name for span in seals} == {"kv_append", "admit"}
+        sealed = engine.page_pool.pages_registered - registered
+        assert sealed > 0
+        assert sum(span.attrs["pages"] for span in seals) == sealed
+        assert "seal" in {row.name for row in tracer.phase_report().rows}
+
     def test_untraced_engine_records_no_spans(self):
         engine = ServingEngine(
             ModelRepository(bits=4, seed=0),
