@@ -59,7 +59,8 @@ VOCAB = 96
 NUM_SLOTS = 6
 DOC_TOKENS = 56            # the analogue models cap at 64 positions
 DOC_NEW_TOKENS = 2
-DOC_QUOTA = 2              # quota bounds concurrent chunking documents
+DOC_BURST = 3              # documents per wave: the unchunked prefill stall
+DOC_QUOTA = DOC_BURST      # quota bounds concurrent chunking documents
 INTERACTIVE_TOKENS = 7
 INTERACTIVE_NEW_TOKENS = 2
 CHUNK_TOKENS = 8           # page-aligned (page_size=8)
@@ -146,7 +147,7 @@ def _document_waves(repository, prefill_chunk_tokens):
     """Interactive latency under repeated document bursts.
 
     Returns ``(interactive latencies, quota rejections)``: each wave bursts
-    two 56-token documents, then probes with one interactive request and
+    ``DOC_BURST`` 56-token documents, then probes with one interactive request and
     measures its settle latency.
     """
     gateway = _gateway(repository, prefill_chunk_tokens)
@@ -154,7 +155,7 @@ def _document_waves(repository, prefill_chunk_tokens):
     rejected = 0
     seed = 0
     for wave in range(WAVES):
-        for _ in range(2):
+        for _ in range(DOC_BURST):
             seed += 1
             envelope = gateway.submit(
                 API_DOCUMENTS, _request(DOC_TOKENS, DOC_NEW_TOKENS, 1000 + seed)

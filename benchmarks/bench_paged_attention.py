@@ -10,12 +10,15 @@ Three perf properties guard the paged-attention decode hot path:
   prefill (the shared pages attach instead of re-running the model);
 * the round attend, which attends each slot over its own K/V rows in place,
   must be no slower than a padded attend on uniform lengths and faster on
-  mixed lengths.
+  mixed lengths;
+* a decode round whose slots share document prefixes must be ≥1.3× faster
+  attending each shared block once for all its holders (cascade attention)
+  than attending every slot over its own copy of the prefix rows.
 
 Every comparison also checks the fast path is *equivalent*: the decoded
 rows are bitwise identical to a fresh decode, prefix sharing reproduces the
-cold path's greedy tokens, and the round attend matches the padded
-baseline's outputs.
+cold path's greedy tokens, the round attend matches the padded baseline's
+outputs, and the cascade round matches the per-slot round within 1e-12.
 """
 
 import numpy as np
@@ -252,3 +255,73 @@ def test_bench_round_attend_vs_padded(
     )
 
     run_once(mha._attend, *inputs(mixed))
+
+
+def test_bench_shared_prefix_decode_round(
+    run_once, best_of, benchmark, serve_trajectory
+):
+    """Cascade decode round over shared document blocks vs per-slot copies."""
+    heads, dim = 8, 64  # the scaled tier's attention geometry
+    mha = MultiHeadAttention(heads * dim, heads, rng=np.random.default_rng(4))
+    config = KVCacheConfig(bits=4, page_size=32)
+    layers_per_round = 4
+    documents = (512, 384, 640)
+    holders = (0, 0, 0, 1, 1, 2, 2, 2)  # 8 slots over the three documents
+    rng = np.random.default_rng(5)
+    pool = PagePool()
+    owners = []
+    for length in documents:
+        owner = LayerKVCache(heads, dim, config, pool=pool, capacity=length)
+        kv = rng.normal(size=(2, heads, length, dim))
+        owner.append(kv[0], kv[1])
+        owners.append(owner)
+    slots = []
+    for doc in holders:
+        owner = owners[doc]
+        cache = LayerKVCache(heads, dim, config, pool=pool, capacity=documents[doc] + 64)
+        cache.attach(owner._sealed_k, owner._sealed_v, documents[doc])
+        question = int(rng.integers(8, 40))  # own rows: question + one decode step
+        kv = rng.normal(size=(2, heads, question, dim))
+        cache.append(kv[0], kv[1])
+        slots.append(cache)
+    assert pool.num_blocks == len(documents)
+    q = rng.normal(size=(len(slots), heads, 1, dim))
+    own = LayerKVCache.kv_many(slots)
+    prefixes = [cache.shared_kv() for cache in slots]
+    # The per-slot layout: every slot holds its whole history in its own rows.
+    copies = [tuple(np.ascontiguousarray(a) for a in cache.kv()) for cache in slots]
+
+    def cascade_round():
+        for _ in range(layers_per_round):
+            out = mha._attend(q, own, prefixes)
+        return out
+
+    def per_slot_round():
+        for _ in range(layers_per_round):
+            out = mha._attend(q, copies)
+        return out
+
+    cascade_s = best_of(cascade_round, repeats=7)
+    per_slot_s = best_of(per_slot_round, repeats=7)
+    cascade, per_slot = cascade_round(), per_slot_round()
+    assert np.abs(cascade - per_slot).max() <= 1e-12
+    np.testing.assert_array_equal(cascade.argmax(axis=-1), per_slot.argmax(axis=-1))
+    run_once(cascade_round)
+
+    speedup = per_slot_s / cascade_s
+    benchmark.extra_info.update(
+        {
+            "slots": len(slots),
+            "shared_kv_tokens": sum(documents),
+            "per_slot_ms": round(per_slot_s * 1e3, 3),
+            "cascade_ms": round(cascade_s * 1e3, 3),
+            "cascade_speedup": round(speedup, 2),
+        }
+    )
+    serve_trajectory(
+        "shared_prefix_attend",
+        slots=len(slots),
+        shared_kv_tokens=sum(documents),
+        cascade_speedup=round(speedup, 2),
+    )
+    assert speedup >= 1.3, f"cascade round only {speedup:.2f}x over per-slot copies"

@@ -10,11 +10,18 @@ and shows
    pages and *attaches* to them copy-on-write instead of re-running (and
    re-quantizing) the prefill, so admission cost drops to the suffix;
 2. **decode-once paging**: each sealed page is OVP-decoded once — when it
-   seals, or when a later request attaches it — into K/V rows the sequence
-   owns, so decode rounds read those rows and never re-decode a page;
-3. the pool's accounting: pages decoded, prefix pages attached, live pages.
+   seals, or when a request attaches it and no live request holds the
+   prompt's shared block yet — so decode rounds never re-decode a page;
+3. **shared blocks**: a second wave arrives all at once, so several live
+   requests hold the system prompt together; they read one decoded block
+   (pool hits, no decode) and attend it once per round for all of them;
+4. the pool's accounting: pages decoded next to pages served by a live
+   shared block, prefix pages attached, live pages.
+
+The demo exits 1 when any greedy stream differs from the cold run's.
 """
 
+import sys
 import time
 
 import numpy as np
@@ -60,7 +67,14 @@ def serve_one_by_one(engine, requests):
     return results, time.perf_counter() - start
 
 
-def main() -> None:
+def serve_together(engine, requests):
+    """Serve a wave at once: its requests hold the shared prefix together."""
+    start = time.perf_counter()
+    results = engine.serve(requests)
+    return results, time.perf_counter() - start
+
+
+def main() -> int:
     system_prompt = np.random.default_rng(0).integers(0, 96, size=SYSTEM_PROMPT_LEN)
 
     engine = ServingEngine(max_batch_size=4, max_wait=0.0, kv_cache_config=KV_CONFIG)
@@ -81,12 +95,22 @@ def main() -> None:
 
     pool = engine.page_pool
     stats = pool.stats()
-    print("\n== page pool ==")
-    print(f"  pages decoded        : {stats['decode_misses']} "
+    print("\n== page pool after the one-by-one wave ==")
+    print(f"  pages decoded / served by a live block: "
+          f"{stats['decode_misses']} / {stats['decode_hits']} "
           f"({stats['pages_registered']} sealed + "
-          f"{stats['prefix_pages_attached']} attached, each decoded once)")
-    print(f"  prefix pages attached: {stats['prefix_pages_attached']}")
-    print(f"  live pages / nodes   : {stats['entries']} / {stats['prefix_nodes']}")
+          f"{stats['prefix_pages_attached']} attached)")
+
+    print(f"\n== {NUM_REQUESTS} more requests arriving together ==")
+    before = pool.counters()
+    together, together_seconds = serve_together(engine, make_requests(system_prompt, 2))
+    after = pool.stats()
+    print(f"  pages decoded / served by a live block: "
+          f"{after['decode_misses'] - before['decode_misses']} / "
+          f"{after['decode_hits'] - before['decode_hits']} "
+          f"({after['prefix_pages_attached'] - before['prefix_pages_attached']} attached)")
+    print(f"  live pages / nodes / shared blocks: {after['entries']} / "
+          f"{after['prefix_nodes']} / {after['shared_blocks']}")
 
     cold_engine = ServingEngine(
         repository=engine.repository,
@@ -97,17 +121,20 @@ def main() -> None:
     cold_results, cold_seconds = serve_one_by_one(
         cold_engine, make_requests(system_prompt)
     )
+    cold_together, _ = serve_one_by_one(cold_engine, make_requests(system_prompt, 2))
 
     same_tokens = all(
         a.output.token_ids == b.output.token_ids
-        for a, b in zip(results, cold_results)
+        for a, b in zip(results + together, cold_results + cold_together)
     )
     print("\n== shared pool vs cold (no prefix sharing) ==")
-    print(f"  shared pool : {shared_seconds * 1e3:6.0f} ms")
-    print(f"  cold        : {cold_seconds * 1e3:6.0f} ms")
+    print(f"  shared pool : {shared_seconds * 1e3:6.0f} ms one by one, "
+          f"{together_seconds * 1e3:6.0f} ms together")
+    print(f"  cold        : {cold_seconds * 1e3:6.0f} ms one by one")
     print(f"  speedup     : {cold_seconds / shared_seconds:.2f}x, "
-          f"greedy tokens identical: {same_tokens}")
+          f"greedy tokens identical in both waves: {same_tokens}")
+    return 0 if same_tokens else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -176,7 +176,9 @@ class MultiHeadAttention(Module):
         recomputing the whole prefix.  Attention then runs per sequence over
         the views ``kv_many``/``kv`` return of the rows that sequence owns:
         nothing is padded or gathered, so a multi-slot round attends each
-        slot bitwise as a one-slot call would.
+        unshared slot bitwise as a one-slot call would.  Caches that expose
+        ``shared_kv()`` (a prefix block shared with other sequences) attend
+        that prefix once per round for all its holders (see :meth:`_attend`).
         """
         hidden = np.asarray(hidden, dtype=np.float64)
         if hidden.ndim != 3:
@@ -216,22 +218,45 @@ class MultiHeadAttention(Module):
         with tracer.span("kv_append", attrs={"slots": num_seqs}) if traced else _NULL_SPAN:
             for i, cache in enumerate(layer_caches):
                 cache.append(k_new[i], v_new[i])
-        # Caches that support it fetch every slot's rows in one call
-        # (duck-typed so this module stays serve-agnostic).
+        # Caches that support it fetch every slot's rows in one call and
+        # name the shared prefix block in front of them (duck-typed so this
+        # module stays serve-agnostic).
         kv_many = getattr(type(layer_caches[0]), "kv_many", None)
         if kv_many is not None:
             kvs = kv_many(layer_caches)
         else:
             kvs = [cache.kv() for cache in layer_caches]
+        prefixes = None
+        if getattr(type(layer_caches[0]), "shared_kv", None) is not None:
+            prefixes = [cache.shared_kv() for cache in layer_caches]
+            if all(prefix is None for prefix in prefixes):
+                prefixes = None
         with tracer.span(
-            "attend", attrs={"slots": num_seqs, "kv_tokens": sum(k.shape[1] for k, _ in kvs)}
+            "attend", attrs=self._attend_attrs(kvs, prefixes)
         ) if traced else _NULL_SPAN:
-            attended = self._attend(q, kvs)
+            attended = self._attend(q, kvs, prefixes)
         with tracer.span("out_proj") if traced else _NULL_SPAN:
             return self.out_proj(self._merge_heads(attended))
 
-    def _attend(self, q: np.ndarray, kvs: Sequence) -> np.ndarray:
-        """Attend each sequence's queries over its own ``(K, V)``.
+    @staticmethod
+    def _attend_attrs(kvs: Sequence, prefixes: Optional[Sequence]) -> dict:
+        """Span attributes of one attend: ``slots`` and the K/V tokens each
+        slot attends in total (``kv_tokens``); a round with shared prefixes
+        adds ``shared_slots`` and ``shared_kv_tokens`` (each distinct block
+        prefix counted once, as it is attended once)."""
+        attrs = {"slots": len(kvs), "kv_tokens": sum(k.shape[1] for k, _ in kvs)}
+        if prefixes is not None:
+            shared = [prefix for prefix in prefixes if prefix is not None]
+            blocks = {(id(k_block), p): p for k_block, _, p in shared}
+            attrs["kv_tokens"] += sum(p for _, _, p in shared)
+            attrs["shared_slots"] = len(shared)
+            attrs["shared_kv_tokens"] = sum(blocks.values())
+        return attrs
+
+    def _attend(
+        self, q: np.ndarray, kvs: Sequence, prefixes: Optional[Sequence] = None
+    ) -> np.ndarray:
+        """Attend each sequence's queries over its ``(K, V)``.
 
         ``q`` is ``(num_seqs, heads, t_new, head_dim)`` and ``kvs[i]`` the
         ``(heads, len_i, head_dim)`` K/V of sequence ``i``, whose last
@@ -239,13 +264,73 @@ class MultiHeadAttention(Module):
         verify) those queries mask causally inside the appended block.  The
         expression is the one :meth:`forward` evaluates for a single
         sequence, so prefill into an empty cache is bitwise ``forward``.
+
+        ``prefixes[i]``, when given and not ``None``, is ``(K_block,
+        V_block, p)``: sequence ``i`` attends the block's rows ``[0, p)``
+        before ``kvs[i]``.  Sequences sharing a block and ``p`` attend it
+        together (:meth:`_attend_shared`); the rest take the plain path.
         """
         t_new = q.shape[2]
         attended = np.empty_like(q)
+        groups = {}
         for i, (k, v) in enumerate(kvs):
+            prefix = None if prefixes is None else prefixes[i]
+            if prefix is not None:
+                groups.setdefault((id(prefix[0]), prefix[2]), (prefix, []))[1].append(i)
+                continue
             scores = q[i] @ k.transpose(0, 2, 1) / np.sqrt(self.head_dim)
             if t_new > 1:
                 past = k.shape[1] - t_new
                 scores = scores + F.incremental_causal_mask(past, t_new)[None]
             attended[i] = F.softmax(scores, axis=-1) @ v
+        for (k_block, v_block, p), slots in groups.values():
+            self._attend_shared(
+                q, kvs, k_block[:, :p], v_block[:, :p], slots, attended
+            )
         return attended
+
+    def _attend_shared(
+        self,
+        q: np.ndarray,
+        kvs: Sequence,
+        k_shared: np.ndarray,
+        v_shared: np.ndarray,
+        slots: Sequence[int],
+        out: np.ndarray,
+    ) -> None:
+        """Cascade attend: ``slots`` over one shared prefix, then own rows.
+
+        The slots' queries stack into one score GEMM and one ``P @ V`` GEMM
+        over the shared K/V (no mask: every prefix row precedes every
+        query).  Each slot's own rows ``kvs[i]`` then attend as in the plain
+        path, and the two partial softmaxes merge by log-sum-exp: the shared
+        part's exponentials, shifted by its own row max, are rescaled by
+        ``exp(shared_max - joint_max)`` onto the own part's shift by the
+        joint max.  The result equals one softmax over the concatenated K/V
+        up to float64 round-off, not bitwise.
+        """
+        heads, t_new, dim = q.shape[1:]
+        scale = np.sqrt(dim)
+        queries = q[slots].transpose(1, 0, 2, 3).reshape(heads, len(slots) * t_new, dim)
+        shared = queries @ k_shared.transpose(0, 2, 1)
+        shared /= scale
+        shared_max = shared.max(axis=-1, keepdims=True)
+        shared -= shared_max
+        np.exp(shared, out=shared)
+        shared_sum = shared.sum(axis=-1, keepdims=True)
+        shared_out = shared @ v_shared
+        for j, i in enumerate(slots):
+            rows = slice(j * t_new, (j + 1) * t_new)
+            k, v = kvs[i]
+            scores = q[i] @ k.transpose(0, 2, 1) / scale
+            if t_new > 1:
+                scores += F.incremental_causal_mask(k.shape[1] - t_new, t_new)[None]
+            joint_max = np.maximum(scores.max(axis=-1, keepdims=True), shared_max[:, rows])
+            scores -= joint_max
+            np.exp(scores, out=scores)
+            rescale = np.exp(shared_max[:, rows] - joint_max)
+            numerator = scores @ v
+            numerator += shared_out[:, rows] * rescale
+            denominator = scores.sum(axis=-1, keepdims=True)
+            denominator += shared_sum[:, rows] * rescale
+            out[i] = numerator / denominator

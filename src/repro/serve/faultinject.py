@@ -357,12 +357,18 @@ def check_refcounts(scheduler) -> None:
     The same balance check the invariant fuzz suite runs: each sealed page
     handle held by a live slot cache or a prefix-index node accounts for
     exactly one reference, and no pool entry carries references nobody
-    holds.  Raises ``AssertionError`` on imbalance.
+    holds.  Shared blocks balance the same way: each live block's holder
+    count equals the slot layer caches reading it, no slot reads a block
+    the pool has freed, and the decoded-row gauge equals the slots' own
+    decoded pages plus each live block once.  Raises ``AssertionError`` on
+    imbalance.
     """
     from collections import Counter
 
     pool = scheduler.page_pool
     held = Counter()
+    readers = Counter()
+    own_bytes = 0
     for slot in scheduler._slots:
         if slot is None:
             continue
@@ -370,6 +376,20 @@ def check_refcounts(scheduler) -> None:
             layer = slot.cache.layer(layer_index)
             for handle in layer._sealed_k + layer._sealed_v:
                 held[id(handle)] += 1
+            if layer._block is not None:
+                readers[id(layer._block)] += 1
+            own_pages = len(layer._sealed_k) - layer._shared // layer.config.page_size
+            own_bytes += 2 * own_pages * layer._page_nbytes
+    blocks = {id(block): block for block in pool._blocks.values()}
+    for key, block in blocks.items():
+        assert block.holders == readers[key], (
+            f"shared block: {block.holders} holders != {readers[key]} reading caches"
+        )
+    assert set(readers) <= set(blocks), "a slot reads a freed shared block"
+    decoded = own_bytes + sum(block.nbytes for block in blocks.values())
+    assert pool.decoded_cache_bytes == decoded, (
+        f"decoded-row gauge {pool.decoded_cache_bytes} != {decoded} held"
+    )
     for node in pool._prefix_nodes.values():
         for handle in node.handles():
             held[id(handle)] += 1

@@ -11,35 +11,46 @@ decodes on its own.
 Layout
 ------
 Each sequence owns one :class:`SequenceKVCache`; each layer of the sequence
-owns a :class:`LayerKVCache` holding
+owns a :class:`LayerKVCache`.  The rows ``[0, seq_len)`` attention reads
+split at ``p``, the number of prefix tokens shared with other live
+sequences (``p = 0`` unless the cache attached a prefix):
 
-* one contiguous K buffer and one V buffer, each ``(heads, capacity,
-  head_dim)``, whose rows ``[0, seq_len)`` are exactly what attention reads:
-  the dequantized values of the sealed pages, then the newest *open* rows
-  (not yet sealed) in full precision;
-* the list of *sealed pages* — ``page_size`` timesteps of K (and V) quantized
-  into one :class:`~repro.core.ovp.PackedOVPTensor` per page once they fill,
-  with a per-page 3σ scale (the paper's initial-scale rule; no MSE search on
-  the hot append path).
+* rows ``[0, p)`` are read from a pool-owned *shared block* — one
+  contiguous ``(heads, tokens, head_dim)`` K and V array per layer per
+  attached prefix chain, decoded once for all its live holders and
+  refcounted by them in the :class:`PagePool`;
+* rows ``[p, seq_len)`` live in the cache's own contiguous K and V buffers:
+  the dequantized values of the pages it sealed (or attached past the
+  block), then the newest *open* rows (not yet sealed) in full precision;
+* the list of *sealed pages* covers every page of ``[0, seq_len)``, shared
+  or not — ``page_size`` timesteps of K (and V) quantized into one
+  :class:`~repro.core.ovp.PackedOVPTensor` per page once they fill, with a
+  per-page 3σ scale (the paper's initial-scale rule; no MSE search on the
+  hot append path).
 
 A page seals by encoding its rows, registering the packed bytes in the
 :class:`PagePool` and decoding them **once** back over the same rows.  After
-that the rows already hold what every later round attends, so ``kv()`` is a
-view of the buffer — no pool call, no copy.  Capacity is sized at admission
-(prompt plus ``max_new_tokens``); a standalone cache grows on demand.
+that the rows already hold what every later round attends, so ``kv_many()``
+returns views of the own buffers — no pool call, no copy — and
+``shared_kv()`` names the block that precedes them.  Capacity is sized at
+admission (prompt plus ``max_new_tokens``); a standalone cache grows on
+demand.
 
 Sealed pages live in the pool as refcounted :class:`PageHandle` entries.
 Sealed pages are immutable byte streams, so requests whose token prefix
 hashes to already-sealed pages *attach* to the existing entries
-copy-on-write: the shared pages decode once into the new sequence's rows,
-skipping the prefill *and* the re-quantization of the shared tokens.
+copy-on-write, skipping the prefill *and* the re-quantization of the shared
+tokens.  The first live holder of a chain decodes it into the shared block;
+later holders attach to the live block without decoding, and attention
+scores every holder of a block against it in one GEMM per round.  The block
+is freed with its last holder (the prefix index keeps packed pages only).
 
 ``quantize=False`` keeps sealed pages in full precision; this reference mode
 is what the incremental-decode equivalence tests compare against full
 recompute.  Reference pages flow through the same pool/refcount machinery
-(prefix sharing included) but need no decode.
+(prefix sharing and shared blocks included) but need no decode.
 
-Sequences release their page references on retire/abort via
+Sequences release their page and block references on retire/abort via
 :meth:`SequenceKVCache.release`; a page is dropped once no sequence and no
 prefix-index node references it.
 """
@@ -143,6 +154,29 @@ class PageHandle:
         return int(self.payload.size) * 4
 
 
+class _SharedBlock:
+    """The decoded K/V of one layer's attached prefix chain, shared by holders.
+
+    ``k``/``v`` are ``(heads, pages * page_size, head_dim)``; the page
+    handles they were decoded from identify the chain, so a later attach
+    can tell how many of its leading pages the block serves.  ``holders``
+    counts the live layer caches reading the block.
+    """
+
+    __slots__ = ("k_handles", "v_handles", "k", "v", "holders")
+
+    def __init__(self, k_handles, v_handles, k: np.ndarray, v: np.ndarray) -> None:
+        self.k_handles = list(k_handles)
+        self.v_handles = list(v_handles)
+        self.k = k
+        self.v = v
+        self.holders = 0
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.k.nbytes + self.v.nbytes)
+
+
 @dataclass
 class _PrefixNode:
     """Prefix-index entry: the K/V page handles of ONE page position, per layer."""
@@ -164,10 +198,13 @@ class PagePool:
     * **refcounting** — a page is dropped once its last holder releases it;
     * **batched decode** — :meth:`decoded_many` is the one funnel every packed
       page decode passes through (a page decodes when it seals and when a
-      prefix attaches it to a new sequence, never per round);
+      prefix attaches it with no live shared block, never per round);
     * **prefix index** — a bounded LRU mapping page-aligned token-prefix hash
       chains to the sealed pages holding those tokens' K/V, enabling
-      copy-on-write prompt sharing across requests.
+      copy-on-write prompt sharing across requests;
+    * **shared blocks** — one decoded K/V block per layer per attached prefix
+      chain, keyed by the chain's first page and refcounted by the live
+      caches reading it (:meth:`acquire_block`/:meth:`release_block`).
     """
 
     def __init__(self, prefix_capacity: int = 1024) -> None:
@@ -179,8 +216,10 @@ class PagePool:
         # pool is shared, so share a tracer along with the pool).
         self.tracer = NULL_TRACER
         self._entries: Dict[int, PageHandle] = {}
-        # Decoded sealed rows held by the live caches of this pool; each
-        # LayerKVCache adds and subtracts its own share.
+        # Live shared blocks, keyed by the page id of their chain's first K page.
+        self._blocks: Dict[int, _SharedBlock] = {}
+        # Decoded sealed rows held by the live caches of this pool: each
+        # LayerKVCache adds and subtracts its own rows, each block counts once.
         self._decoded_bytes = 0
         self._sealed_bytes = 0
         self._prefix_nodes: "OrderedDict[Tuple, _PrefixNode]" = OrderedDict()
@@ -283,6 +322,59 @@ class PagePool:
                     out[j] = page
 
     # ------------------------------------------------------------------ #
+    # Shared blocks
+    # ------------------------------------------------------------------ #
+    def acquire_block(
+        self,
+        k_handles: Sequence[PageHandle],
+        v_handles: Sequence[PageHandle],
+        codec: Optional[OVPairCodec],
+    ) -> Tuple[_SharedBlock, int]:
+        """Hold the live decoded block of a prefix chain; build it if none.
+
+        Returns ``(block, pages)``: the block serves the chain's first
+        ``pages`` pages.  A live block keyed by the same first page serves
+        the leading pages both chains hold (a decode hit per K and V page);
+        otherwise the whole chain decodes into a new block (misses).  The
+        caller decodes any pages past ``pages`` itself and must pair this
+        with one :meth:`release_block`.
+        """
+        key = k_handles[0].page_id
+        block = self._blocks.get(key)
+        if block is None:
+            handles = [h for pair in zip(k_handles, v_handles) for h in pair]
+            decoded = self.decoded_many(handles, codec)
+            block = _SharedBlock(
+                k_handles,
+                v_handles,
+                np.concatenate(decoded[0::2], axis=1),
+                np.concatenate(decoded[1::2], axis=1),
+            )
+            self._blocks[key] = block
+            self._decoded_bytes += block.nbytes
+            pages = len(k_handles)
+        else:
+            pages = 0
+            for held_k, held_v, k, v in zip(
+                block.k_handles, block.v_handles, k_handles, v_handles
+            ):
+                if held_k is not k or held_v is not v:
+                    break
+                pages += 1
+            self.decode_hits += 2 * pages
+        block.holders += 1
+        return block, pages
+
+    def release_block(self, block: _SharedBlock) -> None:
+        """Drop one holder; the last one frees the block's decoded rows."""
+        if block.holders <= 0:
+            raise ServingError("shared KV block released more times than acquired")
+        block.holders -= 1
+        if block.holders == 0:
+            del self._blocks[block.k_handles[0].page_id]
+            self._decoded_bytes -= block.nbytes
+
+    # ------------------------------------------------------------------ #
     # Prefix sharing
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -371,8 +463,14 @@ class PagePool:
         return sum(1 for handle in self._entries.values() if handle.shared)
 
     @property
+    def num_blocks(self) -> int:
+        """Live shared blocks (each held by at least one cache)."""
+        return len(self._blocks)
+
+    @property
     def decoded_cache_bytes(self) -> int:
-        """Bytes of decoded sealed K/V rows held by this pool's live caches."""
+        """Bytes of decoded sealed K/V rows held by this pool's live caches
+        (a shared block counts once, however many caches read it)."""
         return self._decoded_bytes
 
     @property
@@ -405,6 +503,7 @@ class PagePool:
                 "shared_pages": self.num_shared_pages,
                 "sealed_bytes": self.sealed_bytes,
                 "decoded_cache_bytes": self.decoded_cache_bytes,
+                "shared_blocks": self.num_blocks,
                 "prefix_nodes": self.num_prefix_nodes,
             }
         )
@@ -417,7 +516,8 @@ class LayerKVCache:
     ``capacity`` is the number of timesteps to reserve up front (rounded up
     to whole pages); the scheduler passes ``prompt + max_new_tokens`` so a
     request's rows never move.  Appending past the capacity grows the
-    buffers geometrically.
+    buffers geometrically.  A cache that attached a shared prefix stores
+    only the rows past it (see the module docstring's Layout).
     """
 
     def __init__(self, num_heads: int, head_dim: int, config: KVCacheConfig,
@@ -433,8 +533,11 @@ class LayerKVCache:
         self.pool = pool if pool is not None else PagePool()
         self._sealed_k: List[PageHandle] = []
         self._sealed_v: List[PageHandle] = []
-        # Rows [0, seq_len) of K and V: the decoded sealed pages, then the
-        # open rows in full precision.  Rows past seq_len are never read.
+        # Rows [0, _shared) are the pool-owned _block's (none by default).
+        self._block: Optional[_SharedBlock] = None
+        self._shared = 0
+        # Rows [_shared, seq_len) of K and V, stored from buffer row 0: the
+        # decoded sealed pages, then the open rows in full precision.
         rows = self._rounded(max(int(capacity), 1))
         self._k = np.empty((self.num_heads, rows, self.head_dim))
         self._v = np.empty((self.num_heads, rows, self.head_dim))
@@ -449,14 +552,16 @@ class LayerKVCache:
         return -(-tokens // size) * size
 
     def _reserve(self, tokens: int) -> None:
-        """Grow the K/V buffers (keeping rows ``[0, seq_len)``) to ``tokens``."""
+        """Grow the own K/V buffers (keeping their rows) to hold ``tokens``."""
+        tokens -= self._shared
         capacity = self._k.shape[1]
         if tokens <= capacity:
             return
         rows = self._rounded(max(tokens, 2 * capacity))
+        own = self._seq_len - self._shared
         for name in ("_k", "_v"):
             grown = np.empty((self.num_heads, rows, self.head_dim))
-            grown[:, : self._seq_len] = getattr(self, name)[:, : self._seq_len]
+            grown[:, :own] = getattr(self, name)[:, :own]
             setattr(self, name, grown)
 
     # ------------------------------------------------------------------ #
@@ -468,19 +573,46 @@ class LayerKVCache:
         return self.num_heads * self.config.page_size * self.head_dim * 8
 
     def _hold(self, k_handles: Sequence[PageHandle], v_handles: Sequence[PageHandle]) -> None:
-        """Take ownership of pages sealed (or attached) after the current ones."""
+        """Take ownership of pages sealed (or attached) into the own rows."""
         self._sealed_k.extend(k_handles)
         self._sealed_v.extend(v_handles)
         self.pool._decoded_bytes += (len(k_handles) + len(v_handles)) * self._page_nbytes
 
     def _drop(self, keep_pages: int) -> None:
-        """Release every sealed page from ``keep_pages`` on."""
+        """Release every sealed page from ``keep_pages`` on.
+
+        Only pages past the shared block count against the decoded-row
+        gauge; the block's rows are the pool's (:meth:`_unshare` first to cut
+        into them).
+        """
         dropped = self._sealed_k[keep_pages:] + self._sealed_v[keep_pages:]
         for handle in dropped:
             self.pool.release(handle)
-        self.pool._decoded_bytes -= len(dropped) * self._page_nbytes
+        own_pages = len(self._sealed_k) - max(keep_pages, self._shared // self.config.page_size)
+        self.pool._decoded_bytes -= 2 * own_pages * self._page_nbytes
         del self._sealed_k[keep_pages:]
         del self._sealed_v[keep_pages:]
+
+    def _unshare(self) -> None:
+        """Copy the shared block's rows into the own buffers and let it go.
+
+        Afterwards the cache owns rows ``[0, seq_len)`` like a cache that
+        never attached, and its shared pages count as decoded own rows.
+        """
+        shared, own = self._shared, self._seq_len - self._shared
+        rows = self._k.shape[1] + shared
+        for name, block_rows in (("_k", self._block.k), ("_v", self._block.v)):
+            merged = np.empty((self.num_heads, rows, self.head_dim))
+            merged[:, :shared] = block_rows[:, :shared]
+            merged[:, shared : shared + own] = getattr(self, name)[:, :own]
+            setattr(self, name, merged)
+        self.pool._decoded_bytes += 2 * (shared // self.config.page_size) * self._page_nbytes
+        self._release_block()
+
+    def _release_block(self) -> None:
+        self.pool.release_block(self._block)
+        self._block = None
+        self._shared = 0
 
     # ------------------------------------------------------------------ #
     # Append (quantize-on-append)
@@ -499,10 +631,11 @@ class LayerKVCache:
                 f"K/V step shapes {k_new.shape}/{v_new.shape} do not match "
                 f"(num_heads={self.num_heads}, t, head_dim={self.head_dim})"
             )
-        start, stop = self._seq_len, self._seq_len + k_new.shape[1]
+        stop = self._seq_len + k_new.shape[1]
         self._reserve(stop)
-        self._k[:, start:stop] = k_new
-        self._v[:, start:stop] = v_new
+        rows = slice(self._seq_len - self._shared, stop - self._shared)
+        self._k[:, rows] = k_new
+        self._v[:, rows] = v_new
         self._seq_len = stop
         if not self._hold_seals:
             self._seal_full_pages()
@@ -532,7 +665,8 @@ class LayerKVCache:
         size = self.config.page_size
         pages = []
         for page in range(first, stop):
-            rows = slice(page * size, (page + 1) * size)
+            start = page * size - self._shared
+            rows = slice(start, start + size)
             pages += [self._k[:, rows], self._v[:, rows]]
         if not self.config.quantize:
             handles = [self.pool.register(page.copy()) for page in pages]
@@ -570,10 +704,13 @@ class LayerKVCache:
     ) -> None:
         """Adopt already-sealed pages as this cache's prefix (copy-on-write).
 
-        Sealed pages are immutable, so attaching takes references and decodes
-        the shared pages once into rows ``[0, num_tokens)``; this cache
-        appends its own pages after them.  Only an empty cache may attach,
-        and the pages must match this cache's geometry page for page.
+        Sealed pages are immutable, so attaching takes references and reads
+        rows ``[0, num_tokens)`` from the pool's shared block of the chain
+        (:meth:`PagePool.acquire_block`), decoding nothing when a live
+        holder already built it.  Pages past the ones the block serves
+        decode into the own rows; this cache appends its own pages after
+        them.  Only an empty cache may attach, and the pages must match this
+        cache's geometry page for page.
         """
         if self._seq_len:
             raise ServingError("prefix pages attach to an empty KV cache only")
@@ -593,22 +730,34 @@ class LayerKVCache:
                     f"shared page shape {tuple(handle.payload.shape)} does not "
                     f"match cache geometry {expected}"
                 )
+        self._block, shared_pages = self.pool.acquire_block(k_handles, v_handles, self.codec)
+        self._shared = shared_pages * size
+        self._sealed_k.extend(self.pool.incref(h) for h in k_handles[:shared_pages])
+        self._sealed_v.extend(self.pool.incref(h) for h in v_handles[:shared_pages])
+        # The own buffers now start past the block: shrink the reservation.
+        rows = self._rounded(max(self._k.shape[1] - self._shared, 1))
+        self._k = np.empty((self.num_heads, rows, self.head_dim))
+        self._v = np.empty((self.num_heads, rows, self.head_dim))
         self._reserve(num_tokens)
-        decoded = self.pool.decoded_many(handles, self.codec)
-        for page in range(len(k_handles)):
-            rows = slice(page * size, (page + 1) * size)
-            self._k[:, rows] = decoded[2 * page]
-            self._v[:, rows] = decoded[2 * page + 1]
-        self._hold(
-            [self.pool.incref(h) for h in k_handles],
-            [self.pool.incref(h) for h in v_handles],
-        )
+        if shared_pages < len(k_handles):
+            decoded = self.pool.decoded_many(handles[2 * shared_pages:], self.codec)
+            for page in range(len(k_handles) - shared_pages):
+                rows = slice(page * size, (page + 1) * size)
+                self._k[:, rows] = decoded[2 * page]
+                self._v[:, rows] = decoded[2 * page + 1]
+            self._hold(
+                [self.pool.incref(h) for h in k_handles[shared_pages:]],
+                [self.pool.incref(h) for h in v_handles[shared_pages:]],
+            )
         self._seq_len = int(num_tokens)
         self.pool.prefix_pages_attached += len(handles)
 
     def release(self) -> None:
-        """Drop this cache's page references (retire/abort); cache resets empty."""
+        """Drop this cache's page and block references (retire/abort); the
+        cache resets empty."""
         self._drop(0)
+        if self._block is not None:
+            self._release_block()
         self._seq_len = 0
         self._hold_seals = False
 
@@ -645,13 +794,16 @@ class LayerKVCache:
         cut inside a sealed page reopens that page *copy-on-write*: its kept
         rows already hold the decoded values and stay in place as open rows
         (the shared payload is never mutated), and this cache's references
-        to the dropped pages are released.
+        to the dropped pages are released.  A cut inside the shared prefix
+        first copies the block's rows into this cache's own buffers.
         """
         num_tokens = int(num_tokens)
         if not 0 <= num_tokens <= self._seq_len:
             raise ServingError(
                 f"cannot truncate a {self._seq_len}-token cache to {num_tokens}"
             )
+        if num_tokens < self._shared:
+            self._unshare()
         keep_pages = num_tokens // self.config.page_size
         if keep_pages < len(self._sealed_k):
             self._drop(keep_pages)
@@ -661,23 +813,48 @@ class LayerKVCache:
     # Attend
     # ------------------------------------------------------------------ #
     def kv(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The full ``(K, V)``, each ``(heads, seq, dim)``, as views of the rows.
+        """The full ``(K, V)``, each ``(heads, seq, dim)``, for inspection.
 
-        The views are valid until the next append, seal or truncation.
+        Without a shared prefix these are views of the rows, valid until the
+        next append, seal or truncation; with one they are fresh copies of
+        the block's rows followed by the own rows.  Attention never calls
+        this on the hot path: it reads :meth:`kv_many` and :meth:`shared_kv`.
         """
         if self._seq_len == 0:
             raise ServingError("KV cache is empty; append before attending")
-        return self._k[:, : self._seq_len], self._v[:, : self._seq_len]
+        own = self._seq_len - self._shared
+        k, v = self._k[:, :own], self._v[:, :own]
+        if self._block is None:
+            return k, v
+        return (
+            np.concatenate([self._block.k[:, : self._shared], k], axis=1),
+            np.concatenate([self._block.v[:, : self._shared], v], axis=1),
+        )
+
+    def shared_kv(self) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+        """``(K_block, V_block, p)`` when rows ``[0, p)`` come from a shared
+        block, else ``None``.
+
+        ``K_block``/``V_block`` are the pool-owned block arrays themselves
+        (the same objects for every holder, possibly longer than ``p``), so
+        attention can group a round's holders of one block by identity.
+        """
+        if self._block is None:
+            return None
+        return self._block.k, self._block.v, self._shared
 
     @classmethod
     def kv_many(cls, caches: Sequence["LayerKVCache"]) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """``kv()`` for every slot of a decode round.
+        """The rows each slot of a round stores itself, as ``(K, V)`` views.
 
-        Every sealed page was decoded into its cache's rows when it sealed or
-        attached, so this is a list of views: no pool call and no copy.
-        (:meth:`MultiHeadAttention.forward_incremental
+        These are rows ``[p, seq_len)``: everything after the slot's shared
+        prefix (:meth:`shared_kv`), or its whole history when it has none.
+        Every sealed page was decoded into its cache's rows (or its shared
+        block) when it sealed or attached, so this is a list of views: no
+        pool call and no copy.  (:meth:`MultiHeadAttention.forward_incremental
         <repro.nn.attention.MultiHeadAttention.forward_incremental>` picks
-        this up by duck-typing, keeping ``repro.nn`` free of serve imports.)
+        this and :meth:`shared_kv` up by duck-typing, keeping ``repro.nn``
+        free of serve imports.)
 
         All caches must agree on quantize mode and OVP width — a decode round
         mixing packed and reference caches (or 4- and 8-bit codecs) is a
@@ -702,7 +879,10 @@ class LayerKVCache:
             if cache.seq_len == 0:
                 raise ServingError("KV cache is empty; append before attending")
         return [
-            (cache._k[:, : cache._seq_len], cache._v[:, : cache._seq_len])
+            (
+                cache._k[:, : cache._seq_len - cache._shared],
+                cache._v[:, : cache._seq_len - cache._shared],
+            )
             for cache in caches
         ]
 
@@ -745,7 +925,8 @@ class LayerKVCache:
         production fp cache would hold — even though NumPy computes in
         float64.  Shared pages are charged to every holder (the per-sequence
         view); pool-level dedup shows up in the pool's own gauges.  The
-        decoded rows attention reads are the pool's ``decoded_cache_bytes``.
+        decoded rows attention reads (own rows plus each shared block once)
+        are the pool's ``decoded_cache_bytes``.
         """
         sealed = sum(h.nbytes_resident for h in self._sealed_k)
         sealed += sum(h.nbytes_resident for h in self._sealed_v)

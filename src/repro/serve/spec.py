@@ -159,8 +159,10 @@ class _BorrowedLayerCache:
     the target's decoded K/V rows (each page decoded once, when it sealed) and
     appends only the current round's one in-flight token, which is kept
     locally and discarded — the verify pass re-derives and truly appends it.
-    The target cache is never mutated, and the draft needs no KV memory,
-    no feed bookkeeping and no rollback of its own.
+    ``shared_kv`` forwards the target's shared prefix block, so the draft
+    attends it once per round like the target does.  The target cache is
+    never mutated, and the draft needs no KV memory, no feed bookkeeping and
+    no rollback of its own.
     """
 
     __slots__ = ("_base", "_k_new", "_v_new")
@@ -184,9 +186,13 @@ class _BorrowedLayerCache:
             np.concatenate([v, self._v_new], axis=1),
         )
 
+    def shared_kv(self):
+        return self._base.shared_kv()
+
     @classmethod
     def kv_many(cls, caches):
-        """Batched fetch: every slot's borrowed rows plus its in-flight token."""
+        """Batched fetch: every slot's borrowed own rows (after its shared
+        prefix) plus its in-flight token."""
         base_kvs = type(caches[0]._base).kv_many([c._base for c in caches])
         return [
             (

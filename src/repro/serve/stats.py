@@ -128,7 +128,7 @@ class DecodeRoundRecord:
     kv_fp32_bytes: int         # fp32 cache footprint for the same tokens
     latencies: tuple = ()      # enqueue → completion of requests retired this round
     # Page-pool activity this round (deltas of the pool's counters).
-    pool_hits: int = 0                 # repeat pages a batched decode skipped
+    pool_hits: int = 0                 # pages served without a decode (live shared block)
     pool_misses: int = 0               # sealed pages OVP-decoded (seal/attach)
     prefix_pages_attached: int = 0     # pages adopted from the prefix index
     shared_pages: int = 0              # pool pages with >1 holder at round end
@@ -341,7 +341,7 @@ class ServingStats:
             "serve_generated_tokens_total", "Tokens generated by decode rounds"
         )
         self._m_pool_hits = r.counter(
-            "serve_pool_hits_total", "Repeat pages a batched pool decode skipped"
+            "serve_pool_hits_total", "Pages served without a decode (live shared block)"
         )
         self._m_pool_misses = r.counter(
             "serve_pool_misses_total", "Sealed pages OVP-decoded at seal or prefix attach"

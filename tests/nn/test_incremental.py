@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.models.zoo import build_causal_lm
 from repro.nn.attention import MultiHeadAttention
 from repro.serve.kvcache import KVCacheConfig, cache_for_model
+from repro.serve.telemetry import Tracer
 
 TOTAL_LEN = 24
 
@@ -361,6 +362,133 @@ class TestRoundAttend:
             rtol=1e-9,
             atol=1e-12,
         )
+
+
+#: Agreement bound of the cascade (split-softmax) attend against one softmax
+#: over the concatenated K/V: float64 round-off, not bitwise.
+CASCADE_BOUND = 1e-12
+
+
+class TestSharedPrefixAttend:
+    """``_attend`` with shared prefix blocks against one softmax over each
+    slot's concatenated ``[block rows [0, p)] + [own rows]``."""
+
+    @staticmethod
+    def operands(attention, slots, t_new, seed):
+        """``slots`` lists ``(block, p, own_len)``; ``block`` indexes two
+        shared blocks (24 and 16 rows) or is ``None`` for an unshared slot.
+        Returns ``q``, own ``kvs``, ``prefixes`` and the concatenated K/V."""
+        rng = np.random.default_rng(seed)
+        heads, dim = attention.num_heads, attention.head_dim
+        blocks = [
+            (rng.normal(size=(heads, n, dim)), rng.normal(size=(heads, n, dim)))
+            for n in (24, 16)
+        ]
+        q = rng.normal(size=(len(slots), heads, t_new, dim))
+        kvs, prefixes, full = [], [], []
+        for block, p, own_len in slots:
+            # Larger own keys on some slots, so the own part holds the joint
+            # row max for some rows and the shared part for others.
+            scale = 3.0 if own_len % 2 else 1.0
+            k = rng.normal(scale=scale, size=(heads, own_len, dim))
+            v = rng.normal(size=(heads, own_len, dim))
+            kvs.append((k, v))
+            if block is None:
+                prefixes.append(None)
+                full.append((k, v))
+            else:
+                k_block, v_block = blocks[block]
+                prefixes.append((k_block, v_block, p))
+                full.append(
+                    (
+                        np.concatenate([k_block[:, :p], k], axis=1),
+                        np.concatenate([v_block[:, :p], v], axis=1),
+                    )
+                )
+        return q, kvs, prefixes, full
+
+    #: Two blocks, one of them at two prefix lengths, plus unshared slots.
+    SLOTS = [(0, 24, 7), (None, None, 12), (1, 16, 5), (0, 24, 9), (0, 16, 6), (None, None, 4)]
+
+    @pytest.mark.parametrize(
+        "t_new, own_lengths",
+        [(1, None), (4, None), (6, [6] * 6)],
+        ids=["decode", "verify", "suffix-prefill"],
+    )
+    def test_cascade_matches_one_softmax_over_concatenated_kv(
+        self, model, t_new, own_lengths
+    ):
+        attention = model.backbone.layer_0.self_attention
+        slots = self.SLOTS
+        if own_lengths is not None:  # the whole own part is the new suffix
+            slots = [(b, p, n) for (b, p, _), n in zip(slots, own_lengths)]
+        q, kvs, prefixes, full = self.operands(attention, slots, t_new, seed=7)
+        cascade = attention._attend(q, kvs, prefixes)
+        reference = attention._attend(q, full)
+        assert np.abs(cascade - reference).max() <= CASCADE_BOUND
+        np.testing.assert_array_equal(cascade.argmax(axis=-1), reference.argmax(axis=-1))
+        # Unshared slots keep the plain path: bitwise the one-slot attend.
+        for i, prefix in enumerate(prefixes):
+            if prefix is None:
+                np.testing.assert_array_equal(
+                    cascade[i], attention._attend(q[i : i + 1], [kvs[i]])[0]
+                )
+
+    @pytest.mark.parametrize("t_new", [1, 4], ids=["decode", "verify"])
+    def test_slot_order_does_not_change_any_slot(self, model, t_new):
+        attention = model.backbone.layer_0.self_attention
+        q, kvs, prefixes, full = self.operands(attention, self.SLOTS, t_new, seed=9)
+        attended = attention._attend(q, kvs, prefixes)
+        order = np.random.default_rng(1).permutation(len(self.SLOTS))
+        permuted = attention._attend(
+            q[order], [kvs[i] for i in order], [prefixes[i] for i in order]
+        )
+        assert np.abs(permuted - attended[order]).max() <= CASCADE_BOUND
+        reference = attention._attend(q[order], [full[i] for i in order])
+        assert np.abs(permuted - reference).max() <= CASCADE_BOUND
+
+    def test_attached_caches_track_unshared_caches_through_a_model(self, model):
+        """End to end through every layer: slots reading a shared block
+        give the logits of caches that prefilled the same tokens alone."""
+        rng = np.random.default_rng(13)
+        config = KVCacheConfig(bits=4, page_size=4)
+        document = rng.integers(0, 96, size=16)
+        owner = prefilled(model, [document], config)[0]
+        questions = [rng.integers(0, 96, size=n) for n in (3, 6, 5)]
+        attached = []
+        for question in questions:
+            cache = cache_for_model(model, config, pool=owner.pool)
+            cache.attach_prefix(
+                [owner.layer(l)._sealed_k for l in range(owner.num_layers)],
+                [owner.layer(l)._sealed_v for l in range(owner.num_layers)],
+                16,
+            )
+            model.log_probs_incremental(question[None], [cache])
+            attached.append(cache)
+        assert owner.pool.num_blocks == owner.num_layers
+        # Owner-side reference: the document's sealed rows, then the question.
+        alone = []
+        for question in questions:
+            cache = cache_for_model(model, config, pool=owner.pool)
+            model.log_probs_incremental(document[None], [cache])
+            model.log_probs_incremental(question[None], [cache])
+            alone.append(cache)
+        for width in (1, 3, 1):
+            step = rng.integers(0, 96, size=(len(questions), width))
+            got = model.log_probs_incremental(step, attached, batched_rounds=True)
+            want = model.log_probs_incremental(step, alone, batched_rounds=True)
+            assert np.abs(got - want).max() <= CASCADE_BOUND
+            np.testing.assert_array_equal(got.argmax(axis=-1), want.argmax(axis=-1))
+        # A traced round names the shared slots and the block rows once.
+        tracer = Tracer()
+        step = rng.integers(0, 96, size=(len(questions) + 1, 1))
+        model.log_probs_incremental(step, attached + alone[:1], tracer=tracer)
+        attends = [span.attrs for span in tracer.spans() if span.name == "attend"]
+        assert len(attends) == model.backbone.num_layers
+        for attrs in attends:
+            assert attrs["slots"] == 4 and attrs["shared_slots"] == 3
+            assert attrs["shared_kv_tokens"] == 16
+            assert attrs["kv_tokens"] == sum(cache.seq_len for cache in attached + alone[:1])
 
 
 def one_slot_trajectories(model, prompts, widths, config, seed):

@@ -225,6 +225,102 @@ class TestPrefixSharing:
             small.attach(layers_k[0], layers_v[0], 16)
 
 
+class TestSharedBlocks:
+    """One decoded block per live shared chain, refcounted by its holders."""
+
+    def holders(self, owner, count, pages):
+        caches = []
+        for _ in range(count):
+            cache = LayerKVCache(HEADS, DIM, owner.config, pool=owner.pool, capacity=40)
+            cache.attach(owner._sealed_k[:pages], owner._sealed_v[:pages], 4 * pages)
+            caches.append(cache)
+        return caches
+
+    def test_concurrent_holders_decode_a_chain_once(self):
+        owner = sealed_cache(np.random.default_rng(30))  # 4 pages per side
+        pool = owner.pool
+        before = pool.counters()
+        caches = self.holders(owner, 3, pages=4)
+        assert pool.decode_misses - before["decode_misses"] == 8  # the first holder
+        assert pool.decode_hits - before["decode_hits"] == 2 * 8
+        assert pool.num_blocks == 1
+        blocks = {id(cache.shared_kv()[0]) for cache in caches}
+        assert len(blocks) == 1
+        k_owner, v_owner = owner.kv()
+        for cache in caches:
+            k, v = cache.kv()
+            np.testing.assert_array_equal(k, k_owner)
+            np.testing.assert_array_equal(v, v_owner)
+        # Decoded rows: the owner's 8 pages plus one 8-page block, not 4 x 8.
+        assert pool.decoded_cache_bytes == 2 * 8 * HEADS * 4 * DIM * 8
+
+    def test_shorter_chain_reads_the_block_and_longer_chain_decodes_its_tail(self):
+        owner = sealed_cache(np.random.default_rng(31))
+        pool = owner.pool
+        [first] = self.holders(owner, 1, pages=2)
+        before = pool.counters()
+        [shorter] = self.holders(owner, 1, pages=1)
+        [longer] = self.holders(owner, 1, pages=3)
+        assert pool.decode_hits - before["decode_hits"] == 2 * (1 + 2)
+        assert pool.decode_misses - before["decode_misses"] == 2  # page 2, K and V
+        assert shorter.shared_kv()[2] == 4 and longer.shared_kv()[2] == 8
+        k_owner, _ = owner.kv()
+        np.testing.assert_array_equal(longer.kv()[0], k_owner[:, :12])
+        np.testing.assert_array_equal(shorter.kv()[0], k_owner[:, :4])
+        for cache in (first, shorter, longer):
+            cache.release()
+        assert pool.num_blocks == 0
+
+    def test_blocks_and_gauge_return_to_zero_after_every_holder_releases(self):
+        owner = sealed_cache(np.random.default_rng(32))
+        pool = owner.pool
+        caches = self.holders(owner, 3, pages=3)
+        rng = np.random.default_rng(33)
+        for cache in caches:
+            cache.append(step(rng, 6), step(rng, 6))  # seals one own page
+        block = caches[0]._block
+        owner.release()
+        for cache in caches[:2]:
+            cache.release()
+            assert pool.num_blocks == 1 and block.holders == 1 + (cache is caches[0])
+        caches[2].release()
+        assert pool.num_blocks == 0 and pool._blocks == {}
+        assert pool.decoded_cache_bytes == 0
+        assert pool.num_entries == 0
+        with pytest.raises(ServingError, match="released more times"):
+            pool.release_block(block)
+
+    def test_truncate_into_shared_prefix_keeps_values_and_stream(self):
+        owner = sealed_cache(np.random.default_rng(34))
+        pool = owner.pool
+        cache, twin = self.holders(owner, 2, pages=3)
+        rng = np.random.default_rng(35)
+        extra = step(rng, 5), step(rng, 5)
+        cache.append(*extra)
+        before_k, before_v = (a.copy() for a in cache.kv())
+        cache.truncate_to(6)  # inside shared page 1
+        assert cache.shared_kv() is None and twin.shared_kv() is not None
+        assert len(cache._sealed_k) == 1
+        k, v = cache.kv()
+        np.testing.assert_array_equal(k, before_k[:, :6])
+        np.testing.assert_array_equal(v, before_v[:, :6])
+        # The stream continues exactly like a cache holding the same rows:
+        # page 0 from the block, then rows 4-5 as open rows.
+        [reference] = self.holders(owner, 1, pages=1)
+        reference.append(before_k[:, 4:6], before_v[:, 4:6])
+        more = step(rng, 7), step(rng, 7)
+        cache.append(*more)
+        reference.append(*more)
+        for ours, theirs in zip(cache._sealed_k[1:], reference._sealed_k[1:]):
+            np.testing.assert_array_equal(ours.payload.data, theirs.payload.data)
+        for ours, theirs in zip(cache.kv(), reference.kv()):
+            np.testing.assert_array_equal(ours, theirs)
+        # The block lives on for its other holders; the gauge balances.
+        for holder in (cache, twin, reference, owner):
+            holder.release()
+        assert pool.num_blocks == 0 and pool.decoded_cache_bytes == 0
+
+
 class TestGreedyTopK:
     def test_matches_full_sort(self):
         rng = np.random.default_rng(16)

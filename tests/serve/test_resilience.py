@@ -419,7 +419,13 @@ class TestPreemptResume:
         assert list(resumed.output.token_ids) == list(baseline.output.token_ids)
         assert resumed.output.finish_reason == baseline.output.finish_reason
         if quantize and temperature == 0.0:
-            assert list(resumed.output.logprobs) == list(baseline.output.logprobs)
+            # The resume re-attaches its own sealed pages as a shared prefix
+            # block, and the split (cascade) softmax agrees with the one-pass
+            # softmax to float64 round-off, not bitwise.
+            delta = np.abs(
+                np.asarray(resumed.output.logprobs) - np.asarray(baseline.output.logprobs)
+            )
+            assert delta.max() <= 1e-12
         # Resume re-attached the evicted sealed pages copy-on-write instead
         # of re-prefilling them.
         kv = resumed.output.kv_cache
