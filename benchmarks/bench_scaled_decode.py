@@ -26,12 +26,22 @@ from decoding different (shorter, easier) streams.  Ratios are medians of
 paired interleaved trials (see ``paired_ratio``) and are recorded in the
 ``scaled_decode`` section of ``BENCH_serve.json``, where the regression
 watchdog enforces the > 1.0 floors and flags drift.
+
+A third measurement bounds what serving in float32 costs in accuracy:
+
+* **cross_precision** — fixed prompts served greedily by the float32 entry
+  and by the same packed model cast back to float64
+  (``Module.astype(np.float64)``).  ``token_agreement`` is the share of
+  generated tokens before each prompt's first divergence (floor 0.95) and
+  ``max_logprob_delta`` the largest |Δ logprob| over those tokens (ceiling
+  1e-3); the watchdog enforces both.
 """
 
 import statistics
 import time
 
 import numpy as np
+import pytest
 
 from repro.nn.attention import MultiHeadAttention
 from repro.serve import (
@@ -78,6 +88,12 @@ MIN_WALL_RATIO = 1.0
 MIN_ACCEPTANCE = 0.6
 MIN_STREAM_SPEEDUP = 1.3
 PAIRED_TRIALS = 5
+
+AGREEMENT_SLOTS = 4
+AGREEMENT_PROMPTS = 12
+AGREEMENT_NEW_TOKENS = 16
+MIN_TOKEN_AGREEMENT = 0.95
+MAX_LOGPROB_DELTA = 1e-3
 
 
 def _spec_requests():
@@ -153,11 +169,73 @@ def _mixed_decode(repository, attend=None):
         MultiHeadAttention._attend = previous
 
 
-def test_bench_scaled_decode(
-    run_once, paired_ratio, benchmark, serve_trajectory, padded_attend
-):
+def _greedy_streams(repository):
+    """Greedy ``(tokens, logprobs)`` of the fixed agreement prompts (48-108
+    tokens, so every stream attends sealed pages), in prompt order."""
+    scheduler = ContinuousBatchingScheduler(
+        repository, num_slots=AGREEMENT_SLOTS, cache_config=CACHE
+    )
+    requests = []
+    for index in range(AGREEMENT_PROMPTS):
+        rng = np.random.default_rng(500 + index)
+        requests.append(
+            InferenceRequest(
+                MODEL,
+                WorkloadFamily.LM,
+                rng.integers(0, VOCAB, size=48 + 5 * index),
+                sampling=SamplingParams(max_new_tokens=AGREEMENT_NEW_TOKENS),
+            )
+        )
+    for request in requests:
+        scheduler.submit(request)
+    outputs = {r.request_id: r.output for r in scheduler.run_until_idle()}
+    streams = [outputs[request.request_id] for request in requests]
+    return [(list(out.token_ids), np.asarray(out.logprobs)) for out in streams]
+
+
+def test_bench_cross_precision_agreement(repository, serve_trajectory):
+    entry = repository.get(MODEL, WorkloadFamily.LM)
+    assert {p.data.dtype for p in entry.model.parameters()} == {np.dtype(np.float32)}
+    served = _greedy_streams(repository)
+    try:
+        entry.model.astype(np.float64)
+        reference = _greedy_streams(repository)
+    finally:
+        entry.model.astype(np.float32)  # float32 -> float64 -> float32 is exact
+    agreed, total, delta = 0, 0, 0.0
+    for (tokens, logprobs), (ref_tokens, ref_logprobs) in zip(served, reference):
+        same = 0
+        while same < len(ref_tokens) and tokens[same] == ref_tokens[same]:
+            same += 1
+        agreed += same
+        total += len(ref_tokens)
+        gap = np.abs(logprobs[:same] - ref_logprobs[:same]).max(initial=0.0)
+        delta = max(delta, float(gap))
+    agreement = agreed / total
+    assert agreement >= MIN_TOKEN_AGREEMENT, (
+        f"float32 serving agrees with float64 on {agreed}/{total} greedy tokens"
+    )
+    assert delta <= MAX_LOGPROB_DELTA, f"max |Δ logprob| {delta:.3g} > {MAX_LOGPROB_DELTA}"
+    serve_trajectory(
+        "cross_precision",
+        prompts=AGREEMENT_PROMPTS,
+        compared_tokens=total,
+        agreed_tokens=agreed,
+        token_agreement=round(agreement, 4),
+        max_logprob_delta=float(f"{delta:.3g}"),
+    )
+
+
+@pytest.fixture(scope="module")
+def repository():
     repository = ModelRepository(bits=4, seed=0)
     repository.get(MODEL, WorkloadFamily.LM)
+    return repository
+
+
+def test_bench_scaled_decode(
+    repository, run_once, paired_ratio, benchmark, serve_trajectory, padded_attend
+):
     decoder = SpeculativeDecoder(repository, SPEC, target_cache_config=CACHE)
     decoder.warm(MODEL)  # pack the draft + calibrate heads outside the timers
 

@@ -14,6 +14,7 @@ pytest-benchmark output.
 """
 
 import json
+import math
 import os
 import platform
 import statistics
@@ -87,27 +88,30 @@ def paired_ratio():
     return _ratio
 
 
-def _padded_attend(attention, q, kvs):
+def _padded_attend(attention, q, kvs, prefixes=None):
     """Padded round attend: the baseline the per-slot attend is timed against.
 
     Copies every slot's K/V into one buffer padded to the round's longest
     sequence, masks the padding (causally inside the appended block when
-    ``t_new > 1``) and attends all slots as one batched op.  Signature-
-    compatible with ``MultiHeadAttention._attend``, so a bench can swap it
-    in for a whole decode.
+    ``t_new > 1``) and attends all slots as one batched op, in the queries'
+    dtype.  Signature-compatible with ``MultiHeadAttention._attend``, so a
+    bench can swap it in for a whole decode; it has no shared-prefix path,
+    so ``prefixes`` must be ``None``.
     """
+    if prefixes is not None:
+        raise ValueError("the padded attend baseline does not read shared prefixes")
     num_seqs, num_heads, t_new, head_dim = q.shape
     lengths = [k.shape[1] for k, _ in kvs]
     max_len = max(lengths)
-    k_pad = np.zeros((num_seqs, num_heads, max_len, head_dim))
-    v_pad = np.zeros((num_seqs, num_heads, max_len, head_dim))
-    mask = np.full((num_seqs, 1, t_new, max_len), -np.inf)
+    k_pad = np.zeros((num_seqs, num_heads, max_len, head_dim), q.dtype)
+    v_pad = np.zeros((num_seqs, num_heads, max_len, head_dim), q.dtype)
+    mask = np.full((num_seqs, 1, t_new, max_len), -np.inf, q.dtype)
     for i, (k, v) in enumerate(kvs):
         k_pad[i, :, : lengths[i]] = k
         v_pad[i, :, : lengths[i]] = v
         for j in range(t_new):
             mask[i, 0, j, : lengths[i] - t_new + 1 + j] = 0.0
-    scores = q @ k_pad.transpose(0, 1, 3, 2) / np.sqrt(attention.head_dim) + mask
+    scores = q @ k_pad.transpose(0, 1, 3, 2) / math.sqrt(attention.head_dim) + mask
     return F.softmax(scores, axis=-1) @ v_pad
 
 

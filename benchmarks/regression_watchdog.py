@@ -30,11 +30,13 @@ everything else           informational never flagged
 
 Two refinements on top of the name rules: per-section overrides widen the
 noise bands for the ``scaled_decode`` wall-clock tier (real timing, shared
-runners), and ``_FLOORS`` pins absolute exit criteria (the scaled-tier
-speculative and padded-over-round-attend wall ratios must stay above 1.0) that flag even when
-the baseline has no entry yet.  Metrics present in the baseline but absent
-from the current run warn — like missing sections — instead of silently
-rotting in the diff table.
+runners), and ``_FLOORS``/``_CEILINGS`` pin absolute exit criteria (the
+scaled-tier speculative and padded-over-round-attend wall ratios must stay
+above 1.0; float32 serving must agree with float64 on >= 95% of greedy
+tokens within 1e-3 in logprob) that flag even when the baseline has no
+entry yet.  Metrics present in the baseline but absent from the current
+run warn — like missing sections — instead of silently rotting in the diff
+table.
 
 Usage::
 
@@ -110,6 +112,15 @@ _FLOORS = {
     # Attending each shared prefix block once per round must beat attending
     # every holder over its own copy of the prefix (bench_paged_attention).
     ("shared_prefix_attend", "cascade_speedup"): 1.3,
+    # Float32 serving vs the same packed model in float64 (bench_scaled_decode):
+    # greedy tokens agree before the first divergence on >= 95% of positions.
+    ("cross_precision", "token_agreement"): 0.95,
+}
+
+# Absolute ceilings, the lower-is-better counterpart of _FLOORS.
+_CEILINGS = {
+    # ... and their logprobs differ by at most 1e-3 up to that divergence.
+    ("cross_precision", "max_logprob_delta"): 1e-3,
 }
 
 
@@ -212,11 +223,15 @@ def main(argv=None):
     for section, metric, value in flatten(current):
         base = base_flat.pop((section, metric), None)
         floor = _FLOORS.get((section, metric))
-        if floor is not None and value < floor:
-            # Exit-criterion floor: below the line is a regression even for
-            # a brand-new metric with no baseline entry yet.
+        ceiling = _CEILINGS.get((section, metric))
+        if (floor is not None and value < floor) or (
+            ceiling is not None and value > ceiling
+        ):
+            # Exit-criterion floor or ceiling: past the line is a regression
+            # even for a brand-new metric with no baseline entry yet.
             rows.append((section, metric, base, value, "REGRESSED"))
-            regressions.append((section, metric, base, value, floor, HIGHER))
+            bound, direction = (floor, HIGHER) if floor is not None else (ceiling, LOWER)
+            regressions.append((section, metric, base, value, bound, direction))
             if base is not None:
                 compared += 1
             continue

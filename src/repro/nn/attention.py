@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -121,16 +122,16 @@ class MultiHeadAttention(Module):
         attention_mask:
             Optional additive mask broadcastable to ``(batch, heads, q, k)``.
         """
-        hidden = np.asarray(hidden, dtype=np.float64)
-        kv_input = hidden if context is None else np.asarray(context, dtype=np.float64)
+        hidden = F.as_float(hidden)
+        kv_input = hidden if context is None else F.as_float(context)
 
         q = self._split_heads(self.q_proj(hidden))
         k = self._split_heads(self.k_proj(kv_input))
         v = self._split_heads(self.v_proj(kv_input))
 
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.head_dim)
+        scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.head_dim)
         if causal:
-            scores = scores + F.causal_mask(scores.shape[-1])[None, None]
+            scores = scores + F.causal_mask(scores.shape[-1], scores.dtype)[None, None]
         if attention_mask is not None:
             scores = scores + attention_mask
         weights = F.softmax(scores, axis=-1)
@@ -180,7 +181,7 @@ class MultiHeadAttention(Module):
         ``shared_kv()`` (a prefix block shared with other sequences) attend
         that prefix once per round for all its holders (see :meth:`_attend`).
         """
-        hidden = np.asarray(hidden, dtype=np.float64)
+        hidden = F.as_float(hidden)
         if hidden.ndim != 3:
             raise ValueError("incremental attention expects (num_seqs, t_new, hidden)")
         if len(layer_caches) != hidden.shape[0]:
@@ -278,10 +279,10 @@ class MultiHeadAttention(Module):
             if prefix is not None:
                 groups.setdefault((id(prefix[0]), prefix[2]), (prefix, []))[1].append(i)
                 continue
-            scores = q[i] @ k.transpose(0, 2, 1) / np.sqrt(self.head_dim)
+            scores = q[i] @ k.transpose(0, 2, 1) / math.sqrt(self.head_dim)
             if t_new > 1:
                 past = k.shape[1] - t_new
-                scores = scores + F.incremental_causal_mask(past, t_new)[None]
+                scores = scores + F.incremental_causal_mask(past, t_new, scores.dtype)[None]
             attended[i] = F.softmax(scores, axis=-1) @ v
         for (k_block, v_block, p), slots in groups.values():
             self._attend_shared(
@@ -307,10 +308,10 @@ class MultiHeadAttention(Module):
         part's exponentials, shifted by its own row max, are rescaled by
         ``exp(shared_max - joint_max)`` onto the own part's shift by the
         joint max.  The result equals one softmax over the concatenated K/V
-        up to float64 round-off, not bitwise.
+        up to round-off in the scores' dtype, not bitwise.
         """
         heads, t_new, dim = q.shape[1:]
-        scale = np.sqrt(dim)
+        scale = math.sqrt(dim)
         queries = q[slots].transpose(1, 0, 2, 3).reshape(heads, len(slots) * t_new, dim)
         shared = queries @ k_shared.transpose(0, 2, 1)
         shared /= scale
@@ -324,7 +325,9 @@ class MultiHeadAttention(Module):
             k, v = kvs[i]
             scores = q[i] @ k.transpose(0, 2, 1) / scale
             if t_new > 1:
-                scores += F.incremental_causal_mask(k.shape[1] - t_new, t_new)[None]
+                scores += F.incremental_causal_mask(
+                    k.shape[1] - t_new, t_new, scores.dtype
+                )[None]
             joint_max = np.maximum(scores.max(axis=-1, keepdims=True), shared_max[:, rows])
             scores -= joint_max
             np.exp(scores, out=scores)

@@ -1,12 +1,19 @@
-"""Stateless neural-network math used by the NumPy transformer substrate."""
+"""Stateless neural-network math used by the NumPy transformer substrate.
+
+Every op computes in its input's floating dtype: a float32 serving model
+stays in float32 end to end, while integer (and list) inputs promote to
+float64, the dtype the paper-experiment models are built in.
+"""
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 __all__ = [
+    "as_float",
     "softmax",
     "log_softmax",
     "gelu",
@@ -19,13 +26,19 @@ __all__ = [
 ]
 
 
+def as_float(x) -> np.ndarray:
+    """``x`` as an array of its own floating dtype; anything else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(np.float64)
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax.
 
     Shifts into one fresh array and finishes in place: bitwise the
     three-temporary ``exp(x - max) / sum`` form, with two fewer allocations.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x)
     out = x - np.max(x, axis=axis, keepdims=True)
     np.exp(out, out=out)
     out /= np.sum(out, axis=axis, keepdims=True)
@@ -34,7 +47,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable log-softmax."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x)
     shifted = x - np.max(x, axis=axis, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
@@ -46,12 +59,12 @@ def gelu(x: np.ndarray) -> np.ndarray:
     on one output buffer; the cube is two multiplies rather than a float
     power, which is both faster and within an ulp of ``x ** 3``.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x)
     out = np.multiply(x, x, out=np.empty_like(x))
     out *= x
     out *= 0.044715
     out += x
-    out *= np.sqrt(2.0 / np.pi)
+    out *= math.sqrt(2.0 / math.pi)
     np.tanh(out, out=out)
     out += 1.0
     out *= x
@@ -61,7 +74,7 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 def relu(x: np.ndarray) -> np.ndarray:
     """Rectified linear unit."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+    return np.maximum(as_float(x), 0.0)
 
 
 def layer_norm(
@@ -71,7 +84,7 @@ def layer_norm(
     eps: float = 1e-5,
 ) -> np.ndarray:
     """Layer normalisation over the last axis with affine parameters."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x)
     mean = np.mean(x, axis=-1, keepdims=True)
     var = np.var(x, axis=-1, keepdims=True)
     normed = (x - mean) / np.sqrt(var + eps)
@@ -98,22 +111,23 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(-np.mean(gathered))
 
 
-def causal_mask(seq_len: int) -> np.ndarray:
+def causal_mask(seq_len: int, dtype=np.float64) -> np.ndarray:
     """Additive causal attention mask of shape ``(seq_len, seq_len)``.
 
-    Future positions receive ``-inf`` so the softmax zeroes them out.
+    Future positions receive ``-inf`` so the softmax zeroes them out.  Pass
+    the scores' ``dtype`` so adding the mask does not promote them.
     """
-    mask = np.triu(np.ones((seq_len, seq_len), dtype=np.float64), k=1)
-    return np.where(mask > 0, -np.inf, 0.0)
+    return incremental_causal_mask(0, seq_len, dtype)
 
 
-def incremental_causal_mask(past_len: int, new_len: int) -> np.ndarray:
+def incremental_causal_mask(past_len: int, new_len: int, dtype=np.float64) -> np.ndarray:
     """Additive causal mask for ``new_len`` tokens appended after ``past_len``.
 
     Shape ``(new_len, past_len + new_len)``: new token ``i`` (global position
     ``past_len + i``) may attend to every key up to its own position.  With
-    ``past_len == 0`` this reduces to :func:`causal_mask`.
+    ``past_len == 0`` this is :func:`causal_mask`.
     """
     key_positions = np.arange(past_len + new_len)
     query_positions = past_len + np.arange(new_len)
-    return np.where(key_positions[None, :] > query_positions[:, None], -np.inf, 0.0)
+    future = key_positions[None, :] > query_positions[:, None]
+    return np.where(future, -np.inf, 0.0).astype(dtype, copy=False)

@@ -36,7 +36,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = F.as_float(x)
         if x.ndim > 2:
             # One flat GEMM: ``(batch, seq, in) @ W.T`` would dispatch a
             # *per-batch-row* GEMM loop that re-streams the whole weight

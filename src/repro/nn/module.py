@@ -6,8 +6,9 @@ the ``torch.nn`` API the quantization framework relies on:
 
 * :class:`Parameter` — a named, mutable weight tensor;
 * :class:`Module` — a container that tracks parameters and child modules,
-  supports recursive traversal (``named_parameters``, ``named_modules``) and
-  child replacement (used to swap ``Linear`` for its fake-quantized wrapper).
+  supports recursive traversal (``named_parameters``, ``named_modules``),
+  child replacement (used to swap ``Linear`` for its fake-quantized wrapper)
+  and a whole-tree dtype cast (``astype``, used by the serving repository).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class Parameter:
 
     def copy_(self, values: np.ndarray) -> None:
         """In-place overwrite, preserving dtype and shape."""
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values, dtype=self.data.dtype)
         if values.shape != self.data.shape:
             raise ValueError(
                 f"shape mismatch in copy_: {values.shape} vs {self.data.shape}"
@@ -112,6 +113,16 @@ class Module:
             )
         for name, param in own.items():
             param.copy_(state[name])
+
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter in the tree to ``dtype``; returns ``self``.
+
+        Parameters get new arrays, so caches keyed on array identity (the
+        fused QKV operands) rebuild on their next use.
+        """
+        for param in self.parameters():
+            param.data = param.data.astype(dtype)
+        return self
 
     def num_parameters(self) -> int:
         """Total number of scalar parameters in the tree."""

@@ -34,7 +34,10 @@ that the rows already hold what every later round attends, so ``kv_many()``
 returns views of the own buffers — no pool call, no copy — and
 ``shared_kv()`` names the block that precedes them.  Capacity is sized at
 admission (prompt plus ``max_new_tokens``); a standalone cache grows on
-demand.
+demand.  Rows, shared blocks and decoded pages hold the dtype of the K/V the
+model appends (float32 for a served model): an empty cache takes the dtype
+of its first append, and each page remembers the dtype it sealed from, so
+attaching it decodes back into that dtype.
 
 Sealed pages live in the pool as refcounted :class:`PageHandle` entries.
 Sealed pages are immutable byte streams, so requests whose token prefix
@@ -67,6 +70,7 @@ import numpy as np
 
 from repro.core.ovp import OVPairCodec, PackedOVPTensor
 from repro.core.quantizer import OVPQuantizerConfig
+from repro.nn.functional import as_float
 from repro.serve.requests import ServingError
 from repro.serve.telemetry import NULL_TRACER
 
@@ -128,14 +132,17 @@ class PageHandle:
 
     ``refcount`` counts the sequences (and prefix-index nodes) referencing
     the page; the payload bytes are shared by all of them and never mutated.
+    ``dtype`` is the dtype of the rows the page sealed from, which decoding
+    it yields again.
     """
 
-    __slots__ = ("page_id", "payload", "refcount")
+    __slots__ = ("page_id", "payload", "refcount", "dtype")
 
-    def __init__(self, payload: _PagePayload) -> None:
+    def __init__(self, payload: _PagePayload, dtype=np.float64) -> None:
         self.page_id = next(_PAGE_IDS)
         self.payload = payload
         self.refcount = 1
+        self.dtype = np.dtype(dtype)
 
     @property
     def is_packed(self) -> bool:
@@ -235,9 +242,10 @@ class PagePool:
     # ------------------------------------------------------------------ #
     # Refcounted page registry
     # ------------------------------------------------------------------ #
-    def register(self, payload: _PagePayload) -> PageHandle:
-        """Register a freshly sealed page; the caller holds the first ref."""
-        handle = PageHandle(payload)
+    def register(self, payload: _PagePayload, dtype=np.float64) -> PageHandle:
+        """Register a freshly sealed page of ``dtype`` rows; the caller holds
+        the first ref."""
+        handle = PageHandle(payload, dtype)
         self._entries[handle.page_id] = handle
         self._sealed_bytes += handle.nbytes_resident
         self.pages_registered += 1
@@ -272,8 +280,9 @@ class PagePool:
         """Decoded fp values of many pages, each distinct page decoded once.
 
         Reference-mode (ndarray) payloads pass straight through.  Packed
-        pages decode in one batched codec pass per page shape; a page listed
-        twice decodes once (a hit) and both positions share the result.
+        pages decode in one batched codec pass per page shape and dtype,
+        into the dtype each page sealed from; a page listed twice decodes
+        once (a hit) and both positions share the result.
         The returned arrays are read-only by contract: callers copy them into
         their own rows.
         """
@@ -308,15 +317,16 @@ class PagePool:
         codec: OVPairCodec,
         out: List[Optional[np.ndarray]],
     ) -> None:
-        """Batched OVP decode of the distinct pages (one codec pass per shape)."""
-        by_shape: Dict[Tuple[int, ...], List[List[int]]] = {}
+        """Batched OVP decode of the distinct pages (one codec pass per shape
+        and dtype)."""
+        by_kind: Dict[Tuple, List[List[int]]] = {}
         for positions in pending.values():
-            shape = tuple(handles[positions[0]].payload.shape)
-            by_shape.setdefault(shape, []).append(positions)
-        for groups in by_shape.values():
+            handle = handles[positions[0]]
+            by_kind.setdefault((tuple(handle.payload.shape), handle.dtype), []).append(positions)
+        for (_, dtype), groups in by_kind.items():
             pages = codec.decode_tensor_batch(
                 [handles[positions[0]].payload for positions in groups]
-            )
+            ).astype(dtype, copy=False)
             for page, positions in zip(pages, groups):
                 for j in positions:
                     out[j] = page
@@ -538,6 +548,7 @@ class LayerKVCache:
         self._shared = 0
         # Rows [_shared, seq_len) of K and V, stored from buffer row 0: the
         # decoded sealed pages, then the open rows in full precision.
+        # float64 until the first append or attach sets the rows' dtype.
         rows = self._rounded(max(int(capacity), 1))
         self._k = np.empty((self.num_heads, rows, self.head_dim))
         self._v = np.empty((self.num_heads, rows, self.head_dim))
@@ -560,7 +571,7 @@ class LayerKVCache:
         rows = self._rounded(max(tokens, 2 * capacity))
         own = self._seq_len - self._shared
         for name in ("_k", "_v"):
-            grown = np.empty((self.num_heads, rows, self.head_dim))
+            grown = np.empty((self.num_heads, rows, self.head_dim), self._k.dtype)
             grown[:, :own] = getattr(self, name)[:, :own]
             setattr(self, name, grown)
 
@@ -570,7 +581,7 @@ class LayerKVCache:
     @property
     def _page_nbytes(self) -> int:
         """Bytes of one page's decoded rows in one of the K/V buffers."""
-        return self.num_heads * self.config.page_size * self.head_dim * 8
+        return self.num_heads * self.config.page_size * self.head_dim * self._k.itemsize
 
     def _hold(self, k_handles: Sequence[PageHandle], v_handles: Sequence[PageHandle]) -> None:
         """Take ownership of pages sealed (or attached) into the own rows."""
@@ -602,7 +613,7 @@ class LayerKVCache:
         shared, own = self._shared, self._seq_len - self._shared
         rows = self._k.shape[1] + shared
         for name, block_rows in (("_k", self._block.k), ("_v", self._block.v)):
-            merged = np.empty((self.num_heads, rows, self.head_dim))
+            merged = np.empty((self.num_heads, rows, self.head_dim), self._k.dtype)
             merged[:, :shared] = block_rows[:, :shared]
             merged[:, shared : shared + own] = getattr(self, name)[:, :own]
             setattr(self, name, merged)
@@ -622,15 +633,20 @@ class LayerKVCache:
 
         ``k_new``/``v_new`` have shape ``(num_heads, t_new, head_dim)``;
         prefill appends the whole prompt at once, decode appends one step.
+        An empty cache takes ``k_new``'s floating dtype for its rows (integer
+        input means float64); a non-empty one casts into its rows' dtype.
         """
-        k_new = np.asarray(k_new, dtype=np.float64)
-        v_new = np.asarray(v_new, dtype=np.float64)
+        k_new = as_float(k_new)
+        v_new = as_float(v_new)
         expected = (self.num_heads, k_new.shape[1] if k_new.ndim == 3 else -1, self.head_dim)
         if k_new.shape != expected or v_new.shape != expected:
             raise ServingError(
                 f"K/V step shapes {k_new.shape}/{v_new.shape} do not match "
                 f"(num_heads={self.num_heads}, t, head_dim={self.head_dim})"
             )
+        if self._seq_len == 0 and self._block is None and k_new.dtype != self._k.dtype:
+            self._k = np.empty(self._k.shape, k_new.dtype)
+            self._v = np.empty(self._v.shape, k_new.dtype)
         stop = self._seq_len + k_new.shape[1]
         self._reserve(stop)
         rows = slice(self._seq_len - self._shared, stop - self._shared)
@@ -668,8 +684,9 @@ class LayerKVCache:
             start = page * size - self._shared
             rows = slice(start, start + size)
             pages += [self._k[:, rows], self._v[:, rows]]
+        dtype = self._k.dtype
         if not self.config.quantize:
-            handles = [self.pool.register(page.copy()) for page in pages]
+            handles = [self.pool.register(page.copy(), dtype) for page in pages]
             self._hold(handles[0::2], handles[1::2])
             return
         scales = [self._page_scale(page) for page in pages]
@@ -681,7 +698,7 @@ class LayerKVCache:
                 self.codec.encode_tensor(page, scale, threshold)
                 for page, scale in zip(pages, scales)
             ]
-        handles = [self.pool.register(payload) for payload in packed]
+        handles = [self.pool.register(payload, dtype) for payload in packed]
         self._hold(handles[0::2], handles[1::2])
         for page, decoded in zip(pages, self.pool.decoded_many(handles, self.codec)):
             page[...] = decoded
@@ -734,10 +751,11 @@ class LayerKVCache:
         self._shared = shared_pages * size
         self._sealed_k.extend(self.pool.incref(h) for h in k_handles[:shared_pages])
         self._sealed_v.extend(self.pool.incref(h) for h in v_handles[:shared_pages])
-        # The own buffers now start past the block: shrink the reservation.
+        # The own buffers now start past the block, in its dtype: shrink the
+        # reservation.
         rows = self._rounded(max(self._k.shape[1] - self._shared, 1))
-        self._k = np.empty((self.num_heads, rows, self.head_dim))
-        self._v = np.empty((self.num_heads, rows, self.head_dim))
+        self._k = np.empty((self.num_heads, rows, self.head_dim), self._block.k.dtype)
+        self._v = np.empty((self.num_heads, rows, self.head_dim), self._block.k.dtype)
         self._reserve(num_tokens)
         if shared_pages < len(k_handles):
             decoded = self.pool.decoded_many(handles[2 * shared_pages:], self.codec)
@@ -922,9 +940,9 @@ class LayerKVCache:
 
         Full-precision storage (open rows, and sealed pages in the
         ``quantize=False`` reference mode) is charged at fp32 — the dtype a
-        production fp cache would hold — even though NumPy computes in
-        float64.  Shared pages are charged to every holder (the per-sequence
-        view); pool-level dedup shows up in the pool's own gauges.  The
+        served model's rows hold — even for a float64 model's rows.  Shared
+        pages are charged to every holder (the per-sequence view);
+        pool-level dedup shows up in the pool's own gauges.  The
         decoded rows attention reads (own rows plus each shared block once)
         are the pool's ``decoded_cache_bytes``.
         """

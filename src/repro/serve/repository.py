@@ -12,6 +12,12 @@ encode cost again.
 
 Embeddings, LayerNorms and biases stay in full precision: the paper quantizes
 the GEMM operands, which for weight streaming are exactly the Linear weights.
+
+The served model computes in float32: once its weights are packed and
+decoded, the whole entry is cast to float32, so every activation and KV row
+it produces is float32 as well.  The zoo builds float64 models, and the
+paper experiments, which never pass through the repository, compute in
+float64.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.core.ovp import PackedOVPTensor
 from repro.core.quantizer import OVPQuantizerConfig, OVPTensorQuantizer
@@ -34,6 +42,9 @@ from repro.serve.requests import ServingError, WorkloadFamily, normalized_num_cl
 
 __all__ = ["PackedModel", "RepositoryStats", "ModelRepository"]
 
+#: Compute dtype of every served model (and so of its activations and KV rows).
+SERVING_DTYPE = np.float32
+
 
 @dataclass
 class PackedModel:
@@ -42,8 +53,9 @@ class PackedModel:
     Attributes
     ----------
     model:
-        The servable module; its Linear weights hold the values decoded from
-        the packed streams (i.e. exactly what the hardware would compute on).
+        The servable module, in float32; its Linear weights hold the values
+        decoded from the packed streams (i.e. exactly what the hardware would
+        compute on), rounded to float32.
     packed_weights:
         Dotted weight name → memory-aligned OVP byte stream.
     quantize_seconds / decode_seconds:
@@ -211,6 +223,7 @@ class ModelRepository:
         builder = getattr(self, _FAMILY_BUILDERS[family])
         model = builder(name, num_classes)
         quantize_seconds, decode_seconds, packed = self._pack_linear_weights(model)
+        model.astype(SERVING_DTYPE)
         return PackedModel(
             name=name,
             family=family,

@@ -66,6 +66,41 @@ class TestFunctional:
             assert np.all(out[np.isinf(x)] == 0.0)
 
 
+class TestDtypes:
+    """Ops compute in their input's floating dtype; non-floats get float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ops_keep_floating_dtype(self, dtype):
+        x = np.random.default_rng(0).normal(size=(2, 3, 8)).astype(dtype)
+        ones = np.ones(8, dtype=dtype)
+        for out in (
+            F.softmax(x), F.log_softmax(x), F.gelu(x), F.relu(x),
+            F.layer_norm(x, ones, 0 * ones), F.causal_mask(4, dtype),
+            F.incremental_causal_mask(2, 3, dtype),
+        ):
+            assert out.dtype == dtype
+
+    def test_integer_inputs_promote_to_float64(self):
+        x = np.arange(6).reshape(2, 3)
+        for out in (F.softmax(x), F.log_softmax(x), F.gelu(x), F.relu(x)):
+            assert out.dtype == np.float64
+        assert F.causal_mask(3).dtype == np.float64
+        assert Linear(3, 2).astype(np.float32)(x).dtype == np.float64
+
+    def test_masks_equal_across_dtypes(self):
+        np.testing.assert_array_equal(
+            F.incremental_causal_mask(3, 4, np.float32), F.incremental_causal_mask(3, 4)
+        )
+        np.testing.assert_array_equal(
+            F.causal_mask(5), np.where(np.triu(np.ones((5, 5)), k=1) > 0, -np.inf, 0.0)
+        )
+
+    def test_float32_attention_stays_float32(self):
+        attn = MultiHeadAttention(8, 2, rng=np.random.default_rng(1)).astype(np.float32)
+        x = np.random.default_rng(2).normal(size=(2, 5, 8)).astype(np.float32)
+        assert attn(x, causal=True).dtype == np.float32
+
+
 class TestModuleSystem:
     def test_parameter_tracking(self):
         lin = Linear(4, 3)
@@ -96,6 +131,23 @@ class TestModuleSystem:
         p = Parameter(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             p.copy_(np.zeros(3))
+
+    def test_parameter_copy_keeps_dtype(self):
+        p = Parameter(np.zeros((2, 2)))
+        p.data = p.data.astype(np.float32)
+        p.copy_(np.full((2, 2), 0.1))
+        assert p.data.dtype == np.float32
+        np.testing.assert_array_equal(p.data, np.float32(0.1))
+
+    def test_astype_casts_every_parameter_and_rebuilds_fused_qkv(self):
+        attn = MultiHeadAttention(8, 2, rng=np.random.default_rng(0))
+        weight_t, _ = attn._fused_qkv_operands()
+        assert weight_t.dtype == np.float64
+        assert attn.astype(np.float32) is attn
+        assert {p.data.dtype for p in attn.parameters()} == {np.dtype(np.float32)}
+        weight_t, bias = attn._fused_qkv_operands()
+        assert weight_t.dtype == bias.dtype == np.float32
+        np.testing.assert_array_equal(weight_t[:, :8], attn.q_proj.weight.data.T)
 
 
 class TestLayers:

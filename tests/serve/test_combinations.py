@@ -2,21 +2,28 @@
 
 One derandomized property test serves a shared-document request mix with
 prefix sharing on, under a drawn feature vector: prefill chunk size,
-speculation on or off, one preemption, and 4- or 8-bit pages.  Every token
-stream and finish reason must equal the one-slot oracle's (no sharing, no
-chunking, no speculation, each request served alone), and every logprob must
-agree within ``LOGPROB_BOUND``: attention over a shared prefix block splits
-the softmax, which matches the one-pass softmax to float64 round-off, not
-bitwise.
+speculation on or off, one preemption, and 4-bit, 8-bit or unquantized
+pages.  Every token stream and finish reason must equal the one-slot
+oracle's (no sharing, no chunking, no speculation, each request served
+alone), and every logprob must agree within ``LOGPROB_BOUND``.  Both sides
+serve the same float32 repository entry, but not the same float32
+arithmetic: attention over a shared prefix block splits the softmax, and
+chunked, batched and speculative forwards run their GEMMs over other row
+counts, so the logprobs agree to float32 round-off, not bitwise.
 
-The preempted request's logprobs are bounded only up to its eviction.  Its
-resume re-prefills the rows of its last, partly generated page in one pass,
-so when that page fills during the re-prefill its tokens attend the page's
-quantized rows where the uninterrupted run attended them in full
-precision.  With packed pages the resumed logprobs then drift at the
+The preempted request's logprobs are bounded only up to its eviction when
+its pages are packed.  Its resume re-prefills the rows of its last, partly
+generated page in one pass, so when that page fills during the re-prefill
+its tokens attend the page's quantized rows where the uninterrupted run
+attended them in full precision.  The resumed logprobs then drift at the
 quantization scale (tokens still match in every drawn case); with
-full-precision pages they are exact.
+unquantized pages they stay within the bound.
+
+The example count defaults to 10; the ``COMBINATION_EXAMPLES`` environment
+variable widens it (CI's chaos job does).
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -39,7 +46,15 @@ MODEL = "gpt2-xl"
 VOCAB = 96
 PAGE_SIZE = 4
 NUM_SLOTS = 3
-LOGPROB_BOUND = 1e-12
+#: Max |Δ logprob| against the oracle, by page width (``None``: unquantized).
+#: Measured over 400 random draws in float32: 7.4e-5 unquantized, 1.1e-4 with
+#: 4-bit pages and 0.18 with 8-bit pages, where K/V rows that differ by
+#: float32 round-off can land on either side of an OVP rounding or outlier
+#: boundary and so seal one grid step apart.
+LOGPROB_BOUND = {None: 1e-3, 4: 1e-3, 8: 0.5}
+#: Page widths drawn: 4- and 8-bit OVP, and ``None`` for unquantized pages.
+PAGE_BITS = (4, 8, None)
+EXAMPLES = int(os.environ.get("COMBINATION_EXAMPLES", "10"))
 
 #: Cheap calibration: the heads only need to propose, not to be accurate.
 SPEC = SpeculativeConfig(
@@ -74,7 +89,13 @@ def decoders(repository):
 
 
 def cache_config(bits, prefix_sharing=True):
-    return KVCacheConfig(bits=bits, page_size=PAGE_SIZE, prefix_sharing=prefix_sharing)
+    """Pages of ``bits``-wide OVP, or unquantized pages for ``bits=None``."""
+    return KVCacheConfig(
+        bits=bits or 4,
+        page_size=PAGE_SIZE,
+        quantize=bits is not None,
+        prefix_sharing=prefix_sharing,
+    )
 
 
 #: Document of each request: a first wave reads each document once, the
@@ -171,11 +192,11 @@ def served_with_features(repository, mix, bits, chunk, speculative, preempt_roun
     return [outputs[request.request_id] for request in requests], victim
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
 @given(
     chunk=st.sampled_from([None, PAGE_SIZE, 2 * PAGE_SIZE]),
     speculative=st.booleans(),
-    bits=st.sampled_from([4, 8]),
+    bits=st.sampled_from(PAGE_BITS),
     preempt_round=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**16),
 )
@@ -195,6 +216,7 @@ def test_feature_mix_matches_one_slot_oracle(
     for index, (ours, oracle) in enumerate(zip(got, want)):
         assert list(ours.token_ids) == list(oracle.token_ids)
         assert ours.finish_reason == oracle.finish_reason
-        bounded = before_eviction if index == victim else len(oracle.logprobs)
+        packed_victim = index == victim and bits is not None
+        bounded = before_eviction if packed_victim else len(oracle.logprobs)
         delta = np.abs(np.asarray(ours.logprobs) - np.asarray(oracle.logprobs))
-        assert delta[:bounded].max(initial=0.0) <= LOGPROB_BOUND
+        assert delta[:bounded].max(initial=0.0) <= LOGPROB_BOUND[bits]

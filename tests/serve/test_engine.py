@@ -95,14 +95,19 @@ class TestFamilies:
         assert results[0].output.next_tokens[0] == results[1].output.next_tokens[0]
 
     def test_batched_equals_unbatched(self, engine):
-        """Batch membership must not change any request's answer."""
+        """Batch membership must not change any request's answer.
+
+        The served model computes in float32, where GEMMs over different row
+        counts round differently: probabilities agree within 1e-6 (1.8e-7
+        measured), labels exactly.
+        """
         requests = make_requests(4, "bert-base", WorkloadFamily.CLASSIFY, seed=3)
         batched, _ = engine.run_batch(queued(requests))
         for request, batched_result in zip(requests, batched):
             solo, _ = engine.run_batch(queued([request]))
             assert solo[0].output["label"] == batched_result.output["label"]
             np.testing.assert_allclose(
-                solo[0].output["probs"], batched_result.output["probs"], atol=1e-9
+                solo[0].output["probs"], batched_result.output["probs"], atol=1e-6
             )
 
     def test_empty_batch_rejected(self, engine):

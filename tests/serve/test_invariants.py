@@ -103,7 +103,8 @@ def check_refcounts(scheduler):
 
 def check_decoded_rows(scheduler):
     """Each active slot's sealed rows equal the codec decode of its pages,
-    inside the rows reserved at admission (they never grow or move)."""
+    in the rows' dtype, inside the rows reserved at admission (they never
+    grow or move)."""
     for slot in scheduler._slots:
         if slot is None:
             continue
@@ -117,10 +118,12 @@ def check_decoded_rows(scheduler):
             ):
                 rows = slice(page * size, (page + 1) * size)
                 np.testing.assert_array_equal(
-                    layer._k[:, rows], layer.codec.decode_tensor(k_page.payload)
+                    layer._k[:, rows],
+                    layer.codec.decode_tensor(k_page.payload).astype(layer._k.dtype),
                 )
                 np.testing.assert_array_equal(
-                    layer._v[:, rows], layer.codec.decode_tensor(v_page.payload)
+                    layer._v[:, rows],
+                    layer.codec.decode_tensor(v_page.payload).astype(layer._v.dtype),
                 )
 
 

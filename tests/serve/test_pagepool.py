@@ -321,6 +321,75 @@ class TestSharedBlocks:
         assert pool.num_blocks == 0 and pool.decoded_cache_bytes == 0
 
 
+class TestRowDtype:
+    """Rows, blocks and decoded pages hold the dtype of the appended K/V, and
+    the decoded-row gauge counts their true bytes."""
+
+    @pytest.mark.parametrize("quantize", [True, False], ids=["packed", "reference"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gauge_counts_true_bytes_and_balances(self, dtype, quantize):
+        rng = np.random.default_rng(40)
+        config = KVCacheConfig(bits=4, page_size=4, quantize=quantize)
+        owner = LayerKVCache(HEADS, DIM, config, capacity=16)
+        owner.append(step(rng, 14).astype(dtype), step(rng, 14).astype(dtype))
+        pool = owner.pool
+        assert owner._k.dtype == owner._v.dtype == dtype
+        assert {h.dtype for h in owner._sealed_k} == {np.dtype(dtype)}
+        k, v = owner.kv()
+        assert pool.decoded_cache_bytes == k[:, :12].nbytes + v[:, :12].nbytes
+        # A holder of a 2-page block seals one own page past it.
+        holder = LayerKVCache(HEADS, DIM, config, pool=pool, capacity=16)
+        holder.attach(owner._sealed_k[:2], owner._sealed_v[:2], 8)
+        holder.append(step(rng, 5).astype(dtype), step(rng, 5).astype(dtype))
+        k_block, v_block, _ = holder.shared_kv()
+        assert k_block.dtype == v_block.dtype == holder._k.dtype == dtype
+        own_k, own_v = holder.kv_many([holder])[0]
+        assert pool.decoded_cache_bytes == (
+            k[:, :12].nbytes + v[:, :12].nbytes
+            + k_block.nbytes + v_block.nbytes
+            + own_k[:, :4].nbytes + own_v[:, :4].nbytes
+        )
+        # Cutting into the block copies its rows into the own buffers and
+        # frees it (the holder was its only reader); one own page is left.
+        holder.truncate_to(6)
+        assert holder._k.dtype == dtype and pool.num_blocks == 0
+        assert pool.decoded_cache_bytes == (
+            k[:, :12].nbytes + v[:, :12].nbytes
+            + holder._k[:, :4].nbytes + holder._v[:, :4].nbytes
+        )
+        holder.release()
+        owner.release()
+        assert pool.decoded_cache_bytes == 0 and pool.num_blocks == 0
+
+    def test_decoded_pages_take_the_dtype_they_sealed_from(self):
+        rng = np.random.default_rng(41)
+        config = KVCacheConfig(bits=4, page_size=4)
+        pool = PagePool()
+        caches = []
+        for dtype in (np.float32, np.float64):
+            cache = LayerKVCache(HEADS, DIM, config, pool=pool)
+            cache.append(step(rng, 4).astype(dtype), step(rng, 4).astype(dtype))
+            caches.append(cache)
+        handles = [cache._sealed_k[0] for cache in caches]
+        pages = pool.decoded_many(handles, caches[0].codec)
+        assert [page.dtype for page in pages] == [np.float32, np.float64]
+        for cache, handle, page in zip(caches, handles, pages):
+            direct = cache.codec.decode_tensor(handle.payload)
+            np.testing.assert_array_equal(page, direct.astype(page.dtype))
+            np.testing.assert_array_equal(cache.kv()[0], page)
+
+    def test_empty_cache_takes_the_appended_dtype(self):
+        rng = np.random.default_rng(42)
+        cache = LayerKVCache(HEADS, DIM, KVCacheConfig(bits=4, page_size=4))
+        cache.append(step(rng, 2).astype(np.float32), step(rng, 2).astype(np.float32))
+        assert cache._k.dtype == np.float32
+        cache.append(step(rng, 3), step(rng, 3))  # float64 rows cast in
+        assert cache.kv()[0].dtype == np.float32
+        cache.release()
+        cache.append(np.ones((HEADS, 1, DIM), int), np.ones((HEADS, 1, DIM), int))
+        assert cache._k.dtype == np.float64
+
+
 class TestGreedyTopK:
     def test_matches_full_sort(self):
         rng = np.random.default_rng(16)
