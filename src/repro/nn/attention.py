@@ -131,7 +131,7 @@ class MultiHeadAttention(Module):
 
         scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.head_dim)
         if causal:
-            scores = scores + F.causal_mask(scores.shape[-1], scores.dtype)[None, None]
+            scores += F.causal_mask(scores.shape[-1]).astype(scores.dtype, copy=False)
         if attention_mask is not None:
             scores = scores + attention_mask
         weights = F.softmax(scores, axis=-1)
@@ -282,7 +282,8 @@ class MultiHeadAttention(Module):
             scores = q[i] @ k.transpose(0, 2, 1) / math.sqrt(self.head_dim)
             if t_new > 1:
                 past = k.shape[1] - t_new
-                scores = scores + F.incremental_causal_mask(past, t_new, scores.dtype)[None]
+                mask = F.incremental_causal_mask(past, t_new)
+                scores += mask.astype(scores.dtype, copy=False)
             attended[i] = F.softmax(scores, axis=-1) @ v
         for (k_block, v_block, p), slots in groups.values():
             self._attend_shared(
@@ -325,9 +326,8 @@ class MultiHeadAttention(Module):
             k, v = kvs[i]
             scores = q[i] @ k.transpose(0, 2, 1) / scale
             if t_new > 1:
-                scores += F.incremental_causal_mask(
-                    k.shape[1] - t_new, t_new, scores.dtype
-                )[None]
+                mask = F.incremental_causal_mask(k.shape[1] - t_new, t_new)
+                scores += mask.astype(scores.dtype, copy=False)
             joint_max = np.maximum(scores.max(axis=-1, keepdims=True), shared_max[:, rows])
             scores -= joint_max
             np.exp(scores, out=scores)

@@ -111,23 +111,22 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(-np.mean(gathered))
 
 
-def causal_mask(seq_len: int, dtype=np.float64) -> np.ndarray:
+def causal_mask(seq_len: int) -> np.ndarray:
     """Additive causal attention mask of shape ``(seq_len, seq_len)``.
 
-    Future positions receive ``-inf`` so the softmax zeroes them out.  Pass
-    the scores' ``dtype`` so adding the mask does not promote them.
+    Future positions receive ``-inf`` so the softmax zeroes them out.
     """
-    return incremental_causal_mask(0, seq_len, dtype)
+    mask = np.triu(np.ones((seq_len, seq_len), dtype=np.float64), k=1)
+    return np.where(mask > 0, -np.inf, 0.0)
 
 
-def incremental_causal_mask(past_len: int, new_len: int, dtype=np.float64) -> np.ndarray:
+def incremental_causal_mask(past_len: int, new_len: int) -> np.ndarray:
     """Additive causal mask for ``new_len`` tokens appended after ``past_len``.
 
     Shape ``(new_len, past_len + new_len)``: new token ``i`` (global position
     ``past_len + i``) may attend to every key up to its own position.  With
-    ``past_len == 0`` this is :func:`causal_mask`.
+    ``past_len == 0`` this reduces to :func:`causal_mask`.
     """
     key_positions = np.arange(past_len + new_len)
     query_positions = past_len + np.arange(new_len)
-    future = key_positions[None, :] > query_positions[:, None]
-    return np.where(future, -np.inf, 0.0).astype(dtype, copy=False)
+    return np.where(key_positions[None, :] > query_positions[:, None], -np.inf, 0.0)

@@ -147,6 +147,12 @@ class _DraftPair:
     def model(self):
         return self.entry.model
 
+    def head_logits(self, base: np.ndarray, chain: Sequence[np.ndarray]) -> np.ndarray:
+        """Head ``len(chain)``'s logits over ``base`` features and the chain's tokens."""
+        ones = np.ones((base.shape[0], 1), dtype=base.dtype)
+        parts = [base] + [self.emb[tokens] for tokens in chain] + [ones]
+        return np.concatenate(parts, axis=1) @ self.heads[len(chain)]
+
 
 class _BorrowedLayerCache:
     """The draft's view of one target layer cache, plus this round's token.
@@ -305,11 +311,11 @@ class SpeculativeDecoder:
             )
         hidden = int(draft.config.hidden_size)
         feature_r = None
+        emb = draft.backbone.embeddings.token_embedding.weight.data
         if self.config.feature_width > 0:
             feature_r = np.random.default_rng(self.config.feature_seed).normal(
                 0.0, 1.0 / np.sqrt(hidden), size=(hidden, self.config.feature_width * hidden)
-            )
-        emb = draft.backbone.embeddings.token_embedding.weight.data
+            ).astype(emb.dtype, copy=False)
         rollouts = self._calibration_rollouts(target, vocab, draft)
         heads = self._fit_heads(rollouts, feature_r, emb, vocab)
         return _DraftPair(
@@ -444,7 +450,7 @@ class SpeculativeDecoder:
                 for i in range(1, j + 1):
                     tokens = seqs[:, prompt_len + positions + i].reshape(-1)
                     parts.append(emb[tokens])
-                parts.append(np.ones((base.shape[0], 1)))
+                parts.append(np.ones((base.shape[0], 1), dtype=base.dtype))
                 x_rows[j].append(np.concatenate(parts, axis=1))
                 y_rows[j].append(
                     log_probs[:, positions + 1 + j].reshape(-1, vocab)
@@ -506,17 +512,15 @@ class SpeculativeDecoder:
         cfg = self.config
         count = hidden.shape[0]
         base = self._expand(hidden, pair.feature_r)
-        ones = np.ones((count, 1))
         chain: List[np.ndarray] = []   # head j's proposed token per row
         rows = np.arange(count)
-        for j, weight in enumerate(pair.heads):
+        for j in range(len(pair.heads)):
             if not any(
                 len(proposals[index]) == j and j < max_tokens[index]
                 for index in indices
             ):
                 break  # every chain is gated closed; skip the deeper heads
-            parts = [base] + [pair.emb[tokens] for tokens in chain] + [ones]
-            logits = np.concatenate(parts, axis=1) @ weight
+            logits = pair.head_logits(base, chain)
             top = np.argmax(logits, axis=1)
             top_values = logits[rows, top]
             runner_up = np.partition(logits, -2, axis=1)[:, -2]

@@ -75,8 +75,7 @@ class TestDtypes:
         ones = np.ones(8, dtype=dtype)
         for out in (
             F.softmax(x), F.log_softmax(x), F.gelu(x), F.relu(x),
-            F.layer_norm(x, ones, 0 * ones), F.causal_mask(4, dtype),
-            F.incremental_causal_mask(2, 3, dtype),
+            F.layer_norm(x, ones, 0 * ones),
         ):
             assert out.dtype == dtype
 
@@ -84,16 +83,7 @@ class TestDtypes:
         x = np.arange(6).reshape(2, 3)
         for out in (F.softmax(x), F.log_softmax(x), F.gelu(x), F.relu(x)):
             assert out.dtype == np.float64
-        assert F.causal_mask(3).dtype == np.float64
         assert Linear(3, 2).astype(np.float32)(x).dtype == np.float64
-
-    def test_masks_equal_across_dtypes(self):
-        np.testing.assert_array_equal(
-            F.incremental_causal_mask(3, 4, np.float32), F.incremental_causal_mask(3, 4)
-        )
-        np.testing.assert_array_equal(
-            F.causal_mask(5), np.where(np.triu(np.ones((5, 5)), k=1) > 0, -np.inf, 0.0)
-        )
 
     def test_float32_attention_stays_float32(self):
         attn = MultiHeadAttention(8, 2, rng=np.random.default_rng(1)).astype(np.float32)

@@ -7,17 +7,32 @@ pages.  Every token stream and finish reason must equal the one-slot
 oracle's (no sharing, no chunking, no speculation, each request served
 alone), and every logprob must agree within ``LOGPROB_BOUND``.  Both sides
 serve the same float32 repository entry, but not the same float32
-arithmetic: attention over a shared prefix block splits the softmax, and
-chunked, batched and speculative forwards run their GEMMs over other row
-counts, so the logprobs agree to float32 round-off, not bitwise.
+arithmetic: attention over a shared prefix block splits the softmax, a
+one-row GEMM takes another BLAS kernel than a batched one, and a softmax
+sums rows of other lengths, so the logprobs agree to float32 round-off,
+not bitwise.
+
+Known defect, not covered by the bound: packed pages seal from K/V rows
+that carry this round-off.  An element within round-off of an OVP rounding
+boundary then seals one grid step apart on the two sides, and the changed
+rows push later pages across further boundaries.  With 8-bit pages (grid
+step 3σ/127) this happens often enough to show: 6 of 200 random 8-bit
+draws exceed the bound (max 9.4e-3), and some draws move a logprob by 0.1
+or flip a greedy token, e.g. ``chunk=4, speculative=True, bits=8,
+preempt_round=3, seed=58755``.  4-bit and unquantized draws stayed within
+the bound.  None of the ten tier-1 draws hits the defect; the widened run
+does.  Sealing from rows that are bitwise identical across serving paths
+would fix it.
 
 The preempted request's logprobs are bounded only up to its eviction when
 its pages are packed.  Its resume re-prefills the rows of its last, partly
 generated page in one pass, so when that page fills during the re-prefill
 its tokens attend the page's quantized rows where the uninterrupted run
 attended them in full precision.  The resumed logprobs then drift at the
-quantization scale (tokens still match in every drawn case); with
-unquantized pages they stay within the bound.
+quantization scale; with unquantized pages they stay within the bound.
+The drift can also flip the victim's later tokens, which the token check
+catches (e.g. ``chunk=None, speculative=False, bits=4, preempt_round=3,
+seed=0``, in float64 too); no derandomized draw, tier-1 or widened, does.
 
 The example count defaults to 10; the ``COMBINATION_EXAMPLES`` environment
 variable widens it (CI's chaos job does).
@@ -46,12 +61,9 @@ MODEL = "gpt2-xl"
 VOCAB = 96
 PAGE_SIZE = 4
 NUM_SLOTS = 3
-#: Max |Δ logprob| against the oracle, by page width (``None``: unquantized).
-#: Measured over 400 random draws in float32: 7.4e-5 unquantized, 1.1e-4 with
-#: 4-bit pages and 0.18 with 8-bit pages, where K/V rows that differ by
-#: float32 round-off can land on either side of an OVP rounding or outlier
-#: boundary and so seal one grid step apart.
-LOGPROB_BOUND = {None: 1e-3, 4: 1e-3, 8: 0.5}
+#: Max |Δ logprob| against the oracle.  Measured in float32 over random
+#: draws: 7.3e-5 over 150 unquantized and 5.3e-4 over 200 4-bit draws.
+LOGPROB_BOUND = 1e-3
 #: Page widths drawn: 4- and 8-bit OVP, and ``None`` for unquantized pages.
 PAGE_BITS = (4, 8, None)
 EXAMPLES = int(os.environ.get("COMBINATION_EXAMPLES", "10"))
@@ -219,4 +231,4 @@ def test_feature_mix_matches_one_slot_oracle(
         packed_victim = index == victim and bits is not None
         bounded = before_eviction if packed_victim else len(oracle.logprobs)
         delta = np.abs(np.asarray(ours.logprobs) - np.asarray(oracle.logprobs))
-        assert delta[:bounded].max(initial=0.0) <= LOGPROB_BOUND[bits]
+        assert delta[:bounded].max(initial=0.0) <= LOGPROB_BOUND

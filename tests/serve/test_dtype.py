@@ -7,7 +7,7 @@ GEMM, attend and KV row moves.  One mixed workload drives every serving
 path that carries activations (chunked prefill, plain decode, speculative
 draft and verify, and a cascade attend over a shared prefix block) and
 checks the dtype of each hidden state, K/V row buffer, shared block,
-decoded page and log-prob array it produces.  The same workload on the
+decoded page, speculative-head logit and log-prob array it produces.  The same workload on the
 entry cast back to float64 computes in float64, with the pool's byte
 gauges balanced either way; an unserved zoo model computes in float64.
 """
@@ -31,6 +31,7 @@ from repro.serve import (
 )
 from repro.serve.faultinject import check_refcounts
 from repro.serve.kvcache import PagePool, cache_for_model
+from repro.serve.spec import _DraftPair
 
 MODEL = "gpt2-xl"
 VOCAB = 96
@@ -63,6 +64,7 @@ def record(monkeypatch, log):
     attend = MultiHeadAttention._attend
     log_probs = CausalLM.log_probs_incremental
     decoded_many = PagePool.decoded_many
+    head_logits = _DraftPair.head_logits
     softmax = F.softmax
 
     def backbone(self, token_ids, caches, batched_rounds=None, tracer=None):
@@ -108,11 +110,17 @@ def record(monkeypatch, log):
         log.add("decoded_pages", *pages)
         return pages
 
+    def head_logits_(self, base, chain):
+        out = head_logits(self, base, chain)
+        log.add("head_logits", base, out)
+        return out
+
     monkeypatch.setattr(TransformerDecoder, "forward_incremental", backbone)
     monkeypatch.setattr(TransformerDecoderLayer, "forward_incremental", layer)
     monkeypatch.setattr(MultiHeadAttention, "_attend", attend_)
     monkeypatch.setattr(CausalLM, "log_probs_incremental", log_probs_)
     monkeypatch.setattr(PagePool, "decoded_many", decoded_many_)
+    monkeypatch.setattr(_DraftPair, "head_logits", head_logits_)
     monkeypatch.setattr(F, "softmax", softmax_)
 
 
@@ -201,6 +209,7 @@ def test_mixed_workload_computes_in_the_entry_dtype(deployment, monkeypatch, dty
     paths = (
         "prefill", "decode", "draft", "verify", "hidden", "attend", "scores",
         "cascade", "log_probs", "decoded_pages", "kv_rows", "shared_block",
+        "head_logits",
     )
     assert set(log.dtypes) == set(paths), "a serving path was not exercised"
     assert max(log.prefill_widths) == CHUNK  # 23-33-token prompts, chunked
