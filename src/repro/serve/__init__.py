@@ -81,12 +81,13 @@ request/response engine:
   :class:`~repro.serve.loadgen.LoadRunner` whose per-tenant SLO-attainment
   report is byte-identical across runs of the same trace.
 
-The scheduler additionally supports **chunked prefill**
-(``prefill_chunk_tokens=`` on :class:`~repro.serve.engine.ServingEngine` /
-:class:`~repro.serve.scheduler.ContinuousBatchingScheduler`): long prompts
+The scheduler prefills every admission through one **chunked prefill**
+loop (``prefill_chunk_tokens=`` on :class:`~repro.serve.engine.ServingEngine`
+/ :class:`~repro.serve.scheduler.ContinuousBatchingScheduler`): long prompts
 append K/V one bounded, page-aligned chunk per round, interleaved with
 decode, so a single long document cannot stall interactive streams for a
 whole prompt-length prefill pass — greedy outputs stay token-identical.
+``None`` (the default) means one chunk holding the whole un-shared suffix.
 """
 
 from repro.serve.admission import AdmissionPolicy

@@ -247,11 +247,12 @@ class ServingEngine:
     ``shed_on_burn_rate`` and ``health=`` both set — sheds below-floor
     traffic while burn-rate alerts fire.
 
-    ``prefill_chunk_tokens=`` enables chunked prefill on the continuous
-    scheduler: long prompts append K/V one bounded chunk per round,
-    interleaved with decode, so a single long document cannot stall every
-    interactive stream for a whole prompt-length pass (token-identical
-    greedy output; see
+    ``prefill_chunk_tokens=`` bounds the prompt tokens a slot prefills per
+    round on the continuous scheduler: long prompts append K/V one chunk per
+    round, interleaved with decode, so a single long document cannot stall
+    every interactive stream for a whole prompt-length pass.  ``None``
+    (default) makes the chunk the whole un-shared suffix, through the same
+    path (token-identical greedy output either way; see
     :class:`~repro.serve.scheduler.ContinuousBatchingScheduler`).
     """
 
@@ -486,8 +487,10 @@ class ServingEngine:
         iterator ends after the chunk whose ``finish_reason`` is set
         (``stop``/``length``/``aborted``/``error``/``deadline``); chunk
         ``token_id``'s concatenate to exactly the non-streamed
-        ``output.token_ids``.  A request that failed before producing tokens
-        raises :class:`ServingError`.
+        ``output.token_ids``.  A request that fails after taking a slot (its
+        prefill or a round raised) ends with an ``error`` chunk; only one
+        rejected before a slot (unknown model, token budget) raises
+        :class:`ServingError`.
         """
         while True:
             chunk = self.next_chunk(request_id)

@@ -63,8 +63,8 @@ class FaultSpec:
     phase:
         Span name the counter watches (``phase_error`` / ``clock_jump``
         only).  The scheduler's phases are ``round``, ``admit``,
-        ``plain_round``, ``sample``, ``retire`` and the speculative
-        ``draft_propose`` / ``verify``.
+        ``prefill``, ``plain_round``, ``sample``, ``retire`` and the
+        speculative ``draft_propose`` / ``verify_batch``.
     at_count:
         1-based occurrence at which the fault fires.  Each spec fires at
         most once.
@@ -118,7 +118,7 @@ class FaultSchedule:
         cls,
         seed: int,
         num_faults: int = 4,
-        phases: Sequence[str] = ("round", "admit", "sample"),
+        phases: Sequence[str] = ("round", "admit", "prefill", "sample"),
         max_round: int = 8,
         max_jump_s: float = 4.0,
         max_burst: int = 4,

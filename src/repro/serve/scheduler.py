@@ -7,12 +7,13 @@ decoding at occupancy 1 while finished slots sit idle.  The continuous
 scheduler here keeps a fixed pool of ``num_slots`` decode slots and
 admits/retires sequences *mid-flight*:
 
-* **admit** — whenever a slot is free and a request is queued, the prompt is
-  prefilled through the model's incremental path into a fresh per-sequence
-  OVP-paged KV cache (:mod:`repro.serve.kvcache`), producing the first
-  generated token; prompts whose page-aligned token prefix hashes to pages
-  another request already sealed *attach* to those pool entries copy-on-write
-  and prefill only the remaining suffix;
+* **admit** — whenever a slot is free and a request is queued, the request
+  takes the slot with a fresh per-sequence OVP-paged KV cache
+  (:mod:`repro.serve.kvcache`) and its prompt is prefilled through the
+  model's incremental path, producing the first generated token; prompts
+  whose page-aligned token prefix hashes to pages another request already
+  sealed *attach* to those pool entries copy-on-write and prefill only the
+  remaining suffix;
 * **decode round** — all active slots advance one token in a single batched
   incremental forward (the Linear/FFN/head GEMMs stack across slots; only
   the attention core runs per-slot, since every sequence has its own past).
@@ -43,15 +44,15 @@ admits/retires sequences *mid-flight*:
   the re-queued request resumes by re-attaching them copy-on-write and
   prefilling only the open-page suffix — greedy output is token-identical
   to an uninterrupted run;
-* **chunked prefill** — with ``prefill_chunk_tokens`` set, a prompt whose
-  un-shared suffix exceeds the chunk admits into its slot immediately but
-  appends K/V one bounded chunk per round, interleaved with the other
-  slots' decode steps; intermediate chunks skip the LM-head GEMM entirely.
-  One tenant's long document therefore delays each decode round by at most
-  a chunk instead of the whole prompt, and greedy output stays
-  token-identical to unchunked prefill (chunk boundaries are page-aligned
-  for quantized caches, so every position attends the same
-  quantized/fp32 past either way).
+* **chunked prefill** — every admission takes its slot at once and appends
+  its un-shared suffix's K/V through one prefill loop, one chunk per round,
+  interleaved with the other slots' decode steps; intermediate chunks skip
+  the LM-head GEMM entirely.  ``prefill_chunk_tokens=None`` makes the chunk
+  the whole suffix (one pass, the first token in the admitting round); a set
+  chunk bounds how long one tenant's long document delays each decode round.
+  Greedy output is token-identical either way (chunk boundaries are
+  page-aligned for quantized caches, so every position attends the same
+  quantized/fp32 past).
 
 Every sampled token is also emitted as a
 :class:`~repro.serve.sampling.TokenChunk` (drained by the engine's
@@ -119,6 +120,22 @@ def greedy_top_k(log_probs: np.ndarray, top_k: int) -> dict:
     }
 
 
+def _fed_chain(request: InferenceRequest, generated: List[int]) -> np.ndarray:
+    """``prompt + generated[:-1]``: the tokens whose K/V a sequence's cache holds.
+
+    The final generated token was emitted but never fed back, so its K/V does
+    not exist yet; a resumed slot feeds it in its first decode round, exactly
+    as the uninterrupted run would have.  This is the chain a fresh request
+    prefills (its prompt), a resumed one re-attaches, and a follow-up turn
+    re-submits as its prompt.
+    """
+    if not generated:
+        return request.token_ids
+    return np.concatenate(
+        [request.token_ids, np.asarray(generated[:-1], dtype=np.int64)]
+    )
+
+
 @dataclass
 class _RoundLedger:
     """What happened between two stats records, drained by ``_record_round``.
@@ -151,9 +168,13 @@ class _RoundLedger:
             self.latency_classes.append(request.slo_class)
 
 
-@dataclass
+@dataclass(eq=False)
 class _Slot:
-    """One in-flight sequence: its request, KV cache and decode progress."""
+    """One in-flight sequence: its request, KV cache and decode progress.
+
+    Slots compare by identity: the generated field-wise ``__eq__`` would
+    compare numpy fields and raise.
+    """
 
     queued: QueuedRequest
     entry: PackedModel
@@ -168,8 +189,8 @@ class _Slot:
     last_token_at: Optional[float] = None
     prefill_tokens: int = 0   # prompt tokens actually prefilled (suffix only
     shared_tokens: int = 0    # ... when shared_tokens came from the page pool)
-    # Chunked prefill: the chain tokens not yet appended to the cache (None
-    # once prefill completed) and the full chain for prefix registration.
+    # The chain tokens not yet appended to the cache (None once prefill
+    # completed) and the full chain for prefix registration.
     pending_tokens: Optional[np.ndarray] = None
     chain: Optional[np.ndarray] = None
 
@@ -260,16 +281,16 @@ class ContinuousBatchingScheduler:
         policy's shed-on-burn-rate mode: while any burn-rate alert is
         firing, below-floor-priority submissions are rejected.
     prefill_chunk_tokens:
-        Enable chunked prefill: a prompt whose un-shared suffix exceeds this
-        many tokens admits into its slot immediately but appends K/V in
-        chunks of at most this size, one chunk per :meth:`step`, interleaved
-        with the other slots' decode rounds — so one tenant's long document
-        cannot monopolise a round and starve interactive streams.  Greedy
-        output is token-identical to unchunked prefill; with quantized
-        caches the chunk size must be a multiple of ``page_size`` (chunk
-        boundaries then land exactly on page seals, so every position
-        attends the same mix of quantized/fp32 past either way).  ``None``
-        (default) prefills whole prompts in one pass, exactly as before.
+        The most prompt tokens a slot prefills per :meth:`step`.  Every
+        admission appends its un-shared suffix through the same chunk loop,
+        one chunk per round, interleaved with the other slots' decode rounds
+        — so one tenant's long document cannot monopolise a round and
+        starve interactive streams.  ``None`` (default) makes the chunk the
+        whole suffix: one pass, which emits the first token in the admitting
+        round.  Greedy output is token-identical for every chunk size; with
+        quantized caches the chunk size must be a multiple of ``page_size``
+        (chunk boundaries then land exactly on page seals, so every position
+        attends the same mix of quantized/fp32 past either way).
     """
 
     def __init__(
@@ -349,7 +370,6 @@ class ContinuousBatchingScheduler:
         self._deadline_watch = bool(
             admission is not None and admission.queue_timeout_s is not None
         )
-        self.admitted = 0
         self.retired = 0
         self.cancelled = 0
         self.preempted = 0
@@ -498,16 +518,12 @@ class ContinuousBatchingScheduler:
         chunk_mark = len(self._chunks)
         try:
             with self.tracer.span("round"):
-                prefill_tokens, fresh, resumed = self._admit()
-                # Chunk-prefilling slots advance one bounded chunk per round;
-                # a slot whose final chunk lands emits its first token here
-                # (fresh) or rejoins decode immediately (resumed).
-                chunk_tokens, chunk_fresh = self._advance_prefills()
-                prefill_tokens += chunk_tokens
-                fresh = fresh + chunk_fresh
-                # Fresh admissions already produced their first token during
-                # prefill; resumed slots produced nothing new, so they rejoin
-                # the decode round immediately (preemption costs zero rounds).
+                self._admit()
+                # Prefilling slots advance one chunk per round; a fresh slot
+                # whose final chunk lands emits its first token there, so it
+                # skips this round's decode.  A resumed slot produced nothing
+                # new and decodes at once (preemption costs zero rounds).
+                prefill_tokens, fresh = self._advance_prefills()
                 decoded = self._decode_round(exclude=fresh)
                 results = self._retire()
         except BaseException:
@@ -701,137 +717,86 @@ class ContinuousBatchingScheduler:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _admit(self) -> Tuple[int, List[_Slot], List[_Slot]]:
+    def _admit(self) -> None:
         """Fill free slots from the queue (preempting when policy allows).
 
-        Returns ``(prompt_tokens_prefilled, fresh_slots, resumed_slots)``.
-        Each staged request first probes the page pool's prefix index for
-        its token *chain* — the prompt for a fresh request, prompt plus
-        already-generated tokens for a preempted one resuming — so pages
-        already sealed attach copy-on-write instead of re-prefilling.
-        Admissions sharing a model entry and *suffix* length (the tokens
-        actually prefilled; cached pasts may differ) prefill in one batched
-        incremental pass.  Prefill produces a fresh sequence's first
-        generated token, so fresh slots skip this round's decode step;
-        a resumed slot's prefill output is discarded (its next token was
-        already emitted before eviction) and it decodes immediately.
+        Each admitted request takes its slot at once (:meth:`_stage`); its
+        prefill forward runs in :meth:`_advance_prefills` this same round.
         """
         with self.tracer.span("admit"):
             free = [index for index, slot in enumerate(self._slots) if slot is None]
             free.extend(self._preempt_for_queue(len(free)))
-            staged: List[
-                Tuple[int, QueuedRequest, PackedModel, Optional[tuple], np.ndarray]
-            ] = []
             while free and self._queue:
                 queued = self._pop_next()
                 if self.tracer.enabled:
                     self.tracer.lifecycle_begin(queued.request.request_id, "prefill")
-                entry = self._prepare(queued)
-                if entry is not None:
-                    chain = self._token_chain(queued)
-                    shared = self._lookup_prefix(queued.request, chain)
-                    staged.append((free.pop(0), queued, entry, shared, chain))
-                elif self.tracer.enabled:
-                    self.tracer.lifecycle_end(
-                        queued.request.request_id, {"reason": FinishReason.ERROR}
-                    )
-            groups = {}
-            chunk = self.prefill_chunk_tokens
-            for item in staged:
-                _, queued, entry, shared, chain = item
-                shared_tokens = shared[0] * self.cache_config.page_size if shared else 0
-                suffix_len = int(chain.size) - shared_tokens
-                if chunk is not None and suffix_len > chunk:
-                    # Long suffix: take the slot now but append K/V in
-                    # bounded chunks over the coming rounds (_advance_prefills)
-                    # instead of one monopolising pass.
-                    self._stage_chunked(item, shared_tokens)
-                    continue
-                groups.setdefault((id(entry), suffix_len), []).append(item)
-            fresh: List[_Slot] = []
-            resumed: List[_Slot] = []
-            for group in groups.values():
-                for slot in self._prefill_group(group):
-                    (resumed if slot.queued.resume is not None else fresh).append(slot)
-            self.admitted += len(fresh)
-            prefilled = sum(slot.prefill_tokens for slot in fresh + resumed)
-            return prefilled, fresh, resumed
+                prepared = self._prepare(queued)
+                if prepared is not None:
+                    self._stage(free.pop(0), queued, *prepared)
 
-    def _stage_chunked(
+    def _stage(
         self,
-        item: Tuple[int, QueuedRequest, PackedModel, Optional[tuple], np.ndarray],
-        shared_tokens: int,
+        index: int,
+        queued: QueuedRequest,
+        entry: PackedModel,
+        cache: SequenceKVCache,
     ) -> None:
-        """Occupy a slot for chunked prefill without running the model yet.
+        """Occupy slot ``index`` for ``queued`` without running the model yet.
 
-        The cache is built (shared prefix attached copy-on-write) and the
-        un-appended chain suffix parks on the slot as ``pending_tokens``;
-        :meth:`_advance_prefills` feeds it through the model one bounded
-        chunk per round.  A resumed request restores its stream state here
-        so a cancel/deadline landing mid-prefill still reports everything
-        delivered before its eviction.
+        The request's token *chain* — the prompt for a fresh request, prompt
+        plus already-generated tokens for a preempted one resuming — probes
+        the page pool's prefix index, so pages already sealed attach
+        copy-on-write instead of re-prefilling.  The un-appended rest parks
+        on the slot as ``pending_tokens`` for :meth:`_advance_prefills`.  A
+        resumed request restores its stream state here, so a cancel or
+        deadline landing mid-prefill still reports everything delivered
+        before its eviction.
         """
-        index, queued, entry, shared, chain = item
-        cache = None
-        try:
-            cache = self._new_cache(entry, queued.request)
-            if shared is not None:
-                num_pages, layers_k, layers_v = shared
-                cache.attach_prefix(
-                    layers_k, layers_v, num_pages * self.cache_config.page_size
-                )
-        except Exception as exc:
-            if cache is not None:
-                cache.release()  # drop any layers a failed attach already took
-            self._failed.append((queued.request.request_id, exc))
-            if self.tracer.enabled:
-                self.tracer.lifecycle_end(
-                    queued.request.request_id, {"reason": FinishReason.ERROR}
-                )
-            return
         resume = queued.resume
         if resume is None:
             sampler = Sampler(queued.request.sampling)
-            slot = _Slot(
-                queued=queued,
-                entry=entry,
-                cache=cache,
-                sampler=sampler,
-                generator=sampler.make_generator(),
-                shared_tokens=shared_tokens,
-                pending_tokens=chain[cache.seq_len:],
-                chain=chain,
-            )
-            self.admitted += 1
+            generator = sampler.make_generator()
         else:
-            slot = _Slot(
-                queued=queued,
-                entry=entry,
-                cache=cache,
-                sampler=resume.sampler,
-                generator=resume.generator,
-                generated=list(resume.generated),
-                logprobs=list(resume.logprobs),
-                top_logprobs=list(resume.top_logprobs),
-                last_log_probs=resume.last_log_probs,
-                last_token_at=resume.last_token_at,
-                shared_tokens=shared_tokens,
-                pending_tokens=chain[cache.seq_len:],
-                chain=chain,
-            )
+            sampler, generator = resume.sampler, resume.generator
+        slot = _Slot(
+            queued=queued,
+            entry=entry,
+            cache=cache,
+            sampler=sampler,
+            generator=generator,
+        )
+        if resume is not None:
+            slot.generated = list(resume.generated)
+            slot.logprobs = list(resume.logprobs)
+            slot.top_logprobs = list(resume.top_logprobs)
+            slot.last_log_probs = resume.last_log_probs
+            slot.last_token_at = resume.last_token_at
         self._slots[index] = slot
+        slot.chain = _fed_chain(queued.request, slot.generated)
+        shared = self._lookup_prefix(queued.request, slot.chain)
+        if shared is not None:
+            num_pages, layers_k, layers_v = shared
+            slot.shared_tokens = num_pages * self.cache_config.page_size
+            try:
+                cache.attach_prefix(layers_k, layers_v, slot.shared_tokens)
+            except Exception as exc:
+                # Releasing the cache drops any layers the attach already took.
+                self._end_slot(index, FinishReason.ERROR, exc=exc)
+                return
+        slot.pending_tokens = slot.chain[cache.seq_len:]
 
     def _advance_prefills(self) -> Tuple[int, List[_Slot]]:
-        """Feed every chunk-prefilling slot its next bounded chunk.
+        """Feed every prefilling slot its next chunk.
 
-        Slots sharing a model entry, chunk length and finality advance in
-        one batched incremental pass.  Intermediate chunks run the backbone
-        only — their hidden states are never consumed, so the O(t × vocab)
-        LM-head GEMM is skipped.  The final chunk runs the full
-        ``last_only`` pass: the chain's pages register under the prefix
-        index and a fresh request emits its first token (a resumed one
-        discards the output — its next token was already delivered before
-        eviction — and rejoins decode this same round).
+        A chunk is at most ``prefill_chunk_tokens`` tokens (the whole pending
+        suffix when that is ``None``).  Slots sharing a model entry, chunk
+        length and finality advance in one batched incremental pass.
+        Intermediate chunks run the backbone only — their hidden states are
+        never consumed, so the O(t × vocab) LM-head GEMM is skipped.  The
+        final chunk runs the full ``last_only`` pass: the chain's pages
+        register under the prefix index and a fresh request emits its first
+        token (a resumed one discards the output — its next token was already
+        delivered before eviction — and rejoins decode this same round).
 
         Returns ``(chunk_tokens_appended, fresh_slots_completed)``.
         """
@@ -845,12 +810,12 @@ class ContinuousBatchingScheduler:
         chunk = self.prefill_chunk_tokens
         groups: Dict[Tuple[int, int, bool], List[_Slot]] = {}
         for slot in pending:
-            take = min(chunk, int(slot.pending_tokens.size))
-            final = take == int(slot.pending_tokens.size)
-            groups.setdefault((id(slot.entry), take, final), []).append(slot)
+            left = int(slot.pending_tokens.size)
+            take = left if chunk is None else min(chunk, left)
+            groups.setdefault((id(slot.entry), take, take == left), []).append(slot)
         tokens = 0
         completed_fresh: List[_Slot] = []
-        with self.tracer.span("chunked_prefill"):
+        with self.tracer.span("prefill"):
             for (_, take, final), slots in groups.items():
                 completed, appended = self._prefill_chunk(slots, take, final)
                 tokens += appended
@@ -862,36 +827,43 @@ class ContinuousBatchingScheduler:
     ) -> Tuple[List[_Slot], int]:
         """Run one ``take``-token chunk for ``slots`` (one batched pass).
 
-        On a failed pass a multi-slot group retries slot by slot so one bad
-        sequence cannot fail its co-batched neighbours; a single slot's
-        failure frees it with a terminal ``error`` exactly like a failed
-        admission prefill would have.  Returns the fresh slots whose prefill
-        completed (first token emitted) and the tokens actually appended.
+        On a failed pass a multi-slot group rolls every cache back to its
+        length before the pass (the forward appends layer by layer, so a
+        fault at layer L left this chunk's rows in layers 0…L) and retries
+        slot by slot, so one bad sequence cannot fail its co-batched
+        neighbours; a single slot's failure ends it in ``error``.  Returns
+        the fresh slots whose prefill completed (first token emitted) and
+        the tokens actually appended.
         """
         entry = slots[0].entry
         step_tokens = np.stack([slot.pending_tokens[:take] for slot in slots])
         caches = [slot.cache for slot in slots]
+        base_lengths = [cache.seq_len for cache in caches]
+        tracer = self.tracer if self.tracer.enabled else None
         try:
             if final:
                 log_probs = entry.model.log_probs_incremental(
-                    step_tokens, caches, last_only=True
+                    step_tokens, caches, last_only=True, tracer=tracer
                 )[:, -1, :]
             else:
-                entry.model.backbone.forward_incremental(step_tokens, caches)
-                log_probs = None
+                entry.model.backbone.forward_incremental(
+                    step_tokens, caches, tracer=tracer
+                )
         except Exception as exc:
-            if len(slots) > 1:
-                completed: List[_Slot] = []
-                appended = 0
-                for slot in slots:
-                    done, tokens = self._prefill_chunk([slot], take, final)
-                    completed.extend(done)
-                    appended += tokens
-                return completed, appended
-            self._fail_prefilling_slot(slots[0], exc)
-            return [], 0
+            if len(slots) == 1:
+                self._end_slot(self._slots.index(slots[0]), FinishReason.ERROR, exc=exc)
+                return [], 0
+            completed: List[_Slot] = []
+            appended = 0
+            for cache, length in zip(caches, base_lengths):
+                cache.truncate_to(length)
+            for slot in slots:
+                done, tokens = self._prefill_chunk([slot], take, final)
+                completed.extend(done)
+                appended += tokens
+            return completed, appended
         now = self.clock()
-        completed: List[_Slot] = []
+        completed = []
         for row, slot in enumerate(slots):
             slot.prefill_tokens += take
             if not final:
@@ -913,26 +885,6 @@ class ContinuousBatchingScheduler:
                 )
         return completed, take * len(slots)
 
-    def _fail_prefilling_slot(self, slot: _Slot, exc: Exception) -> None:
-        """Free a slot whose prefill chunk failed; the stream ends in ``error``."""
-        index = self._slots.index(slot)
-        self._failed.append((slot.request.request_id, exc))
-        self._chunks.append(
-            TokenChunk(
-                request_id=slot.request.request_id,
-                index=len(slot.generated),
-                token_id=None,
-                finish_reason=FinishReason.ERROR,
-            )
-        )
-        self._ledger.finish(FinishReason.ERROR, slot.request)
-        if self.tracer.enabled:
-            self.tracer.lifecycle_end(
-                slot.request.request_id, {"reason": FinishReason.ERROR}
-            )
-        slot.cache.release()
-        self._slots[index] = None
-
     def _pop_next(self) -> QueuedRequest:
         """Pop the next request to admit: highest priority, FIFO among ties."""
         policy = self.admission
@@ -947,25 +899,6 @@ class ContinuousBatchingScheduler:
         queued = self._queue[best_pos]
         del self._queue[best_pos]
         return queued
-
-    def _token_chain(self, queued: QueuedRequest) -> np.ndarray:
-        """The token ids whose K/V the admitted cache must hold.
-
-        For a fresh request that is the prompt.  For a preempted request it
-        is ``prompt + generated[:-1]`` — the final generated token was
-        emitted but never fed back, so its K/V does not exist yet; the
-        resumed slot feeds it in its first decode round, exactly as the
-        uninterrupted run would have.
-        """
-        resume = queued.resume
-        if resume is None:
-            return queued.request.token_ids
-        return np.concatenate(
-            [
-                queued.request.token_ids,
-                np.asarray(resume.generated[:-1], dtype=np.int64),
-            ]
-        )
 
     # ------------------------------------------------------------------ #
     # Preemption
@@ -1029,18 +962,10 @@ class ContinuousBatchingScheduler:
         slot = self._slots[index]
         request = slot.request
         if self.cache_config.prefix_sharing:
-            if slot.prefilling:
-                # Mid-chunked-prefill: only the appended (sealed-page) part
-                # of the chain exists; index exactly that, so the resume
-                # re-attaches it and re-prefills only the rest.
-                chain = slot.chain[: slot.cache.seq_len]
-            else:
-                chain = np.concatenate(
-                    [
-                        request.token_ids,
-                        np.asarray(slot.generated[:-1], dtype=np.int64),
-                    ]
-                )
+            # Mid-prefill only the appended part of the chain exists; index
+            # exactly that, so the resume re-attaches it and re-prefills only
+            # the rest.
+            chain = _fed_chain(request, slot.generated)[: slot.cache.seq_len]
             self.page_pool.register_prefix(self._prefix_key(request), chain, slot.cache)
         if slot.prefilling and not slot.generated:
             # A fresh request evicted before its prefill completed has
@@ -1116,30 +1041,35 @@ class ContinuousBatchingScheduler:
         )
         return found if found[0] else None
 
-    def _new_cache(self, entry: PackedModel, request: InferenceRequest) -> SequenceKVCache:
-        """An empty pooled cache with rows reserved for the whole request.
+    def _prepare(
+        self, queued: QueuedRequest
+    ) -> Optional[Tuple[PackedModel, SequenceKVCache]]:
+        """Fetch the request's model entry, check its token budget, build its cache.
 
-        ``prompt + max_new_tokens`` is the budget ``validate_token_budget``
+        The cache is an empty pooled one with rows reserved for
+        ``prompt + max_new_tokens``: the budget ``validate_token_budget``
         admitted and speculative proposals are capped to, so the rows never
-        move.
+        move.  A request failing here never takes a slot: it is recorded
+        failed, with no stream chunk.
         """
-        return cache_for_model(
-            entry.model,
-            self.cache_config,
-            pool=self.page_pool,
-            capacity=request.seq_len + request.sampling.max_new_tokens,
-        )
-
-    def _prepare(self, queued: QueuedRequest) -> Optional[PackedModel]:
-        """Fetch the request's model entry and validate its token budget."""
         request = queued.request
         try:
             entry = self.repository.get(request.model, request.family, request.num_classes)
             validate_token_budget(entry.model, request)
+            cache = cache_for_model(
+                entry.model,
+                self.cache_config,
+                pool=self.page_pool,
+                capacity=request.seq_len + request.sampling.max_new_tokens,
+            )
         except Exception as exc:
             self._failed.append((request.request_id, exc))
+            if self.tracer.enabled:
+                self.tracer.lifecycle_end(
+                    request.request_id, {"reason": FinishReason.ERROR}
+                )
             return None
-        return entry
+        return entry, cache
 
     def abort_active(self, exc: Exception) -> List[str]:
         """Fail every in-flight sequence after an unrecoverable round error.
@@ -1151,25 +1081,9 @@ class ContinuousBatchingScheduler:
         """
         aborted = []
         for index, slot in enumerate(self._slots):
-            if slot is None:
-                continue
-            self._failed.append((slot.request.request_id, exc))
-            aborted.append(slot.request.request_id)
-            self._chunks.append(
-                TokenChunk(
-                    request_id=slot.request.request_id,
-                    index=len(slot.generated),
-                    token_id=None,
-                    finish_reason=FinishReason.ERROR,
-                )
-            )
-            self._ledger.finish(FinishReason.ERROR, slot.request)
-            if self.tracer.enabled:
-                self.tracer.lifecycle_end(
-                    slot.request.request_id, {"reason": FinishReason.ERROR}
-                )
-            slot.cache.release()
-            self._slots[index] = None
+            if slot is not None:
+                aborted.append(slot.request.request_id)
+                self._end_slot(index, FinishReason.ERROR, exc=exc)
         if aborted:
             # The failed round never reached _record_round; flush the error
             # finishes now if no later round is coming, so the registry
@@ -1195,7 +1109,9 @@ class ContinuousBatchingScheduler:
             if queued.request.request_id == request_id:
                 del self._queue[position]
                 self.cancelled += 1
-                result = self._aborted_result(queued, now, active=self.num_active)
+                result = self._queued_terminal_result(
+                    queued, now, self.num_active, FinishReason.ABORTED
+                )
                 if self.tracer.enabled:
                     self.tracer.lifecycle_end(
                         request_id, {"reason": FinishReason.ABORTED}
@@ -1205,30 +1121,42 @@ class ContinuousBatchingScheduler:
         for index, slot in enumerate(self._slots):
             if slot is None or slot.request.request_id != request_id:
                 continue
-            result = self._finish_slot(index, slot, now, FinishReason.ABORTED)
+            result = self._end_slot(index, FinishReason.ABORTED, now)
             self.cancelled += 1
             self._flush_if_idle(now)
             return result
         return None
 
-    def _finish_slot(
-        self, index: int, slot: _Slot, now: float, reason: str
-    ) -> InferenceResult:
-        """Terminate an active slot *now* (cancel / deadline expiry).
+    def _end_slot(
+        self,
+        index: int,
+        reason: str,
+        now: Optional[float] = None,
+        exc: Optional[Exception] = None,
+    ) -> Optional[InferenceResult]:
+        """Terminate the slot at ``index`` *now* with ``reason``.
 
-        Builds the result from whatever the stream produced so far, then
-        releases the KV cache and page-pool references before returning —
+        Releases the KV cache and page-pool references before returning —
         the sequence's memory is reclaimable immediately, not at the next
-        step — and emits the terminal marker chunk.
+        step — records the finish and emits the terminal marker chunk.  A
+        cancel or deadline expiry (no ``exc``) returns the result built at
+        ``now`` from whatever the stream produced so far; a failure records
+        ``exc`` for :meth:`take_failures` instead and returns ``None``.
         """
+        slot = self._slots[index]
+        request = slot.request
         slot.finish_reason = reason
-        result = self._build_result(slot, now, self.num_active)
+        result = None
+        if exc is None:
+            result = self._build_result(slot, now, self.num_active)
+        else:
+            self._failed.append((request.request_id, exc))
         slot.cache.release()
         self._slots[index] = None
-        self._ledger.finish(reason, slot.request, result.latency)
+        self._ledger.finish(reason, request, result.latency if result else None)
         self._chunks.append(
             TokenChunk(
-                request_id=slot.request.request_id,
+                request_id=request.request_id,
                 index=len(slot.generated),
                 token_id=None,
                 finish_reason=reason,
@@ -1236,8 +1164,7 @@ class ContinuousBatchingScheduler:
         )
         if self.tracer.enabled:
             self.tracer.lifecycle_end(
-                slot.request.request_id,
-                {"reason": reason, "tokens": len(slot.generated)},
+                request.request_id, {"reason": reason, "tokens": len(slot.generated)}
             )
         return result
 
@@ -1252,12 +1179,6 @@ class ContinuousBatchingScheduler:
         """
         if not len(self):
             self._record_round(0, 0, 0, [], now, self.page_pool.counters())
-
-    def _aborted_result(
-        self, queued: QueuedRequest, now: float, active: int
-    ) -> InferenceResult:
-        """Result of a request cancelled while still queued."""
-        return self._queued_terminal_result(queued, now, active, FinishReason.ABORTED)
 
     def _queued_terminal_result(
         self, queued: QueuedRequest, now: float, active: int, reason: str
@@ -1356,9 +1277,7 @@ class ContinuousBatchingScheduler:
             if slot is None or slot.request.deadline_s is None:
                 continue
             if now - slot.queued.enqueued_at >= slot.request.deadline_s:
-                expired.append(
-                    self._finish_slot(index, slot, now, FinishReason.DEADLINE)
-                )
+                expired.append(self._end_slot(index, FinishReason.DEADLINE, now))
         self.deadline_expired += len(expired)
         return expired
 
@@ -1394,113 +1313,6 @@ class ContinuousBatchingScheduler:
                 finish_reason=slot.finish_reason,
             )
         )
-
-    def _prefill_group(
-        self,
-        group: List[
-            Tuple[int, QueuedRequest, PackedModel, Optional[tuple], np.ndarray]
-        ],
-    ) -> List[_Slot]:
-        """Prefill a same-model/same-suffix-length admission group in one pass.
-
-        Requests with a shared-prefix hit attach the sealed pages first
-        (copy-on-write references, no recompute/re-quantize), then only the
-        remaining chain suffix runs through the model — each row at its own
-        positional offset.  Successful prefills register their chain pages
-        in the pool's prefix index for later requests.
-
-        A resumed request restores its saved decode state instead of
-        emitting the pass's output: the distribution computed at the chain's
-        final position predicts a token the stream already delivered before
-        eviction, so it is discarded and the slot rejoins decode feeding its
-        real last token.  Re-prefilled suffix K/V is bit-identical to what
-        the evicted cache held (same tokens, same attended past — the
-        re-attached pages are the *same* quantized bytes), which is what
-        makes resume token-identical for greedy decode.
-        """
-        entry = group[0][2]
-        caches: List[SequenceKVCache] = []
-        try:
-            for _, queued, _, shared, chain in group:
-                cache = self._new_cache(entry, queued.request)
-                caches.append(cache)  # released with the rest if attach fails
-                if shared is not None:
-                    num_pages, layers_k, layers_v = shared
-                    cache.attach_prefix(
-                        layers_k, layers_v, num_pages * self.cache_config.page_size
-                    )
-            suffixes = np.stack(
-                [
-                    chain[cache.seq_len:]
-                    for (_, _, _, _, chain), cache in zip(group, caches)
-                ]
-            )
-            log_probs = entry.model.log_probs_incremental(
-                suffixes, caches, last_only=True
-            )[:, -1, :]
-        except Exception as exc:
-            # The failed pass may have partially appended K/V and holds
-            # references to any attached shared pages — release them all.
-            for cache in caches:
-                cache.release()
-            if len(group) == 1:
-                self._failed.append((group[0][1].request.request_id, exc))
-                if self.tracer.enabled:
-                    self.tracer.lifecycle_end(
-                        group[0][1].request.request_id, {"reason": FinishReason.ERROR}
-                    )
-                return []
-            # One bad prompt (e.g. an out-of-vocabulary id) fails the batched
-            # pass; retry individually with fresh caches.
-            admitted = []
-            for item in group:
-                admitted.extend(self._prefill_group([item]))
-            return admitted
-        admitted = []
-        now = self.clock()
-        for row, (index, queued, _, shared, chain) in enumerate(group):
-            if self.cache_config.prefix_sharing:
-                self.page_pool.register_prefix(
-                    self._prefix_key(queued.request), chain, caches[row]
-                )
-            shared_tokens = shared[0] * self.cache_config.page_size if shared else 0
-            resume = queued.resume
-            if resume is None:
-                sampler = Sampler(queued.request.sampling)
-                slot = _Slot(
-                    queued=queued,
-                    entry=entry,
-                    cache=caches[row],
-                    sampler=sampler,
-                    generator=sampler.make_generator(),
-                    prefill_tokens=int(chain.size) - shared_tokens,
-                    shared_tokens=shared_tokens,
-                )
-                self._emit_token(slot, log_probs[row], now)
-            else:
-                slot = _Slot(
-                    queued=queued,
-                    entry=entry,
-                    cache=caches[row],
-                    sampler=resume.sampler,
-                    generator=resume.generator,
-                    generated=list(resume.generated),
-                    logprobs=list(resume.logprobs),
-                    top_logprobs=list(resume.top_logprobs),
-                    last_log_probs=resume.last_log_probs,
-                    last_token_at=resume.last_token_at,
-                    prefill_tokens=int(chain.size) - shared_tokens,
-                    shared_tokens=shared_tokens,
-                )
-            if self.tracer.enabled:
-                self.tracer.lifecycle_begin(
-                    queued.request.request_id,
-                    "decode",
-                    {"resumed": True} if resume is not None else None,
-                )
-            self._slots[index] = slot
-            admitted.append(slot)
-        return admitted
 
     def _decode_round(self, exclude: List[_Slot]) -> int:
         """One batched incremental step for every unfinished slot.
@@ -1582,7 +1394,7 @@ class ContinuousBatchingScheduler:
         max_tokens = []
         for slot in slots:
             if slot.prefilling or not slot.generated:
-                # A slot mid-chunked-prefill has no emitted token to extend
+                # A slot mid-prefill has no emitted token to extend
                 # and its cache holds only a prompt prefix: it must neither
                 # receive draft proposals nor join a verify batch.  The
                 # round loop already filters prefilling slots, but plan()
@@ -1730,7 +1542,7 @@ class ContinuousBatchingScheduler:
         """Assemble the typed output of a finished (or cancelled) slot."""
         request = slot.request
         if slot.last_log_probs is None:
-            # Terminated mid-chunked-prefill: no position was ever scored,
+            # Terminated mid-prefill: no position was ever scored,
             # so there is no final distribution to report candidates from.
             top = {"next_tokens": [], "log_probs": []}
         else:
@@ -1770,14 +1582,10 @@ class ContinuousBatchingScheduler:
         """
         if not (self.share_generated_suffix and self.cache_config.prefix_sharing):
             return
-        chain = np.concatenate(
-            [
-                slot.request.token_ids,
-                np.asarray(slot.generated[:-1], dtype=np.int64),
-            ]
-        )
         self.page_pool.register_prefix(
-            self._prefix_key(slot.request), chain, slot.cache
+            self._prefix_key(slot.request),
+            _fed_chain(slot.request, slot.generated),
+            slot.cache,
         )
 
     def _retire(self) -> List[InferenceResult]:

@@ -133,6 +133,44 @@ class TestInjection:
         assert not report["results"]
         check_refcounts(scheduler)
 
+    def test_mid_pass_fault_retries_from_rolled_back_caches(self, repository):
+        """A decode fault inside a batched chunk pass leaves this chunk's rows
+        in the layers the pass already appended; the per-slot retry must
+        start from caches rolled back to their length before the pass."""
+
+        def run(schedule):
+            scheduler = ContinuousBatchingScheduler(
+                repository,
+                num_slots=2,
+                cache_config=KVCacheConfig(bits=4, page_size=8, prefix_sharing=False),
+                prefill_chunk_tokens=8,
+            )
+            injector = FaultInjector(schedule).attach(scheduler)
+            requests = [
+                lm_request(
+                    np.random.default_rng(seed).integers(0, VOCAB, size=37),
+                    max_new_tokens=6,
+                    request_id=f"r{seed}",
+                )
+                for seed in (0, 1)
+            ]
+            for request in requests:
+                scheduler.submit(request)
+            report = drive(scheduler, injector, [])
+            check_refcounts(scheduler)
+            streams = {r.request_id: r.output.token_ids for r in report["results"]}
+            return streams, dict(report["failures"]), injector
+
+        clean, clean_failures, _ = run(FaultSchedule())
+        assert set(clean) == {"r0", "r1"} and not clean_failures
+        streams, failures, injector = run(
+            FaultSchedule((FaultSpec("pool_decode_error", at_count=4),))
+        )
+        assert [s.kind for s in injector.fired] == ["pool_decode_error"]
+        # The fault fires once, so both per-slot retries succeed.
+        assert not failures
+        assert streams == clean
+
     @pytest.mark.parametrize("chunk", [None, 8])
     def test_pool_decode_error_mid_attach_releases_every_layer(
         self, repository, chunk
@@ -228,18 +266,21 @@ class TestChaosSuite:
             class_priority={"interactive": 5},
             preempt=True,
         )
+        # Whole-suffix or 4-token chunks (one page); prompts up to 16 tokens
+        # span several chunks, so faults land in batched chunk passes too.
         scheduler = ContinuousBatchingScheduler(
             repository,
             num_slots=2,
             cache_config=packed_config(),
             stats=ServingStats(),
             admission=policy,
+            prefill_chunk_tokens=(None, 4)[int(rng.integers(0, 2))],
         )
         injector = FaultInjector(FaultSchedule.generate(seed, num_faults=4))
         injector.attach(scheduler)
         requests = [
             lm_request(
-                rng.integers(0, VOCAB, size=int(rng.integers(2, 9))),
+                rng.integers(0, VOCAB, size=int(rng.integers(2, 17))),
                 max_new_tokens=int(rng.integers(1, 5)),
                 seed=seed,
                 slo_class="interactive" if rng.integers(0, 2) else "batch",

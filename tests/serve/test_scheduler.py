@@ -285,20 +285,35 @@ class TestEngineWiring:
         results = engine.serve([request])
         assert len(results[0].output.token_ids) == 1
 
-    def test_out_of_vocabulary_prompt_fails_only_that_request(self, repo):
-        engine = ServingEngine(repository=repo, max_batch_size=4, max_wait=0.0)
+    @pytest.mark.parametrize("chunk", [None, 8])
+    def test_out_of_vocabulary_prompt_fails_only_that_request(self, repo, chunk):
+        """The bad prompt sits in the second slot of the batched prefill (its
+        first chunk, when chunked), so the per-slot retry must find it there
+        and fail only it.  It ends one way with or without chunking: an
+        ``error`` terminal chunk, one ``error`` finish in the stats, and
+        ``result()`` raising."""
+        engine = ServingEngine(
+            repository=repo,
+            max_batch_size=4,
+            max_wait=0.0,
+            kv_cache_config=KVCacheConfig(bits=4, page_size=8),
+            prefill_chunk_tokens=chunk,
+        )
+        good = gen_request(seq_len=12, max_new_tokens=2, seed=9)
         bad = InferenceRequest(
             "gpt2-xl",
             WorkloadFamily.LM,
-            np.array([1, 2, 10_000]),
+            np.array([1, 2, 10_000] + [3] * 9),
             sampling=SamplingParams(max_new_tokens=2),
         )
-        good = gen_request(seq_len=3, max_new_tokens=2, seed=9)
-        engine.submit(bad)
         engine.submit(good)
-        results = engine.run_until_idle()
-        assert [r.request_id for r in results] == [good.request_id]
-        with pytest.raises(ServingError):
+        engine.submit(bad)
+        chunks = list(engine.stream(bad.request_id))
+        assert [(c.token_id, c.finish_reason) for c in chunks] == [(None, "error")]
+        engine.run_until_idle()
+        assert engine.result(good.request_id).output.finish_reason == "length"
+        assert engine.stats.summary().finish_reasons["error"] == 1
+        with pytest.raises(ServingError, match="out of vocabulary"):
             engine.result(bad.request_id)
 
     def test_decode_round_crash_aborts_sequences_not_engine(self, repo):

@@ -590,6 +590,7 @@ class TestEndToEnd:
         assert all(s.end is not None for s in spans)
 
     def test_each_round_layer_records_one_attend_span(self, traced_run):
+        owners = ("prefill", "plain_round", "verify_batch")
         engine, tracer, _ = traced_run
         spans = tracer.spans()
         layers = engine.repository.get(MODEL, WorkloadFamily.LM).model.backbone.num_layers
@@ -600,11 +601,14 @@ class TestEndToEnd:
             assert set(span.attrs) == {"slots", "kv_tokens"}
             assert span.attrs["kv_tokens"] >= span.attrs["slots"] >= 1
             owner = spans[span.parent]
-            while owner.name not in ("plain_round", "verify_batch"):
+            while owner.name not in owners:
                 owner = spans[owner.parent]
             attends[owner.index] = attends.get(owner.index, 0) + 1
-        passes = [s.index for s in spans if s.name in ("plain_round", "verify_batch")]
-        assert passes and attends == {index: layers for index in passes}
+        # The run's prompts share one length, so each ``prefill`` span holds
+        # one batched pass, like each ``plain_round`` and ``verify_batch``.
+        passes = [s.index for s in spans if s.name in owners]
+        assert {spans[index].name for index in passes} == set(owners)
+        assert attends == {index: layers for index in passes}
 
     def test_request_lifecycles_cover_queued_prefill_decode(self, traced_run):
         _, tracer, results = traced_run
@@ -686,9 +690,8 @@ class TestEndToEnd:
         spans = tracer.spans()
         seals = [span for span in spans if span.name == "seal"]
         assert seals
-        # Round appends run inside ``kv_append``; admission prefill has no
-        # per-layer spans, so its seals sit directly under ``admit``.
-        assert {spans[span.parent].name for span in seals} == {"kv_append", "admit"}
+        # Prefill and round appends both run inside per-layer ``kv_append``.
+        assert {spans[span.parent].name for span in seals} == {"kv_append"}
         sealed = engine.page_pool.pages_registered - registered
         assert sealed > 0
         assert sum(span.attrs["pages"] for span in seals) == sealed
