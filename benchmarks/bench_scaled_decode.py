@@ -35,6 +35,16 @@ A third measurement bounds what serving in float32 costs in accuracy:
   generated tokens before each prompt's first divergence (floor 0.95) and
   ``max_logprob_delta`` the largest |Δ logprob| over those tokens (ceiling
   1e-3); the watchdog enforces both.
+
+And one kernel measurement reads the projection GEMMs against their plain
+NumPy form:
+
+* **small_gemm** — ``repro.nn.functional.linear`` against ``x @ W.T`` over
+  the five ``gpt2-xl-scaled`` projection shapes in float32, at 2 rows (a
+  speculative verify), 8 rows (a full decode round) and the row threshold up
+  to which ``linear`` runs ``W @ x.T``.  Both sides compute the same bits;
+  each ``*_speedup`` is the plain time over ``linear``'s, floored at 1.2 at
+  8 rows and 0.95 at the threshold (the watchdog enforces both).
 """
 
 import statistics
@@ -43,6 +53,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.nn import functional as F
 from repro.nn.attention import MultiHeadAttention
 from repro.serve import (
     ContinuousBatchingScheduler,
@@ -94,6 +105,11 @@ AGREEMENT_PROMPTS = 12
 AGREEMENT_NEW_TOKENS = 16
 MIN_TOKEN_AGREEMENT = 0.95
 MAX_LOGPROB_DELTA = 1e-3
+
+# (out, in) of the fused QKV, attention, FFN up/down and LM-head GEMMs.
+SMALL_GEMM_SHAPES = ((1536, 512), (512, 512), (1024, 512), (512, 1024), (96, 512))
+SMALL_GEMM_REPEATS = 20
+MIN_SMALL_GEMM_SPEEDUP = {"rows_8_speedup": 1.2, "threshold_rows_speedup": 0.95}
 
 
 def _spec_requests():
@@ -224,6 +240,39 @@ def test_bench_cross_precision_agreement(repository, serve_trajectory):
         token_agreement=round(agreement, 4),
         max_logprob_delta=float(f"{delta:.3g}"),
     )
+
+
+def test_bench_small_gemm(paired_ratio, serve_trajectory):
+    rng = np.random.default_rng(0)
+    weights = [rng.standard_normal(shape).astype(np.float32) for shape in SMALL_GEMM_SHAPES]
+    numbers = {"threshold_rows": F._WXT_MAX_ROWS}
+    for name, rows in (
+        ("rows_2_speedup", 2),
+        ("rows_8_speedup", 8),
+        ("threshold_rows_speedup", F._WXT_MAX_ROWS),
+    ):
+        inputs = [
+            rng.standard_normal((rows, weight.shape[1])).astype(np.float32)
+            for weight in weights
+        ]
+        for weight, x in zip(weights, inputs):
+            np.testing.assert_array_equal(F.linear(x, weight), x @ weight.T)
+
+        def kernel():
+            for _ in range(SMALL_GEMM_REPEATS):
+                for weight, x in zip(weights, inputs):
+                    F.linear(x, weight)
+
+        def plain():
+            for _ in range(SMALL_GEMM_REPEATS):
+                for weight, x in zip(weights, inputs):
+                    x @ weight.T
+
+        _, kernel_seconds, plain_seconds = paired_ratio(kernel, plain)
+        numbers[name] = round(plain_seconds / kernel_seconds, 3)
+    for name, floor in MIN_SMALL_GEMM_SPEEDUP.items():
+        assert numbers[name] >= floor, f"small_gemm {name} {numbers[name]} < {floor}"
+    serve_trajectory("small_gemm", **numbers)
 
 
 @pytest.fixture(scope="module")

@@ -33,8 +33,8 @@ noise bands for the ``scaled_decode`` wall-clock tier (real timing, shared
 runners), and ``_FLOORS``/``_CEILINGS`` pin absolute exit criteria (the
 scaled-tier speculative and padded-over-round-attend wall ratios must stay
 above 1.0; float32 serving must agree with float64 on >= 95% of greedy
-tokens within 1e-3 in logprob) that flag even when the baseline has no
-entry yet.  Metrics present in the baseline but absent from the current
+tokens within 1e-3 in logprob; few-row float32 projections must beat
+``x @ W.T``) that flag even when the baseline has no entry yet.  Metrics present in the baseline but absent from the current
 run warn — like missing sections — instead of silently rotting in the diff
 table.
 
@@ -99,6 +99,11 @@ _SECTION_RULES = {
     "shared_prefix_attend": (
         ("speedup", "suffix", HIGHER, "rel", 0.30),
     ),
+    # Few-row projection GEMMs: 2- and 8-row speedups read 1.56-1.71 and
+    # the 64-row one 1.03-1.10 over three runs on one 2-CPU box.
+    "small_gemm": (
+        ("speedup", "suffix", HIGHER, "rel", 0.30),
+    ),
 }
 
 # Absolute floors enforced independently of the baseline (and even for
@@ -115,6 +120,11 @@ _FLOORS = {
     # Float32 serving vs the same packed model in float64 (bench_scaled_decode):
     # greedy tokens agree before the first divergence on >= 95% of positions.
     ("cross_precision", "token_agreement"): 0.95,
+    # Few-row float32 projections through repro.nn.functional.linear against
+    # the plain ``x @ W.T`` (bench_scaled_decode): a clear win at an 8-row
+    # decode round, and no loss at the row threshold where W @ x.T stops.
+    ("small_gemm", "rows_8_speedup"): 1.2,
+    ("small_gemm", "threshold_rows_speedup"): 0.95,
 }
 
 # Absolute ceilings, the lower-is-better counterpart of _FLOORS.

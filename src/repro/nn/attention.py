@@ -56,7 +56,7 @@ class MultiHeadAttention(Module):
         self.k_proj = Linear(hidden_size, hidden_size, rng=rng)
         self.v_proj = Linear(hidden_size, hidden_size, rng=rng)
         self.out_proj = Linear(hidden_size, hidden_size, rng=rng)
-        # Lazily-built (source_arrays, (W_qkv^T, b_qkv)) pair for the fused
+        # Lazily-built (source_arrays, (W_qkv, b_qkv)) pair for the fused
         # decode-round projection; invalidated by identity whenever any of
         # the six source weight/bias arrays is replaced (e.g. by packing).
         self._fused_qkv = None
@@ -68,7 +68,11 @@ class MultiHeadAttention(Module):
     qkv_mode: str = "fused"
 
     def _fused_qkv_operands(self):
-        """Cached ``(W_qkv^T, b_qkv)`` for the fused round projection.
+        """Cached ``(W_qkv, b_qkv)`` for the fused round projection.
+
+        ``W_qkv`` is the ``(3 * hidden, hidden)`` row concatenation of the Q,
+        K and V weights, in the ``(out, in)`` layout
+        :func:`repro.nn.functional.linear` takes, and ``b_qkv`` their biases.
 
         Only plain :class:`Linear` projections fuse — a quantization wrapper
         must keep running its own ``forward``, so any subclass falls back to
@@ -87,9 +91,7 @@ class MultiHeadAttention(Module):
         cached = self._fused_qkv
         if cached is not None and all(a is b for a, b in zip(cached[0], sources)):
             return cached[1]
-        weight_t = np.concatenate([w.T for w in sources[:3]], axis=1)
-        bias = np.concatenate(sources[3:])
-        operands = (np.ascontiguousarray(weight_t), bias)
+        operands = (np.concatenate(sources[:3]), np.concatenate(sources[3:]))
         self._fused_qkv = (sources, operands)
         return operands
 
@@ -201,13 +203,7 @@ class MultiHeadAttention(Module):
         traced = tracer is not None and tracer.enabled
         with tracer.span("qkv_proj") if traced else _NULL_SPAN:
             if fused is not None:
-                weight_t, bias = fused
-                # Flatten to one GEMM: a 3-D ``matmul`` would loop
-                # per-sequence GEMMs, re-streaming the fused weight for
-                # every slot in the round.
-                flat = hidden.reshape(-1, hidden.shape[-1])
-                qkv = (flat @ weight_t).reshape(num_seqs, t_new, -1)
-                qkv += bias
+                qkv = F.linear(hidden, *fused)
                 size = self.hidden_size
                 q = self._split_heads(qkv[..., :size])
                 k_new = self._split_heads(qkv[..., size : 2 * size])

@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "as_float",
+    "linear",
     "softmax",
     "log_softmax",
     "gelu",
@@ -30,6 +31,45 @@ def as_float(x) -> np.ndarray:
     """``x`` as an array of its own floating dtype; anything else becomes float64."""
     x = np.asarray(x)
     return x if x.dtype.kind == "f" else x.astype(np.float64)
+
+
+#: Largest row count a float32 :func:`linear` computes as ``W @ x.T``.
+_WXT_MAX_ROWS = 64
+
+
+def linear(
+    x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``x @ weight.T + bias`` as one flat GEMM over the last axis.
+
+    ``weight`` is ``(out, in)``.  The leading axes of ``x`` flatten into the
+    GEMM's rows: a 3-D ``(batch, seq, in) @ W.T`` would dispatch a
+    *per-batch-row* GEMM loop that re-streams the whole weight matrix for
+    every row, which at decode widths (1-4 tokens per slot) multiplies the
+    weight traffic by the batch size.  One flat GEMM makes one weight pass
+    whatever the batch shape.
+
+    A float32 GEMM of at most ``_WXT_MAX_ROWS`` rows runs as ``W @ x.T``
+    and returns its C-ordered transpose.  OpenBLAS computes the same bits
+    either way, but for few rows this operand order is faster.  Summed over
+    the five ``gpt2-xl-scaled`` projection shapes on a 2-CPU x86 box,
+    ``x @ W.T`` takes 1.2 ms at 2 rows, 1.4 ms at 8 and 2.9 ms at 64,
+    against 0.7, 0.8 and 2.6 ms for ``W @ x.T``.  Over the 17 projections
+    of one 4-layer decode round, 8 rows take 6.4 ms against 4.5 ms.  The
+    two tie between 64 and 128 rows, and a single row is a GEMV either way.
+    Float64 (the paper path) always runs ``x @ W.T``: there ``W @ x.T`` was
+    slower (1.3 → 1.4 ms at 2 rows, 7.6 → 10.1 ms at 128) and not always
+    bitwise the same.
+    """
+    x = as_float(x)
+    flat = x.reshape(-1, x.shape[-1])
+    if x.dtype == weight.dtype == np.float32 and flat.shape[0] <= _WXT_MAX_ROWS:
+        out = np.ascontiguousarray((weight @ flat.T).T)
+    else:
+        out = flat @ weight.T
+    if bias is not None:
+        out += bias
+    return out.reshape(*x.shape[:-1], weight.shape[0])
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -83,12 +123,21 @@ def layer_norm(
     beta: np.ndarray,
     eps: float = 1e-5,
 ) -> np.ndarray:
-    """Layer normalisation over the last axis with affine parameters."""
+    """Layer normalisation over the last axis with affine parameters.
+
+    Centres once and finishes in place: bitwise the ``(x - mean) /
+    sqrt(var(x) + eps) * gamma + beta`` form, since ``np.var`` itself
+    averages the squares of the same centred values.
+    """
     x = as_float(x)
-    mean = np.mean(x, axis=-1, keepdims=True)
-    var = np.var(x, axis=-1, keepdims=True)
-    normed = (x - mean) / np.sqrt(var + eps)
-    return normed * gamma + beta
+    out = x - np.mean(x, axis=-1, keepdims=True)
+    std = np.mean(out * out, axis=-1, keepdims=True)
+    std += eps
+    np.sqrt(std, out=std)
+    out /= std
+    out *= gamma
+    out += beta
+    return out
 
 
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:

@@ -36,22 +36,8 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = F.as_float(x)
-        if x.ndim > 2:
-            # One flat GEMM: ``(batch, seq, in) @ W.T`` would dispatch a
-            # *per-batch-row* GEMM loop that re-streams the whole weight
-            # matrix for every row — at decode widths (seq of 1-4 tokens)
-            # that multiplies the weight traffic by the batch size and
-            # dominates the round.  Flattening the leading axes keeps a
-            # single weight pass regardless of batch shape.
-            lead = x.shape[:-1]
-            out = x.reshape(-1, self.in_features) @ self.weight.data.T
-            out = out.reshape(*lead, self.out_features)
-        else:
-            out = x @ self.weight.data.T
-        if self.bias is not None:
-            out = out + self.bias.data
-        return out
+        bias = None if self.bias is None else self.bias.data
+        return F.linear(x, self.weight.data, bias)
 
     def gemm_shape(self, batch_tokens: int) -> tuple:
         """``(M, K, N)`` of the GEMM this layer performs on ``batch_tokens`` rows."""

@@ -360,8 +360,10 @@ def check_refcounts(scheduler) -> None:
     holds.  Shared blocks balance the same way: each live block's holder
     count equals the slot layer caches reading it, no slot reads a block
     the pool has freed, and the decoded-row gauge equals the slots' own
-    decoded pages plus each live block once.  Raises ``AssertionError`` on
-    imbalance.
+    decoded pages plus each live block once.  The running gauges equal the
+    sums they stand for: each layer cache's resident sealed bytes, and the
+    pool's count of pages with more than one reference.  Raises
+    ``AssertionError`` on imbalance.
     """
     from collections import Counter
 
@@ -374,8 +376,13 @@ def check_refcounts(scheduler) -> None:
             continue
         for layer_index in range(slot.cache.num_layers):
             layer = slot.cache.layer(layer_index)
-            for handle in layer._sealed_k + layer._sealed_v:
+            sealed = layer._sealed_k + layer._sealed_v
+            for handle in sealed:
                 held[id(handle)] += 1
+            resident = sum(handle.nbytes_resident for handle in sealed)
+            assert layer._sealed_nbytes == resident, (
+                f"sealed-bytes gauge {layer._sealed_nbytes} != {resident} held"
+            )
             if layer._block is not None:
                 readers[id(layer._block)] += 1
             own_pages = len(layer._sealed_k) - layer._shared // layer.config.page_size
@@ -401,3 +408,7 @@ def check_refcounts(scheduler) -> None:
         )
     for key, count in held.items():
         assert key in entries and count > 0, "holder of an unregistered page"
+    shared = sum(1 for handle in entries.values() if handle.shared)
+    assert pool.num_shared_pages == shared, (
+        f"shared-page gauge {pool.num_shared_pages} != {shared} shared pages"
+    )

@@ -229,6 +229,8 @@ class PagePool:
         # LayerKVCache adds and subtracts its own rows, each block counts once.
         self._decoded_bytes = 0
         self._sealed_bytes = 0
+        # Live pages with more than one reference (kept as refcounts move).
+        self._shared_pages = 0
         self._prefix_nodes: "OrderedDict[Tuple, _PrefixNode]" = OrderedDict()
         # Cumulative counters (monotonic; callers diff snapshots per round).
         self.decode_hits = 0
@@ -258,6 +260,8 @@ class PagePool:
             # re-admitting it is safe (prefix nodes can race slot release).
             self._entries[handle.page_id] = handle
             self._sealed_bytes += handle.nbytes_resident
+        elif handle.refcount == 1:
+            self._shared_pages += 1
         handle.refcount += 1
         return handle
 
@@ -266,7 +270,9 @@ class PagePool:
         if handle.refcount <= 0:
             raise ServingError("KV page released more times than acquired")
         handle.refcount -= 1
-        if handle.refcount == 0:
+        if handle.refcount == 1:
+            self._shared_pages -= 1
+        elif handle.refcount == 0:
             if self._entries.pop(handle.page_id, None) is not None:
                 self._sealed_bytes -= handle.nbytes_resident
             self.pages_dropped += 1
@@ -470,7 +476,7 @@ class PagePool:
     @property
     def num_shared_pages(self) -> int:
         """Live pages currently referenced by more than one holder."""
-        return sum(1 for handle in self._entries.values() if handle.shared)
+        return self._shared_pages
 
     @property
     def num_blocks(self) -> int:
@@ -543,6 +549,8 @@ class LayerKVCache:
         self.pool = pool if pool is not None else PagePool()
         self._sealed_k: List[PageHandle] = []
         self._sealed_v: List[PageHandle] = []
+        # Resident bytes of the held pages, kept as pages are held and dropped.
+        self._sealed_nbytes = 0
         # Rows [0, _shared) are the pool-owned _block's (none by default).
         self._block: Optional[_SharedBlock] = None
         self._shared = 0
@@ -583,10 +591,15 @@ class LayerKVCache:
         """Bytes of one page's decoded rows in one of the K/V buffers."""
         return self.num_heads * self.config.page_size * self.head_dim * self._k.itemsize
 
-    def _hold(self, k_handles: Sequence[PageHandle], v_handles: Sequence[PageHandle]) -> None:
-        """Take ownership of pages sealed (or attached) into the own rows."""
+    def _extend(self, k_handles: Sequence[PageHandle], v_handles: Sequence[PageHandle]) -> None:
+        """Append held pages (and their resident bytes)."""
         self._sealed_k.extend(k_handles)
         self._sealed_v.extend(v_handles)
+        self._sealed_nbytes += sum(h.nbytes_resident for h in (*k_handles, *v_handles))
+
+    def _hold(self, k_handles: Sequence[PageHandle], v_handles: Sequence[PageHandle]) -> None:
+        """Take ownership of pages sealed (or attached) into the own rows."""
+        self._extend(k_handles, v_handles)
         self.pool._decoded_bytes += (len(k_handles) + len(v_handles)) * self._page_nbytes
 
     def _drop(self, keep_pages: int) -> None:
@@ -599,6 +612,7 @@ class LayerKVCache:
         dropped = self._sealed_k[keep_pages:] + self._sealed_v[keep_pages:]
         for handle in dropped:
             self.pool.release(handle)
+        self._sealed_nbytes -= sum(h.nbytes_resident for h in dropped)
         own_pages = len(self._sealed_k) - max(keep_pages, self._shared // self.config.page_size)
         self.pool._decoded_bytes -= 2 * own_pages * self._page_nbytes
         del self._sealed_k[keep_pages:]
@@ -749,8 +763,10 @@ class LayerKVCache:
                 )
         self._block, shared_pages = self.pool.acquire_block(k_handles, v_handles, self.codec)
         self._shared = shared_pages * size
-        self._sealed_k.extend(self.pool.incref(h) for h in k_handles[:shared_pages])
-        self._sealed_v.extend(self.pool.incref(h) for h in v_handles[:shared_pages])
+        self._extend(
+            [self.pool.incref(h) for h in k_handles[:shared_pages]],
+            [self.pool.incref(h) for h in v_handles[:shared_pages]],
+        )
         # The own buffers now start past the block, in its dtype: shrink the
         # reservation.
         rows = self._rounded(max(self._k.shape[1] - self._shared, 1))
@@ -944,12 +960,11 @@ class LayerKVCache:
         pages are charged to every holder (the per-sequence view);
         pool-level dedup shows up in the pool's own gauges.  The
         decoded rows attention reads (own rows plus each shared block once)
-        are the pool's ``decoded_cache_bytes``.
+        are the pool's ``decoded_cache_bytes``.  The held pages' bytes are
+        a running total, so a per-round read costs O(1).
         """
-        sealed = sum(h.nbytes_resident for h in self._sealed_k)
-        sealed += sum(h.nbytes_resident for h in self._sealed_v)
         open_len = self._seq_len - len(self._sealed_k) * self.config.page_size
-        return int(sealed + 2 * self.num_heads * open_len * self.head_dim * 4)
+        return self._sealed_nbytes + 2 * self.num_heads * open_len * self.head_dim * 4
 
 
 class SequenceKVCache:

@@ -124,9 +124,10 @@ class TestFusedOperandCache:
 
     def test_fused_matches_separate_projections(self, toy):
         attention = toy.backbone.layer_0.self_attention
-        weight_t, bias = attention._fused_qkv_operands()
+        weight, bias = attention._fused_qkv_operands()
+        assert weight.shape == (192, 64)
         hidden = np.random.default_rng(3).standard_normal((2, 4, 64))
-        fused = hidden @ weight_t + bias
+        fused = hidden @ weight.T + bias
         separate = np.concatenate(
             [
                 attention.q_proj.forward(hidden),

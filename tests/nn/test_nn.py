@@ -66,6 +66,21 @@ class TestFunctional:
             assert np.all(out[np.isinf(x)] == 0.0)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_layer_norm_bitwise_equals_two_pass_form(self, dtype):
+        rng = np.random.default_rng(4)
+        x = rng.normal(2.0, 3.0, size=(3, 7, 512)).astype(dtype)
+        x[..., 11] *= 80.0  # an outlier channel, as OliVe's LLM activations have
+        gamma = rng.normal(size=512).astype(dtype)
+        beta = rng.normal(size=512).astype(dtype)
+        mean = np.mean(x, axis=-1, keepdims=True)
+        var = np.var(x, axis=-1, keepdims=True)
+        expected = (x - mean) / np.sqrt(var + 1e-5) * gamma + beta
+        out = F.layer_norm(x, gamma, beta)
+        assert out.dtype == dtype and not np.shares_memory(out, x)
+        np.testing.assert_array_equal(out, expected)
+
+
 class TestDtypes:
     """Ops compute in their input's floating dtype; non-floats get float64."""
 
@@ -131,16 +146,53 @@ class TestModuleSystem:
 
     def test_astype_casts_every_parameter_and_rebuilds_fused_qkv(self):
         attn = MultiHeadAttention(8, 2, rng=np.random.default_rng(0))
-        weight_t, _ = attn._fused_qkv_operands()
-        assert weight_t.dtype == np.float64
+        weight, _ = attn._fused_qkv_operands()
+        assert weight.dtype == np.float64
         assert attn.astype(np.float32) is attn
         assert {p.data.dtype for p in attn.parameters()} == {np.dtype(np.float32)}
-        weight_t, bias = attn._fused_qkv_operands()
-        assert weight_t.dtype == bias.dtype == np.float32
-        np.testing.assert_array_equal(weight_t[:, :8], attn.q_proj.weight.data.T)
+        weight, bias = attn._fused_qkv_operands()
+        assert weight.dtype == bias.dtype == np.float32
+        np.testing.assert_array_equal(weight[:8], attn.q_proj.weight.data)
+
+
+#: The ``(out, in)`` GEMM shapes a served ``gpt2-xl-scaled`` round runs:
+#: fused QKV, attention projections, FFN up and down, LM head.
+SERVED_SHAPES = [(1536, 512), (512, 512), (1024, 512), (512, 1024), (96, 512)]
+
+
+def _linear(out_features, in_features, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    lin = Linear(in_features, out_features, rng=rng)
+    lin.bias.data = rng.normal(size=out_features)
+    return lin.astype(dtype), rng
 
 
 class TestLayers:
+    @pytest.mark.parametrize("shape", SERVED_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 8, 31, 32, 64, 65, 128])
+    def test_linear_is_bitwise_x_times_w_transposed(self, rows, dtype, shape):
+        lin, rng = _linear(*shape, dtype, seed=rows)
+        x = rng.normal(size=(rows, shape[1])).astype(dtype)
+        out = lin(x)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, x @ lin.weight.data.T + lin.bias.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_linear_flattens_leading_axes_bitwise(self, dtype):
+        lin, rng = _linear(1536, 512, dtype)
+        weight, bias = lin.weight.data, lin.bias.data
+        hidden = rng.normal(size=(4, 9, 512)).astype(dtype)
+        cases = (
+            (hidden[0, 0], hidden[0, 0] @ weight.T + bias),
+            (hidden, (hidden.reshape(-1, 512) @ weight.T + bias).reshape(4, 9, 1536)),
+            (hidden[:, -1:], (hidden[:, -1] @ weight.T + bias)[:, None]),
+        )
+        for x, expected in cases:
+            out = lin(x)
+            assert out.dtype == dtype and out.flags.c_contiguous
+            np.testing.assert_array_equal(out, expected)
+
     def test_linear_shapes(self):
         lin = Linear(6, 4)
         out = lin(np.zeros((2, 5, 6)))

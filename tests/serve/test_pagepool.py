@@ -321,6 +321,111 @@ class TestSharedBlocks:
         assert pool.num_blocks == 0 and pool.decoded_cache_bytes == 0
 
 
+def _resident_bytes(cache):
+    """``cache_bytes`` recomputed from the held pages and the open rows."""
+    sealed = sum(h.nbytes_resident for h in cache._sealed_k + cache._sealed_v)
+    open_len = cache.seq_len - len(cache._sealed_k) * cache.config.page_size
+    return sealed + 2 * cache.num_heads * open_len * cache.head_dim * 4
+
+
+def _shared_pages(pool):
+    return sum(1 for handle in pool._entries.values() if handle.refcount > 1)
+
+
+class TestRunningGauges:
+    """``cache_bytes`` and ``num_shared_pages`` are running totals: after any
+    seal, attach, truncate, preemption or release they equal the sums over
+    the pages held."""
+
+    @staticmethod
+    def assert_balanced(pool, caches):
+        for cache in caches:
+            assert cache.cache_bytes == _resident_bytes(cache)
+        assert pool.num_shared_pages == _shared_pages(pool)
+
+    @pytest.mark.parametrize("quantize", [True, False], ids=["packed", "reference"])
+    def test_seal_attach_truncate_release(self, quantize):
+        rng = np.random.default_rng(40)
+        owner = sealed_cache(rng, quantize=quantize)  # 4 pages per side
+        pool = owner.pool
+        caches = [owner]
+        for pages in (3, 2):
+            cache = LayerKVCache(HEADS, DIM, owner.config, pool=pool, capacity=40)
+            cache.attach(owner._sealed_k[:pages], owner._sealed_v[:pages], 4 * pages)
+            caches.append(cache)
+            self.assert_balanced(pool, caches)
+        assert pool.num_shared_pages == 2 * 3
+        sharer, shorter = caches[1:]
+        sharer.append(step(rng, 6), step(rng, 6))  # seals one own page
+        self.assert_balanced(pool, caches)
+        sharer.hold_seals()
+        sharer.append(step(rng, 5), step(rng, 5))
+        sharer.truncate_to(sharer.seq_len - 3)  # a rejected draft
+        sharer.flush_seals()
+        self.assert_balanced(pool, caches)
+        sharer.truncate_to(14)  # into its own sealed pages
+        self.assert_balanced(pool, caches)
+        shorter.truncate_to(6)  # into the shared prefix
+        self.assert_balanced(pool, caches)
+        for cache in caches:
+            cache.release()
+            self.assert_balanced(pool, caches)
+        assert pool.num_shared_pages == 0 and pool.num_entries == 0
+        assert [cache.cache_bytes for cache in caches] == [0, 0, 0]
+
+    def test_scheduler_rounds_with_prefix_sharing_and_preemption(self):
+        from repro.serve import (
+            AdmissionPolicy,
+            ContinuousBatchingScheduler,
+            InferenceRequest,
+            ModelRepository,
+            SamplingParams,
+            WorkloadFamily,
+        )
+
+        def request(prompt, slo_class):
+            return InferenceRequest(
+                "gpt2-xl", WorkloadFamily.LM, np.asarray(prompt) % 96,
+                sampling=SamplingParams(max_new_tokens=8), slo_class=slo_class,
+            )
+
+        scheduler = ContinuousBatchingScheduler(
+            ModelRepository(bits=4, seed=0),
+            num_slots=2,
+            cache_config=KVCacheConfig(bits=4, page_size=4),
+            admission=AdmissionPolicy(
+                class_priority={"interactive": 10, "batch": 0}, preempt=True
+            ),
+        )
+        pool = scheduler.page_pool
+
+        def assert_balanced():
+            layers = [
+                slot.cache.layer(index)
+                for slot in scheduler._slots
+                if slot is not None
+                for index in range(slot.cache.num_layers)
+            ]
+            self.assert_balanced(pool, layers)
+            assert scheduler.kv_cache_bytes == sum(map(_resident_bytes, layers))
+
+        document = np.arange(12)
+        for suffix in (50, 60):
+            scheduler.submit(request(np.r_[document, suffix, suffix + 1], "batch"))
+        for _ in range(3):
+            scheduler.step()
+            assert_balanced()
+        scheduler.submit(request(np.r_[document, 70], "interactive"))
+        for _ in range(80):
+            if not len(scheduler):
+                break
+            scheduler.step()
+            assert_balanced()
+        assert scheduler.preempted == 1
+        assert pool.prefix_pages_attached > 0
+        assert pool.num_shared_pages == _shared_pages(pool)
+
+
 class TestRowDtype:
     """Rows, blocks and decoded pages hold the dtype of the appended K/V, and
     the decoded-row gauge counts their true bytes."""
