@@ -58,8 +58,9 @@ request/response engine:
   typed rejections, orders admission by per-class priority, enforces
   request deadlines / queue timeouts (terminal
   ``finish_reason="deadline"``), lets higher-priority arrivals preempt
-  lower-priority active slots (sealed pages re-attach copy-on-write via
-  the prefix index, so resume re-prefills only the unsealed suffix), and
+  lower-priority active slots (the slot re-queues itself without its KV
+  cache; sealed pages re-attach copy-on-write via the prefix index, so
+  resume re-prefills only the unsealed suffix), and
   optionally sheds below-floor traffic while burn-rate alerts fire;
 * :mod:`repro.serve.errors` — the retryable/terminal
   :class:`~repro.serve.requests.ServingError` taxonomy, paired with the
@@ -100,7 +101,6 @@ from repro.serve.errors import (
     QueueFullError,
     QuotaExceededError,
     RateLimitedError,
-    RetryableServingError,
     is_retryable,
 )
 from repro.serve.faultinject import FaultInjector, FaultSchedule, FaultSpec
@@ -132,9 +132,7 @@ from repro.serve.health import (
 )
 from repro.serve.sampling import (
     FinishReason,
-    LogitsProcessor,
     RequestOutput,
-    SampledToken,
     Sampler,
     SamplingParams,
     TemperatureWarper,
@@ -148,15 +146,13 @@ from repro.serve.spec import SpeculativeConfig, SpeculativeDecoder
 from repro.serve.kvcache import (
     KVCacheConfig,
     LayerKVCache,
-    PageHandle,
     PagePool,
     SequenceKVCache,
     cache_for_model,
 )
-from repro.serve.repository import ModelRepository, PackedModel, RepositoryStats
+from repro.serve.repository import ModelRepository
 from repro.serve.requests import (
     InferenceRequest,
-    InferenceResult,
     ServingError,
     WorkloadFamily,
 )
@@ -165,17 +161,13 @@ from repro.serve.stats import (
     BatchRecord,
     DecodeRoundRecord,
     ServingStats,
-    ServingSummary,
 )
 from repro.serve.telemetry import (
     NULL_TRACER,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     NullTracer,
     PhaseReport,
-    PhaseRow,
     Span,
     Tracer,
     exponential_buckets,
@@ -200,40 +192,30 @@ __all__ = [
     "FinishReason",
     "Gateway",
     "GatewayConfig",
-    "Gauge",
     "HealthConfig",
     "HealthEvent",
     "HealthMonitor",
-    "Histogram",
     "InferenceEngine",
     "InferenceRequest",
-    "InferenceResult",
     "InjectedFault",
     "KVCacheConfig",
     "LayerKVCache",
     "LoadRunner",
-    "LogitsProcessor",
     "MicroBatcher",
     "MetricsRegistry",
     "ModelRepository",
     "NULL_TRACER",
     "NullTracer",
-    "PackedModel",
-    "PageHandle",
     "PagePool",
     "PhaseReport",
-    "PhaseRow",
     "QueueFullError",
     "QueuedRequest",
     "QuotaExceededError",
     "RateLimitedError",
-    "RepositoryStats",
     "RequestOutput",
     "ResponseEnvelope",
     "RetryPolicy",
-    "RetryableServingError",
     "SLOClass",
-    "SampledToken",
     "Sampler",
     "SamplingParams",
     "SequenceKVCache",
@@ -243,7 +225,6 @@ __all__ = [
     "ServingEngine",
     "ServingError",
     "ServingStats",
-    "ServingSummary",
     "TemperatureWarper",
     "TenantConfig",
     "TenantLoad",

@@ -16,9 +16,9 @@ the work it holds:
   queued request first (FIFO among equals), and with ``preempt=True`` a
   queued request may evict a strictly lower-priority active slot: the
   victim's sealed KV pages are registered under the prefix index (already
-  packed OVP bytes — eviction costs no re-quantization) and the request is
-  re-queued; resume re-attaches them copy-on-write and prefills only the
-  open-page suffix.
+  packed OVP bytes — eviction costs no re-quantization) and the victim's
+  slot re-queues itself, minus its KV cache; resume re-attaches the pages
+  copy-on-write and prefills only the open-page suffix.
 * ``shed_on_burn_rate`` consults the :class:`~repro.serve.health
   .HealthMonitor`: while any burn-rate alert is firing, submissions whose
   priority falls below ``shed_priority_floor`` are rejected with

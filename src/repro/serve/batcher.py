@@ -32,8 +32,9 @@ class QueuedRequest:
     """A request plus its enqueue timestamp (for latency accounting).
 
     ``resume`` is ``None`` for fresh submissions; the continuous-batching
-    scheduler re-queues a preempted request with its saved decode state
-    attached so admission can restore the slot instead of restarting it.
+    scheduler re-queues a preempted request with its own slot attached
+    (stream state included, KV cache dropped), so admission re-admits that
+    slot instead of restarting the request.
     """
 
     request: InferenceRequest

@@ -53,7 +53,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.serve.errors import ServingError
 from repro.serve.sampling import FinishReason
-from repro.serve.stats import _LATENCY_BUCKETS
+from repro.serve.stats import _request_instruments
 from repro.serve.telemetry import MetricsRegistry
 
 __all__ = [
@@ -252,18 +252,7 @@ class HealthMonitor:
         r = registry
         # The read-side instruments ServingStats populates; created here too
         # so a monitor can attach before (or without) any stats traffic.
-        self._m_ttft = r.histogram(
-            "serve_ttft_seconds", "Enqueue to first streamed token",
-            _LATENCY_BUCKETS, labels=("slo_class",),
-        )
-        self._m_latency = r.histogram(
-            "serve_request_latency_seconds", "Enqueue-to-completion latency",
-            _LATENCY_BUCKETS, labels=("slo_class",),
-        )
-        self._m_finished = r.counter(
-            "serve_requests_finished_total", "Finished generation requests",
-            labels=("reason", "slo_class", "tenant"),
-        )
+        self._m_ttft, self._m_latency, self._m_finished = _request_instruments(r)
         # The write-side (derived) instruments.
         self._m_attainment = r.gauge(
             "serve_slo_attainment",

@@ -200,7 +200,7 @@ class PagePool:
 
     A pool is owned by one scheduler/engine (single-threaded use); sequences
     register pages as they seal, attach to existing pages on prefix hits, and
-    release their references on retire.  Three concerns live here:
+    release their references on retire.  Four concerns live here:
 
     * **refcounting** — a page is dropped once its last holder releases it;
     * **batched decode** — :meth:`decoded_many` is the one funnel every packed

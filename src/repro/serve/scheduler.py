@@ -40,10 +40,10 @@ admits/retires sequences *mid-flight*:
   with ``finish_reason="deadline"`` exactly like :meth:`cancel`, and a
   queued higher-priority request may *preempt* the lowest-priority active
   slot.  Eviction is cheap: the victim's sealed pages are already packed OVP
-  bytes, so they are registered under the prefix index, the slot drops, and
-  the re-queued request resumes by re-attaching them copy-on-write and
-  prefilling only the open-page suffix — greedy output is token-identical
-  to an uninterrupted run;
+  bytes, so they are registered under the prefix index, the slot drops its
+  cache and re-queues itself, stream state and all, and re-admission
+  re-attaches the pages copy-on-write and prefills only the open-page
+  suffix — greedy output is token-identical to an uninterrupted run;
 * **chunked prefill** — every admission takes its slot at once and appends
   its un-shared suffix's K/V through one prefill loop, one chunk per round,
   interleaved with the other slots' decode steps; intermediate chunks skip
@@ -170,17 +170,22 @@ class _RoundLedger:
 
 @dataclass(eq=False)
 class _Slot:
-    """One in-flight sequence: its request, KV cache and decode progress.
+    """One sequence: its request, KV cache and decode progress.
+
+    A preempted slot re-queues as itself (``QueuedRequest.resume``) minus its
+    ``entry`` and ``cache``, so the queue pins no K/V rows; re-admission gives
+    it fresh ones, and its stream state carries over, generator included (a
+    seeded sampled request keeps drawing from the same stream).
 
     Slots compare by identity: the generated field-wise ``__eq__`` would
     compare numpy fields and raise.
     """
 
     queued: QueuedRequest
-    entry: PackedModel
-    cache: SequenceKVCache
-    sampler: Sampler
-    generator: np.random.Generator
+    entry: Optional[PackedModel] = None
+    cache: Optional[SequenceKVCache] = None
+    sampler: Optional[Sampler] = None
+    generator: Optional[np.random.Generator] = None
     generated: List[int] = field(default_factory=list)
     logprobs: List[float] = field(default_factory=list)
     top_logprobs: List[Tuple[Tuple[int, float], ...]] = field(default_factory=list)
@@ -193,6 +198,7 @@ class _Slot:
     # completed) and the full chain for prefix registration.
     pending_tokens: Optional[np.ndarray] = None
     chain: Optional[np.ndarray] = None
+    preempted_at: Optional[float] = None  # the queue timeout restarts here
 
     @property
     def prefilling(self) -> bool:
@@ -206,29 +212,6 @@ class _Slot:
     @property
     def done(self) -> bool:
         return self.finish_reason is not None
-
-
-@dataclass
-class _ResumeState:
-    """Decode state saved when a slot is preempted, restored at re-admission.
-
-    Everything needed to continue the stream exactly where it paused: the
-    tokens already emitted, the sampler *and its generator* (so a seeded
-    sampled request keeps drawing from the same stream), and the last
-    distribution (for the final-position report if the request is cancelled
-    or expires while re-queued).  The KV bytes themselves are *not* here —
-    the sealed pages live on in the page pool under the prefix index, and
-    resume re-attaches them copy-on-write.
-    """
-
-    generated: List[int]
-    logprobs: List[float]
-    top_logprobs: List[Tuple[Tuple[int, float], ...]]
-    sampler: Sampler
-    generator: np.random.Generator
-    last_log_probs: Optional[np.ndarray]
-    last_token_at: Optional[float]
-    preempted_at: float
 
 
 class ContinuousBatchingScheduler:
@@ -748,29 +731,24 @@ class ContinuousBatchingScheduler:
         the page pool's prefix index, so pages already sealed attach
         copy-on-write instead of re-prefilling.  The un-appended rest parks
         on the slot as ``pending_tokens`` for :meth:`_advance_prefills`.  A
-        resumed request restores its stream state here, so a cancel or
-        deadline landing mid-prefill still reports everything delivered
-        before its eviction.
+        resumed request re-admits its own slot, so a cancel or deadline
+        landing mid-prefill still reports everything delivered before its
+        eviction.
         """
-        resume = queued.resume
-        if resume is None:
+        slot = queued.resume
+        if slot is None:
             sampler = Sampler(queued.request.sampling)
-            generator = sampler.make_generator()
+            slot = _Slot(
+                queued=queued,
+                entry=entry,
+                cache=cache,
+                sampler=sampler,
+                generator=sampler.make_generator(),
+            )
         else:
-            sampler, generator = resume.sampler, resume.generator
-        slot = _Slot(
-            queued=queued,
-            entry=entry,
-            cache=cache,
-            sampler=sampler,
-            generator=generator,
-        )
-        if resume is not None:
-            slot.generated = list(resume.generated)
-            slot.logprobs = list(resume.logprobs)
-            slot.top_logprobs = list(resume.top_logprobs)
-            slot.last_log_probs = resume.last_log_probs
-            slot.last_token_at = resume.last_token_at
+            slot.entry, slot.cache = entry, cache
+            slot.prefill_tokens = slot.shared_tokens = 0
+            slot.pending_tokens = slot.chain = slot.finish_reason = None
         self._slots[index] = slot
         slot.chain = _fed_chain(queued.request, slot.generated)
         shared = self._lookup_prefix(queued.request, slot.chain)
@@ -874,14 +852,17 @@ class ContinuousBatchingScheduler:
                 self.page_pool.register_prefix(
                     self._prefix_key(slot.request), slot.chain, slot.cache
                 )
-            if slot.queued.resume is None:
+            # A slot that already emitted tokens is a resumed one: its next
+            # token was delivered before eviction.
+            resumed = bool(slot.generated)
+            if not resumed:
                 self._emit_token(slot, log_probs[row], now)
                 completed.append(slot)
             if self.tracer.enabled:
                 self.tracer.lifecycle_begin(
                     slot.request.request_id,
                     "decode",
-                    {"resumed": True} if slot.queued.resume is not None else None,
+                    {"resumed": True} if resumed else None,
                 )
         return completed, take * len(slots)
 
@@ -949,13 +930,14 @@ class ContinuousBatchingScheduler:
         return best
 
     def _preempt(self, index: int) -> None:
-        """Evict one active slot and re-queue its request for resume.
+        """Evict one active slot and re-queue it for resume.
 
-        The cheap-evict path ROADMAP item 4 promised: the sequence's sealed
-        pages are *already* packed OVP bytes, so registering them under the
-        prefix index (taking index references) and dropping the slot costs
-        no re-quantization; only the open page's rows (< page_size tokens)
-        will be re-prefilled at resume.  No terminal chunk is emitted — the
+        Eviction is cheap: the sequence's sealed pages are *already* packed
+        OVP bytes, so registering them under the prefix index (taking index
+        references) and dropping the cache costs no re-quantization; only
+        the open page's rows (< page_size tokens) will be re-prefilled at
+        resume.  The slot itself re-queues as ``QueuedRequest.resume``,
+        carrying its stream state.  No terminal chunk is emitted — the
         stream simply pauses and continues at the same index after resume,
         preserving the exactly-one-terminal-marker invariant.
         """
@@ -967,27 +949,20 @@ class ContinuousBatchingScheduler:
             # the rest.
             chain = _fed_chain(request, slot.generated)[: slot.cache.seq_len]
             self.page_pool.register_prefix(self._prefix_key(request), chain, slot.cache)
-        if slot.prefilling and not slot.generated:
-            # A fresh request evicted before its prefill completed has
-            # emitted nothing and drawn nothing from its generator: it
-            # re-queues as if never admitted (the indexed pages still make
-            # its next admission cheap).
-            resume = None
-        else:
-            resume = _ResumeState(
-                generated=list(slot.generated),
-                logprobs=list(slot.logprobs),
-                top_logprobs=list(slot.top_logprobs),
-                sampler=slot.sampler,
-                generator=slot.generator,
-                last_log_probs=slot.last_log_probs,
-                last_token_at=slot.last_token_at,
-                preempted_at=self.clock(),
-            )
+        # Drop the cache, not just its page references: release() keeps the
+        # row buffers, sized for prompt + max_new_tokens, and a queued
+        # request must not pin them.
         slot.cache.release()
+        slot.cache = slot.entry = None
+        slot.preempted_at = self.clock()
         self._slots[index] = None
         self.preempted += 1
         self._ledger.preempt_classes.append(request.slo_class)
+        # A fresh request evicted before its prefill completed has emitted
+        # nothing and drawn nothing from its generator: it re-queues as if
+        # never admitted (the indexed pages still make its next admission
+        # cheap).
+        resume = None if slot.prefilling and not slot.generated else slot
         self._queue.append(
             QueuedRequest(
                 request=request, enqueued_at=slot.queued.enqueued_at, resume=resume
@@ -997,10 +972,7 @@ class ContinuousBatchingScheduler:
             self.tracer.lifecycle_begin(
                 request.request_id,
                 "queued",
-                {
-                    "preempted": True,
-                    "tokens": len(resume.generated) if resume is not None else 0,
-                },
+                {"preempted": True, "tokens": len(slot.generated)},
             )
 
     def _prefix_key(self, request: InferenceRequest) -> tuple:
@@ -1110,12 +1082,8 @@ class ContinuousBatchingScheduler:
                 del self._queue[position]
                 self.cancelled += 1
                 result = self._queued_terminal_result(
-                    queued, now, self.num_active, FinishReason.ABORTED
+                    queued, now, FinishReason.ABORTED
                 )
-                if self.tracer.enabled:
-                    self.tracer.lifecycle_end(
-                        request_id, {"reason": FinishReason.ABORTED}
-                    )
                 self._flush_if_idle(now)
                 return result
         for index, slot in enumerate(self._slots):
@@ -1138,12 +1106,43 @@ class ContinuousBatchingScheduler:
 
         Releases the KV cache and page-pool references before returning —
         the sequence's memory is reclaimable immediately, not at the next
-        step — records the finish and emits the terminal marker chunk.  A
-        cancel or deadline expiry (no ``exc``) returns the result built at
-        ``now`` from whatever the stream produced so far; a failure records
-        ``exc`` for :meth:`take_failures` instead and returns ``None``.
+        step — and ends the stream (:meth:`_end_stream`).
         """
         slot = self._slots[index]
+        result = self._end_stream(slot, reason, now, exc)
+        slot.cache.release()
+        self._slots[index] = None
+        return result
+
+    def _queued_terminal_result(
+        self, queued: QueuedRequest, now: float, reason: str
+    ) -> InferenceResult:
+        """End the stream of a request that holds no slot (:meth:`_end_stream`).
+
+        A preempted request reports through its own re-queued slot, so a
+        cancel/deadline that lands mid-requeue delivers every token emitted
+        before eviction and its terminal chunk continues the stream at the
+        next index.  A request never admitted reports through a bare slot:
+        nothing produced, terminal chunk at index 0.
+        """
+        slot = queued.resume or _Slot(queued)
+        return self._end_stream(slot, reason, now)
+
+    def _end_stream(
+        self,
+        slot: _Slot,
+        reason: str,
+        now: Optional[float] = None,
+        exc: Optional[Exception] = None,
+    ) -> Optional[InferenceResult]:
+        """End ``slot``'s stream early (cancel, deadline or error) with ``reason``.
+
+        Records the finish, emits the terminal marker chunk and closes the
+        request's lifecycle.  A cancel or deadline expiry (no ``exc``)
+        returns the result built at ``now`` from whatever the stream
+        produced so far; a failure records ``exc`` for :meth:`take_failures`
+        instead and returns ``None``.
+        """
         request = slot.request
         slot.finish_reason = reason
         result = None
@@ -1151,8 +1150,6 @@ class ContinuousBatchingScheduler:
             result = self._build_result(slot, now, self.num_active)
         else:
             self._failed.append((request.request_id, exc))
-        slot.cache.release()
-        self._slots[index] = None
         self._ledger.finish(reason, request, result.latency if result else None)
         self._chunks.append(
             TokenChunk(
@@ -1179,55 +1176,6 @@ class ContinuousBatchingScheduler:
         """
         if not len(self):
             self._record_round(0, 0, 0, [], now, self.page_pool.counters())
-
-    def _queued_terminal_result(
-        self, queued: QueuedRequest, now: float, active: int, reason: str
-    ) -> InferenceResult:
-        """Terminal result of a request that never (re)gained a slot.
-
-        A fresh queued request has produced nothing, but a *preempted*
-        request waiting to resume already streamed tokens — its terminal
-        chunk continues the stream at the next index and its output carries
-        everything emitted before eviction, so clients never lose delivered
-        tokens to a cancel/deadline that lands mid-requeue.
-        """
-        request = queued.request
-        resume = queued.resume
-        self._ledger.finish(reason, request, now - queued.enqueued_at)
-        self._chunks.append(
-            TokenChunk(
-                request_id=request.request_id,
-                index=len(resume.generated) if resume is not None else 0,
-                token_id=None,
-                finish_reason=reason,
-            )
-        )
-        if resume is not None:
-            top = greedy_top_k(
-                resume.last_log_probs, max(1, request.sampling.logprobs)
-            )
-            output = RequestOutput(
-                request_id=request.request_id,
-                finish_reason=reason,
-                token_ids=list(resume.generated),
-                logprobs=list(resume.logprobs),
-                top_logprobs=list(resume.top_logprobs),
-                next_tokens=top["next_tokens"],
-                log_probs=top["log_probs"],
-            )
-        else:
-            output = RequestOutput(
-                request_id=request.request_id, finish_reason=reason
-            )
-        return InferenceResult(
-            request_id=request.request_id,
-            model=request.model,
-            family=request.family,
-            output=output,
-            batch_size=active,
-            enqueued_at=queued.enqueued_at,
-            completed_at=now,
-        )
 
     # ------------------------------------------------------------------ #
     # Deadlines
@@ -1264,14 +1212,8 @@ class ContinuousBatchingScheduler:
                 survivors.append(queued)
                 continue
             expired.append(
-                self._queued_terminal_result(
-                    queued, now, self.num_active, FinishReason.DEADLINE
-                )
+                self._queued_terminal_result(queued, now, FinishReason.DEADLINE)
             )
-            if self.tracer.enabled:
-                self.tracer.lifecycle_end(
-                    request.request_id, {"reason": FinishReason.DEADLINE}
-                )
         self._queue = survivors
         for index, slot in enumerate(self._slots):
             if slot is None or slot.request.deadline_s is None:
@@ -1547,8 +1489,10 @@ class ContinuousBatchingScheduler:
             top = {"next_tokens": [], "log_probs": []}
         else:
             top = greedy_top_k(slot.last_log_probs, max(1, request.sampling.logprobs))
-        kv_summary = slot.cache.memory_summary()
-        kv_summary["prefix_shared_tokens"] = slot.shared_tokens
+        kv_summary = None
+        if slot.cache is not None:
+            kv_summary = slot.cache.memory_summary()
+            kv_summary["prefix_shared_tokens"] = slot.shared_tokens
         output = RequestOutput(
             request_id=request.request_id,
             finish_reason=slot.finish_reason,
@@ -1567,7 +1511,7 @@ class ContinuousBatchingScheduler:
             batch_size=occupancy_now,
             enqueued_at=slot.queued.enqueued_at,
             completed_at=completed_at,
-            scheme=slot.entry.scheme,
+            scheme=slot.entry.scheme if slot.entry is not None else None,
         )
 
     def _register_generated_suffix(self, slot: _Slot) -> None:

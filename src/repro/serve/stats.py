@@ -35,6 +35,31 @@ _DEFAULT_CLASS = "default"
 _DEFAULT_TENANT = "-"
 
 
+def _request_instruments(registry: MetricsRegistry) -> tuple:
+    """``(ttft, latency, finished)``: the instruments of request outcomes.
+
+    :class:`ServingStats` writes them and
+    :class:`~repro.serve.health.HealthMonitor` reads them, and the registry
+    keeps the help text of whichever attaches first, so both take them from
+    this one declaration.
+    """
+    return (
+        registry.histogram(
+            "serve_ttft_seconds", "Enqueue to first streamed token",
+            _LATENCY_BUCKETS, labels=("slo_class",),
+        ),
+        registry.histogram(
+            "serve_request_latency_seconds", "Enqueue-to-completion latency",
+            _LATENCY_BUCKETS, labels=("slo_class",),
+        ),
+        registry.counter(
+            "serve_requests_finished_total",
+            "Finished generation requests",
+            labels=("reason", "slo_class", "tenant"),
+        ),
+    )
+
+
 def _classes_for(values, classes) -> tuple:
     """Per-value SLO classes, backfilled with ``default`` on length mismatch.
 
@@ -162,7 +187,7 @@ class DecodeRoundRecord:
 
     @property
     def pool_hit_rate(self) -> float:
-        """Fraction of page decode requests that reused a decode in the batch."""
+        """Fraction of page fetches a live shared prefix block served, undecoded."""
         fetches = self.pool_hits + self.pool_misses
         return self.pool_hits / fetches if fetches else 0.0
 
@@ -242,7 +267,7 @@ class ServingSummary:
 
     @property
     def pool_hit_rate(self) -> float:
-        """Fraction of page decode requests that reused a decode in the batch."""
+        """Fraction of page fetches a live shared prefix block served, undecoded."""
         fetches = self.pool_hits + self.pool_misses
         return self.pool_hits / fetches if fetches else 0.0
 
@@ -349,11 +374,7 @@ class ServingStats:
         self._m_prefix_pages = r.counter(
             "serve_prefix_pages_attached_total", "Pages adopted from the prefix index"
         )
-        self._m_finished = r.counter(
-            "serve_requests_finished_total",
-            "Finished generation requests",
-            labels=("reason", "slo_class", "tenant"),
-        )
+        self._m_ttft, self._m_latency, self._m_finished = _request_instruments(r)
         # Tenant-facing counters (gateway front door; "-" = untenanted).
         self._m_submitted = r.counter(
             "serve_requests_submitted_total",
@@ -385,14 +406,6 @@ class ServingStats:
         )
         self._m_accepted = r.counter(
             "serve_draft_accepted_tokens_total", "Draft tokens the target emitted"
-        )
-        self._m_latency = r.histogram(
-            "serve_request_latency_seconds", "Enqueue-to-completion latency",
-            _LATENCY_BUCKETS, labels=("slo_class",),
-        )
-        self._m_ttft = r.histogram(
-            "serve_ttft_seconds", "Enqueue to first streamed token",
-            _LATENCY_BUCKETS, labels=("slo_class",),
         )
         self._m_gap = r.histogram(
             "serve_inter_token_seconds", "Gap between consecutive streamed tokens", _TOKEN_BUCKETS

@@ -27,6 +27,7 @@ from repro.serve import (
     HealthMonitor,
     InferenceRequest,
     KVCacheConfig,
+    MetricsRegistry,
     ModelRepository,
     PagePool,
     SamplingParams,
@@ -151,6 +152,31 @@ class TestConfigValidation:
 # Attainment from the shared instruments
 # --------------------------------------------------------------------------- #
 class TestAttainment:
+    def test_shared_instruments_render_the_same_whoever_attaches_first(self):
+        names = (
+            "serve_ttft_seconds",
+            "serve_request_latency_seconds",
+            "serve_requests_finished_total",
+        )
+
+        def headers(monitor_first):
+            registry = MetricsRegistry()
+            if monitor_first:
+                HealthMonitor(registry)
+                ServingStats(registry=registry)
+            else:
+                ServingStats(registry=registry)
+                HealthMonitor(registry)
+            return sorted(
+                line
+                for line in registry.render().splitlines()
+                if line.startswith(("# HELP", "# TYPE")) and line.split()[2] in names
+            )
+
+        monitor_first = headers(True)
+        assert len(monitor_first) == 2 * len(names)
+        assert monitor_first == headers(False)
+
     def test_ttft_attainment_reads_histogram_buckets(self):
         clock = FakeClock()
         stats, monitor = monitored_stats(clock)

@@ -11,7 +11,8 @@ caches, because resume re-attaches the victim's already-sealed pages via
 the prefix index and re-prefills only the unsealed suffix.
 """
 
-from collections import defaultdict
+import gc
+from collections import defaultdict, deque
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from repro.serve import (
     FinishReason,
     InferenceRequest,
     KVCacheConfig,
+    LayerKVCache,
     MicroBatcher,
     ModelRepository,
     QueueFullError,
     SamplingParams,
+    SequenceKVCache,
     ServingEngine,
     ServingError,
     ServingStats,
@@ -525,6 +528,153 @@ class TestPreemptResume:
             next(s.request.request_id for s in scheduler._slots if s is not None)
         )
         check_refcounts(scheduler)
+
+
+def reachable_kv_caches(roots):
+    """Every KV cache reachable from ``roots`` through containers and repro objects."""
+    seen, found, stack = set(), [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (SequenceKVCache, LayerKVCache)):
+            found.append(obj)
+        if isinstance(obj, (dict, list, tuple, set, deque)) or type(
+            obj
+        ).__module__.startswith("repro."):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestTerminalWhileRequeued:
+    """A cancel or deadline that lands on a preempted, re-queued request.
+
+    The result must carry everything the stream delivered before eviction,
+    report no KV summary or scheme (the request holds no cache), measure
+    latency from the original enqueue, and end the stream exactly once.
+    """
+
+    PROMPT = np.arange(9) % VOCAB
+
+    def victim_request(self, **kwargs):
+        return InferenceRequest(
+            MODEL,
+            WorkloadFamily.LM,
+            self.PROMPT,
+            sampling=SamplingParams(max_new_tokens=8, seed=3, logprobs=2),
+            slo_class="batch",
+            **kwargs,
+        )
+
+    def reference(self, repository, steps):
+        """The same request alone, cancelled after the same number of rounds."""
+        scheduler = ContinuousBatchingScheduler(
+            repository, num_slots=1, cache_config=packed_config()
+        )
+        request = self.victim_request()
+        scheduler.submit(request)
+        for _ in range(steps):
+            assert scheduler.step() == []
+        return scheduler.cancel(request.request_id)
+
+    def preempted(self, repository, now, **victim_kwargs):
+        """A victim that streamed tokens, then was evicted and re-queued."""
+        stats = ServingStats(clock=lambda: now[0])
+        scheduler = ContinuousBatchingScheduler(
+            repository,
+            num_slots=1,
+            cache_config=packed_config(),
+            clock=lambda: now[0],
+            stats=stats,
+            admission=preemption_policy(),
+        )
+        victim = self.victim_request(**victim_kwargs)
+        scheduler.submit(victim)
+        chunks = []
+        for tick in range(3):
+            now[0] = float(tick)
+            assert scheduler.step() == []
+            chunks.extend(scheduler.take_chunks())
+        now[0] = 3.0
+        scheduler.submit(
+            lm_request(np.arange(5), slo_class="interactive", max_new_tokens=20)
+        )
+        assert scheduler.step() == []
+        chunks.extend(scheduler.take_chunks())
+        assert scheduler.preempted == 1
+        assert scheduler.num_queued == 1 and scheduler.has_request(victim.request_id)
+        # Preemption freed the victim's memory: nothing queued pins a KV
+        # cache (its row buffers are sized for prompt + max_new_tokens).
+        assert reachable_kv_caches(scheduler._queue) == []
+        return scheduler, stats, victim, chunks
+
+    def check_terminal(self, repository, scheduler, stats, victim, chunks, result,
+                       reason, completed_at):
+        streamed = [c for c in chunks if c.request_id == victim.request_id]
+        tokens = [c for c in streamed if c.is_token]
+        terminal = [c for c in streamed if c.finish_reason is not None]
+        assert len(tokens) == 3
+        assert len(terminal) == 1 and terminal[0] is streamed[-1]
+        assert terminal[0].finish_reason == reason
+        assert terminal[0].index == len(tokens)
+
+        expected = self.reference(repository, steps=3)
+        output = result.output
+        assert output.finish_reason == reason
+        assert output.token_ids == [c.token_id for c in tokens]
+        assert output.token_ids == expected.output.token_ids
+        assert output.logprobs == expected.output.logprobs
+        assert output.top_logprobs == expected.output.top_logprobs
+        assert len(output.top_logprobs) == 3
+        assert output.next_tokens == expected.output.next_tokens
+        assert output.log_probs == expected.output.log_probs
+        assert len(output.next_tokens) == 2
+        assert output.kv_cache is None
+        assert result.scheme is None
+        assert result.batch_size == scheduler.num_active == 1
+        assert result.enqueued_at == 0.0
+        assert result.completed_at == completed_at
+        assert result.latency == completed_at
+
+        drain(scheduler)
+        assert not [
+            c for c in scheduler.take_chunks() if c.request_id == victim.request_id
+        ]
+        counter = stats.registry.get("serve_requests_finished_total")
+        assert counter.value_sum(slo_class="batch") == 1
+        assert counter.value_sum(reason=reason, slo_class="batch") == 1
+        check_refcounts(scheduler)
+
+    def test_cancel_while_requeued(self, repository):
+        now = [0.0]
+        scheduler, stats, victim, chunks = self.preempted(repository, now)
+        now[0] = 5.0
+        result = scheduler.cancel(victim.request_id)
+        chunks.extend(scheduler.take_chunks())
+        assert scheduler.cancelled == 1
+        self.check_terminal(
+            repository, scheduler, stats, victim, chunks, result,
+            FinishReason.ABORTED, 5.0,
+        )
+
+    def test_deadline_while_requeued(self, repository):
+        now = [0.0]
+        scheduler, stats, victim, chunks = self.preempted(
+            repository, now, deadline_s=6.0
+        )
+        now[0] = 5.0
+        assert scheduler.step() == []
+        chunks.extend(scheduler.take_chunks())
+        now[0] = 7.0
+        results = scheduler.step()
+        chunks.extend(scheduler.take_chunks())
+        (result,) = [r for r in results if r.request_id == victim.request_id]
+        assert scheduler.deadline_expired == 1
+        self.check_terminal(
+            repository, scheduler, stats, victim, chunks, result,
+            FinishReason.DEADLINE, 7.0,
+        )
 
 
 # --------------------------------------------------------------------------- #
