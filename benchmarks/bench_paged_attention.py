@@ -258,7 +258,7 @@ def test_bench_round_attend_vs_padded(
 
 
 def test_bench_shared_prefix_decode_round(
-    run_once, best_of, benchmark, serve_trajectory
+    run_once, paired_ratio, benchmark, serve_trajectory
 ):
     """Cascade decode round over shared document blocks vs per-slot copies."""
     heads, dim = 8, 64  # the scaled tier's attention geometry
@@ -301,14 +301,15 @@ def test_bench_shared_prefix_decode_round(
             out = mha._attend(q, copies)
         return out
 
-    cascade_s = best_of(cascade_round, repeats=7)
-    per_slot_s = best_of(per_slot_round, repeats=7)
+    # Interleaved paired trials: independent best-of-N runs of each side
+    # sample machine noise independently (see conftest.paired_ratio).
+    ratio, cascade_s, per_slot_s = paired_ratio(cascade_round, per_slot_round, trials=31)
     cascade, per_slot = cascade_round(), per_slot_round()
     assert np.abs(cascade - per_slot).max() <= 1e-12
     np.testing.assert_array_equal(cascade.argmax(axis=-1), per_slot.argmax(axis=-1))
     run_once(cascade_round)
 
-    speedup = per_slot_s / cascade_s
+    speedup = 1.0 / ratio
     benchmark.extra_info.update(
         {
             "slots": len(slots),

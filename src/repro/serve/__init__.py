@@ -18,9 +18,8 @@ request/response engine:
   reads views of those rows;
 * :mod:`repro.serve.sampling` — the generation API surface:
   :class:`~repro.serve.sampling.SamplingParams` (temperature / top-k / top-p /
-  stop tokens / seed), a pluggable logits-processor chain and
-  :class:`~repro.serve.sampling.Sampler`, plus the typed streamed/final
-  outputs :class:`~repro.serve.sampling.TokenChunk` and
+  stop tokens / seed) and :class:`~repro.serve.sampling.Sampler`, plus the
+  typed streamed/final outputs :class:`~repro.serve.sampling.TokenChunk` and
   :class:`~repro.serve.sampling.RequestOutput`;
 * :mod:`repro.serve.scheduler` — slot-level continuous batching that admits
   and retires generation sequences mid-flight, samples per-slot with
@@ -135,11 +134,7 @@ from repro.serve.sampling import (
     RequestOutput,
     Sampler,
     SamplingParams,
-    TemperatureWarper,
     TokenChunk,
-    TopKFilter,
-    TopPFilter,
-    default_processors,
     top_k_candidates,
 )
 from repro.serve.spec import SpeculativeConfig, SpeculativeDecoder
@@ -225,19 +220,15 @@ __all__ = [
     "ServingEngine",
     "ServingError",
     "ServingStats",
-    "TemperatureWarper",
     "TenantConfig",
     "TenantLoad",
     "TokenChunk",
     "TraceConfig",
     "TraceEvent",
     "Tracer",
-    "TopKFilter",
-    "TopPFilter",
     "VirtualClock",
     "WorkloadFamily",
     "cache_for_model",
-    "default_processors",
     "exponential_buckets",
     "generate_trace",
     "is_retryable",

@@ -413,12 +413,12 @@ class ServingEngine:
                 results.extend(batch_results)
         try:
             results.extend(self.lm_scheduler.step())
-        except Exception as exc:
+        except Exception:
             # A decode-round error (e.g. a model without a positional limit
             # outgrowing its table) must not lose the micro-batch results
-            # above or wedge the engine: abort the in-flight sequences (their
-            # failures drain just below), keeping the slots serviceable.
-            self.lm_scheduler.abort_active(exc)
+            # above or wedge the engine.  The failed round already ended its
+            # in-flight sequences in error; their failures drain just below.
+            pass
         for request_id, exc in self.lm_scheduler.take_failures():
             self._record_failure(request_id, exc)
         self._buffer_chunks()

@@ -22,10 +22,10 @@ through the seams the scheduler already exposes:
 
 Faults raise :class:`~repro.serve.errors.InjectedFault` (retryable), and
 :func:`drive` mirrors the engine's recovery discipline — a fault escaping
-``step()`` aborts the in-flight slots via ``abort_active`` and stepping
-continues — so the chaos suite can assert the PR-5 invariants (balanced
-refcounts, exactly one terminal finish reason per request, a still-serving
-scheduler) under every schedule.
+``step()`` has already ended the round's in-flight slots in error, and
+stepping continues — so the chaos suite can assert the serving invariants
+(balanced refcounts, exactly one terminal finish reason per request, a
+still-serving scheduler) under every schedule.
 """
 
 from __future__ import annotations
@@ -312,9 +312,10 @@ def drive(
 
     Submits one pending request per round (plus any ``queue_burst``
     extras), steps the scheduler, and absorbs faults exactly the way the
-    engine does: admission rejections are recorded and dropped, an
-    :class:`InjectedFault` escaping ``step()`` aborts the in-flight slots
-    with ``abort_active`` and the loop keeps stepping.  Raises
+    engine does: admission rejections are recorded and dropped, and after an
+    :class:`InjectedFault` escapes ``step()`` (which ends the round's
+    in-flight slots with it) the loop keeps stepping.  ``aborted`` lists the
+    requests a fault ended, ``failures`` every recorded failure.  Raises
     ``AssertionError`` if the scheduler fails to drain within
     ``max_rounds`` — a converging scheduler under chaos is itself one of
     the invariants.
@@ -322,6 +323,7 @@ def drive(
     pending = list(requests)
     results: List = []
     rejected: List[Tuple[str, Exception]] = []
+    failures: List[Tuple[str, Exception]] = []
     aborted: List[str] = []
     round_index = 0
     while pending or len(scheduler):
@@ -341,13 +343,16 @@ def drive(
         try:
             results.extend(scheduler.step())
         except InjectedFault as exc:
-            aborted.extend(scheduler.abort_active(exc))
+            taken = scheduler.take_failures()
+            failures.extend(taken)
+            aborted.extend(rid for rid, error in taken if error is exc)
+    failures.extend(scheduler.take_failures())
     return {
         "results": results,
         "rejected": rejected,
         "aborted": aborted,
         "rounds": round_index,
-        "failures": scheduler.take_failures(),
+        "failures": failures,
     }
 
 

@@ -6,15 +6,11 @@ This module is the bottom layer of the serving stack's generation redesign:
   request decodes (temperature, top-k/top-p filtering, stop tokens, token
   budget, reported logprobs, seed).  Every
   :class:`~repro.serve.requests.InferenceRequest` carries one.
-* A pluggable **logits-processor chain** (:class:`TemperatureWarper`,
-  :class:`TopKFilter`, :class:`TopPFilter`) — pure ``log_probs → log_probs``
-  transforms composed by :func:`default_processors`; callers may pass their
-  own chain to :class:`Sampler` (the hook the ROADMAP's speculative-decoding
-  item plugs into).
-* :class:`Sampler` — applies the chain and draws one token with a
-  caller-owned :class:`numpy.random.Generator` (one seeded generator per
-  request, so co-batched sequences never perturb each other's draws).  The
-  ``temperature=0`` path bypasses the chain entirely and is bitwise the
+* :class:`Sampler` — applies temperature, top-k and top-p in one sorted
+  pass and draws one token with a caller-owned
+  :class:`numpy.random.Generator` (one seeded generator per request, so
+  co-batched sequences never perturb each other's draws).  The
+  ``temperature=0`` path skips the filters entirely and is bitwise the
   ``int(np.argmax(log_probs))`` the pre-redesign greedy decoder ran.
 * :class:`TokenChunk` / :class:`RequestOutput` — the typed streamed/final
   outputs of an LM request.
@@ -28,7 +24,7 @@ and the *order* among equal log-probs unspecified across NumPy versions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,16 +32,11 @@ from repro.serve.errors import ServingError
 
 __all__ = [
     "FinishReason",
-    "LogitsProcessor",
     "RequestOutput",
     "SampledToken",
     "Sampler",
     "SamplingParams",
-    "TemperatureWarper",
     "TokenChunk",
-    "TopKFilter",
-    "TopPFilter",
-    "default_processors",
     "top_k_candidates",
 ]
 
@@ -160,95 +151,6 @@ def _top_logprob_pairs(log_probs: np.ndarray, k: int) -> Tuple[Tuple[int, float]
 
 
 # --------------------------------------------------------------------------- #
-# Logits processors
-# --------------------------------------------------------------------------- #
-class LogitsProcessor:
-    """One pure transform of a log-prob vector.
-
-    Processors never mutate their input and never renormalize — the sampler
-    renormalizes once after the whole chain has run, so chains compose without
-    order-dependent drift.
-    """
-
-    def __call__(self, log_probs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class TemperatureWarper(LogitsProcessor):
-    """Scale log-probs by ``1/temperature`` (sharpen < 1 < soften)."""
-
-    def __init__(self, temperature: float) -> None:
-        if temperature <= 0:
-            raise ServingError("TemperatureWarper needs temperature > 0")
-        self.temperature = float(temperature)
-
-    def __call__(self, log_probs: np.ndarray) -> np.ndarray:
-        return log_probs / self.temperature
-
-
-class TopKFilter(LogitsProcessor):
-    """Mask everything below the k-th largest log-prob to ``-inf``.
-
-    Boundary ties are all kept (the filter may pass more than ``k`` tokens),
-    which makes the kept set independent of ``np.partition``'s unspecified
-    tie handling.
-    """
-
-    def __init__(self, top_k: int) -> None:
-        if top_k < 1:
-            raise ServingError("TopKFilter needs top_k >= 1")
-        self.top_k = int(top_k)
-
-    def __call__(self, log_probs: np.ndarray) -> np.ndarray:
-        vocab = log_probs.shape[-1]
-        if self.top_k >= vocab:
-            return log_probs
-        kth = np.partition(log_probs, vocab - self.top_k)[vocab - self.top_k]
-        return np.where(log_probs >= kth, log_probs, -np.inf)
-
-
-class TopPFilter(LogitsProcessor):
-    """Nucleus filter: keep the smallest prefix of tokens reaching ``top_p``.
-
-    Tokens are ranked by the deterministic stable order (descending log-prob,
-    ascending id among ties); the first token is always kept.
-    """
-
-    def __init__(self, top_p: float) -> None:
-        if not 0.0 < top_p <= 1.0:
-            raise ServingError("TopPFilter needs top_p in (0, 1]")
-        self.top_p = float(top_p)
-
-    def __call__(self, log_probs: np.ndarray) -> np.ndarray:
-        if self.top_p >= 1.0:
-            return log_probs
-        order = np.argsort(-log_probs, kind="stable")
-        sorted_lp = log_probs[order]
-        probs = np.exp(sorted_lp - sorted_lp[0])
-        cdf = np.cumsum(probs)
-        # Keep every token whose mass *starts* inside the nucleus, so the
-        # first token always survives and the kept set just covers top_p.
-        # cdf[i-1] is where token i starts; searchsorted finds the cut in
-        # one pass (cdf is unnormalized, so scale the threshold instead).
-        kept = 1 + int(np.searchsorted(cdf[:-1], self.top_p * cdf[-1], side="left"))
-        mask = np.full(log_probs.shape[-1], -np.inf)
-        mask[order[:kept]] = sorted_lp[:kept]
-        return mask
-
-
-def default_processors(params: SamplingParams) -> Tuple[LogitsProcessor, ...]:
-    """The standard chain for ``params``: temperature → top-k → top-p."""
-    chain: List[LogitsProcessor] = []
-    if params.temperature > 0 and params.temperature != 1.0:
-        chain.append(TemperatureWarper(params.temperature))
-    if params.top_k > 0:
-        chain.append(TopKFilter(params.top_k))
-    if params.top_p < 1.0:
-        chain.append(TopPFilter(params.top_p))
-    return tuple(chain)
-
-
-# --------------------------------------------------------------------------- #
 # Sampler
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
@@ -266,12 +168,9 @@ class Sampler:
     Parameters
     ----------
     params:
-        The request's :class:`SamplingParams`.
-    processors:
-        Optional explicit logits-processor chain; defaults to
-        :func:`default_processors`.  The chain only runs on the sampled path —
-        ``temperature=0`` short-circuits to ``argmax`` so the greedy result is
-        bitwise identical to the pre-sampling decoder.
+        The request's :class:`SamplingParams`.  ``temperature=0``
+        short-circuits to ``argmax``, so the greedy result is bitwise
+        identical to the pre-sampling decoder.
 
     Speculative decoding (:mod:`repro.serve.spec`) relies on exactly this
     per-position contract: the verify round calls :meth:`sample` once per
@@ -282,18 +181,8 @@ class Sampler:
     (exact-prefix match).
     """
 
-    def __init__(
-        self,
-        params: SamplingParams,
-        processors: Optional[Sequence[LogitsProcessor]] = None,
-    ) -> None:
+    def __init__(self, params: SamplingParams) -> None:
         self.params = params
-        # The default chain is algebraically fusable into one sorted pass
-        # (see _sample_default); a custom chain runs processor by processor.
-        self._default_chain = processors is None
-        self.processors = (
-            tuple(processors) if processors is not None else default_processors(params)
-        )
 
     def make_generator(self) -> np.random.Generator:
         """The request's private generator (seeded when ``params.seed`` is)."""
@@ -313,19 +202,8 @@ class Sampler:
             generator = self.make_generator()
         if self.params.greedy:
             token = int(np.argmax(log_probs))
-        elif self._default_chain:
-            token = self._sample_default(log_probs, generator)
         else:
-            warped = np.asarray(log_probs, dtype=np.float64)
-            for processor in self.processors:
-                warped = processor(warped)
-            # Inverse-CDF draw: one uniform + searchsorted is an order of
-            # magnitude cheaper than Generator.choice(p=...) and runs once
-            # per slot per decode round on the serving hot path.
-            probs = np.exp(warped - np.max(warped))
-            cdf = np.cumsum(probs)
-            draw = generator.random() * cdf[-1]
-            token = min(int(np.searchsorted(cdf, draw, side="right")), cdf.size - 1)
+            token = self._sample_default(log_probs, generator)
         top = (
             _top_logprob_pairs(log_probs, self.params.logprobs)
             if self.params.logprobs > 0
@@ -338,9 +216,12 @@ class Sampler:
     ) -> int:
         """Temperature → top-k → top-p → draw, fused into one sorted pass.
 
-        Equivalent to running the default processor chain (same kept sets,
-        boundary ties included, same nucleus rule) but with a fraction of
-        the NumPy calls — this runs once per slot per decode round.
+        Top-k keeps every token tied with the k-th largest log-prob (the kept
+        set never depends on how a partition orders ties); top-p keeps the
+        smallest prefix of the descending order whose mass reaches ``top_p``.
+        The draw is inverse-CDF: one uniform and a ``searchsorted``, much
+        cheaper than ``Generator.choice(p=...)`` — this runs once per slot
+        per decode round.
         """
         params = self.params
         lp = np.asarray(log_probs, dtype=np.float64)
@@ -350,7 +231,7 @@ class Sampler:
         warped = sorted_lp / params.temperature if params.temperature != 1.0 else sorted_lp
         keep = sorted_lp.size
         if 0 < params.top_k < keep:
-            # Boundary ties all survive, as in TopKFilter.
+            # Boundary ties all survive.
             keep = int(
                 np.searchsorted(-sorted_lp, -sorted_lp[params.top_k - 1], "right")
             )
@@ -359,7 +240,7 @@ class Sampler:
         kept = keep
         if params.top_p < 1.0 and keep > 1:
             # Token i starts at cdf[i-1]; keep tokens starting inside the
-            # nucleus (first always kept), as in TopPFilter.
+            # nucleus (first always kept).
             kept = 1 + int(
                 np.searchsorted(cdf[: keep - 1], params.top_p * cdf[-1], side="left")
             )

@@ -57,9 +57,10 @@ admits/retires sequences *mid-flight*:
 Every sampled token is also emitted as a
 :class:`~repro.serve.sampling.TokenChunk` (drained by the engine's
 ``stream()``), and every round is recorded as a
-:class:`~repro.serve.stats.DecodeRoundRecord` — slot occupancy, resident KV
-bytes, finish reasons and streamed-token latencies (time-to-first-token and
-inter-token gaps).
+:class:`~repro.serve.stats.DecodeRoundRecord` — slot occupancy, tokens and
+resident KV bytes.  Request outcomes (time to first token, inter-token gaps,
+finishes, preemptions) go to :class:`~repro.serve.stats.ServingStats` the
+moment they happen.
 """
 
 from __future__ import annotations
@@ -136,38 +137,6 @@ def _fed_chain(request: InferenceRequest, generated: List[int]) -> np.ndarray:
     )
 
 
-@dataclass
-class _RoundLedger:
-    """What happened between two stats records, drained by ``_record_round``.
-
-    Cancellations and aborts between steps land here too, so the next
-    recorded round carries them.
-    """
-
-    ttfts: List[float] = field(default_factory=list)
-    ttft_classes: List[str] = field(default_factory=list)
-    gaps: List[float] = field(default_factory=list)
-    finishes: List[str] = field(default_factory=list)
-    finish_classes: List[str] = field(default_factory=list)
-    finish_tenants: List[str] = field(default_factory=list)
-    latencies: List[float] = field(default_factory=list)
-    latency_classes: List[str] = field(default_factory=list)
-    preempt_classes: List[str] = field(default_factory=list)
-    proposed: int = 0
-    accepted: int = 0
-
-    def finish(
-        self, reason: str, request: InferenceRequest, latency: Optional[float] = None
-    ) -> None:
-        """Record one terminal outcome (with its latency when it has one)."""
-        self.finishes.append(reason)
-        self.finish_classes.append(request.slo_class)
-        self.finish_tenants.append(request.tenant)
-        if latency is not None:
-            self.latencies.append(latency)
-            self.latency_classes.append(request.slo_class)
-
-
 @dataclass(eq=False)
 class _Slot:
     """One sequence: its request, KV cache and decode progress.
@@ -233,8 +202,9 @@ class ContinuousBatchingScheduler:
     cache_config:
         KV-cache precision/paging; defaults to the repository's bit width.
     stats:
-        Optional :class:`~repro.serve.stats.ServingStats` that receives one
-        :class:`~repro.serve.stats.DecodeRoundRecord` per non-empty round.
+        The :class:`~repro.serve.stats.ServingStats` that receives one
+        :class:`~repro.serve.stats.DecodeRoundRecord` per non-empty round and
+        every request outcome; by default the scheduler builds its own.
     page_pool:
         Optional shared :class:`~repro.serve.kvcache.PagePool`; by default the
         scheduler builds its own.
@@ -312,7 +282,7 @@ class ContinuousBatchingScheduler:
                 )
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self.clock = clock
-        self.stats = stats
+        self.stats = stats if stats is not None else ServingStats(clock=clock)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.share_generated_suffix = bool(share_generated_suffix)
         if speculative is None:
@@ -341,7 +311,8 @@ class ContinuousBatchingScheduler:
         self._slots: List[Optional[_Slot]] = [None] * self.num_slots
         self._failed: List[Tuple[str, Exception]] = []
         self._chunks: List[TokenChunk] = []
-        self._ledger = _RoundLedger()
+        # Draft tokens proposed / accepted in the current round.
+        self._proposed = self._accepted = 0
         # Deadline-expired results a failed round could not deliver; the
         # next step() call returns them first (see the round's except path).
         self._expired_stash: List[InferenceResult] = []
@@ -383,8 +354,7 @@ class ContinuousBatchingScheduler:
         if request.deadline_s is not None:
             self._deadline_watch = True
         self._queue.append(QueuedRequest(request=request, enqueued_at=self.clock()))
-        if self.stats is not None:
-            self.stats.record_submitted(request.tenant, request.slo_class)
+        self.stats.record_submitted(request.tenant, request.slo_class)
         if self.tracer.enabled:
             self.tracer.lifecycle_begin(
                 request.request_id, "queued", {"model": request.model}
@@ -401,10 +371,7 @@ class ContinuousBatchingScheduler:
             and len(self._queue) >= policy.max_queue_depth
         ):
             self.rejected += 1
-            if self.stats is not None:
-                self.stats.record_rejection(
-                    "queue_full", request.slo_class, request.tenant
-                )
+            self.stats.record_rejection("queue_full", request.slo_class, request.tenant)
             raise QueueFullError(
                 f"scheduler queue full "
                 f"({len(self._queue)}/{policy.max_queue_depth}); "
@@ -417,8 +384,7 @@ class ContinuousBatchingScheduler:
             and policy.priority_of(request) < policy.shed_priority_floor
         ):
             self.rejected += 1
-            if self.stats is not None:
-                self.stats.record_rejection("shed", request.slo_class, request.tenant)
+            self.stats.record_rejection("shed", request.slo_class, request.tenant)
             raise AdmissionRejectedError(
                 f"shedding {request.request_id!r} "
                 f"(class {request.slo_class!r}, priority "
@@ -493,12 +459,11 @@ class ContinuousBatchingScheduler:
         if self._deadline_watch:
             expired.extend(self._expire_deadlines())
         if not len(self):
-            if self._ledger.finishes:
-                self._record_round(0, 0, 0, [], self.clock(), self.page_pool.counters())
             return expired
         start = self.clock()
         pool_before = self.page_pool.counters()
         chunk_mark = len(self._chunks)
+        self._proposed = self._accepted = 0
         try:
             with self.tracer.span("round"):
                 self._admit()
@@ -509,16 +474,20 @@ class ContinuousBatchingScheduler:
                 prefill_tokens, fresh = self._advance_prefills()
                 decoded = self._decode_round(exclude=fresh)
                 results = self._retire()
-        except BaseException:
+        except BaseException as exc:
             # A raised round must be atomic for still-live slots: discard
             # the chunks it streamed for them and roll the slots back to the
-            # delivered prefix, so a later abort/cancel terminal lands at
-            # the right index instead of double-terminating the stream.
+            # delivered prefix, then end each in ``error`` with its terminal
+            # at that index.  Stepping a rolled-back slot again would re-feed
+            # K/V its cache already holds (or read a token it never kept).
             # Chunks of slots _retire already freed stay — their salvaged
             # results are delivered next call, as are deadline expiries
             # computed before the round: no terminal outcome is ever lost
             # to the error.
             self._rollback_round_chunks(chunk_mark)
+            for index, slot in enumerate(self._slots):
+                if slot is not None:
+                    self._end_slot(index, FinishReason.ERROR, exc=exc)
             self._expired_stash = expired + self._expired_stash
             raise
         self._record_round(
@@ -531,9 +500,9 @@ class ContinuousBatchingScheduler:
 
         A slot may have sampled its final token (emitting a chunk that
         carries ``finish_reason``) before a later phase of the same round
-        raised.  The slot is still occupied, so the caller's ``abort_active``
-        or ``cancel`` will emit a terminal for it — keeping the round's
-        chunks would double-terminate the stream and desync its indices.
+        raised.  The slot is still occupied and :meth:`step` ends it with a
+        terminal — keeping the round's chunks would double-terminate the
+        stream and desync its indices.
         Chunks for requests no longer in a slot (retired or expired within
         the round) are preserved.
         """
@@ -574,10 +543,7 @@ class ContinuousBatchingScheduler:
     ) -> None:
         compute_seconds = self.clock() - start
         active = self.num_active + len(results)
-        ledger, self._ledger = self._ledger, _RoundLedger()
-        if self.stats is None or not (
-            active or ledger.finishes or ledger.preempt_classes
-        ):
+        if not active:
             return
         pool_after = self.page_pool.counters()
         slot_kv_bytes = tuple(
@@ -593,7 +559,6 @@ class ContinuousBatchingScheduler:
                 compute_seconds=compute_seconds,
                 kv_cache_bytes=sum(slot_kv_bytes),
                 kv_fp32_bytes=self.kv_fp32_bytes,
-                latencies=tuple(ledger.latencies),
                 pool_hits=pool_after["decode_hits"] - pool_before["decode_hits"],
                 pool_misses=pool_after["decode_misses"] - pool_before["decode_misses"],
                 prefix_pages_attached=(
@@ -601,16 +566,8 @@ class ContinuousBatchingScheduler:
                     - pool_before["prefix_pages_attached"]
                 ),
                 shared_pages=self.page_pool.num_shared_pages,
-                finish_reasons=tuple(ledger.finishes),
-                first_token_seconds=tuple(ledger.ttfts),
-                inter_token_seconds=tuple(ledger.gaps),
-                draft_proposed_tokens=ledger.proposed,
-                draft_accepted_tokens=ledger.accepted,
-                latency_classes=tuple(ledger.latency_classes),
-                first_token_classes=tuple(ledger.ttft_classes),
-                finish_classes=tuple(ledger.finish_classes),
-                finish_tenants=tuple(ledger.finish_tenants),
-                preempted_classes=tuple(ledger.preempt_classes),
+                draft_proposed_tokens=self._proposed,
+                draft_accepted_tokens=self._accepted,
                 queue_depth=len(self._queue),
                 slot_kv_bytes=slot_kv_bytes,
                 pool_sealed_bytes=self.page_pool.sealed_bytes,
@@ -957,7 +914,7 @@ class ContinuousBatchingScheduler:
         slot.preempted_at = self.clock()
         self._slots[index] = None
         self.preempted += 1
-        self._ledger.preempt_classes.append(request.slo_class)
+        self.stats.record_preemption(request.slo_class)
         # A fresh request evicted before its prefill completed has emitted
         # nothing and drawn nothing from its generator: it re-queues as if
         # never admitted (the indexed pages still make its next admission
@@ -1044,23 +1001,19 @@ class ContinuousBatchingScheduler:
         return entry, cache
 
     def abort_active(self, exc: Exception) -> List[str]:
-        """Fail every in-flight sequence after an unrecoverable round error.
+        """Fail every in-flight sequence with ``exc`` (an operator abort).
 
         Frees the slots (and their page-pool references) so the scheduler
-        keeps serving later requests; returns the aborted request ids (the
-        engine records the failures).  Streams of the aborted sequences end
-        with a terminal ``finish_reason="error"`` marker chunk.
+        keeps serving later requests; returns the aborted request ids, whose
+        failures :meth:`take_failures` reports.  Streams of the aborted
+        sequences end with a terminal ``finish_reason="error"`` marker chunk.
+        A round that raises already ends its own live slots this way.
         """
         aborted = []
         for index, slot in enumerate(self._slots):
             if slot is not None:
                 aborted.append(slot.request.request_id)
                 self._end_slot(index, FinishReason.ERROR, exc=exc)
-        if aborted:
-            # The failed round never reached _record_round; flush the error
-            # finishes now if no later round is coming, so the registry
-            # mirror stays consistent with the summary.
-            self._flush_if_idle(self.clock())
         return aborted
 
     # ------------------------------------------------------------------ #
@@ -1081,18 +1034,12 @@ class ContinuousBatchingScheduler:
             if queued.request.request_id == request_id:
                 del self._queue[position]
                 self.cancelled += 1
-                result = self._queued_terminal_result(
-                    queued, now, FinishReason.ABORTED
-                )
-                self._flush_if_idle(now)
-                return result
+                return self._queued_terminal_result(queued, now, FinishReason.ABORTED)
         for index, slot in enumerate(self._slots):
             if slot is None or slot.request.request_id != request_id:
                 continue
-            result = self._end_slot(index, FinishReason.ABORTED, now)
             self.cancelled += 1
-            self._flush_if_idle(now)
-            return result
+            return self._end_slot(index, FinishReason.ABORTED, now)
         return None
 
     def _end_slot(
@@ -1150,7 +1097,9 @@ class ContinuousBatchingScheduler:
             result = self._build_result(slot, now, self.num_active)
         else:
             self._failed.append((request.request_id, exc))
-        self._ledger.finish(reason, request, result.latency if result else None)
+        self.stats.record_finish(
+            reason, request.slo_class, request.tenant, result.latency if result else None
+        )
         self._chunks.append(
             TokenChunk(
                 request_id=request.request_id,
@@ -1164,18 +1113,6 @@ class ContinuousBatchingScheduler:
                 request.request_id, {"reason": reason, "tokens": len(slot.generated)}
             )
         return result
-
-    def _flush_if_idle(self, now: float) -> None:
-        """Surface a cancellation to stats when no later round will.
-
-        With traffic still queued/active the pending finish rides the next
-        real round's record; emitting a synthetic zero-token round there
-        would dilute occupancy and decode-round counts.  Only when the
-        cancel emptied the scheduler — so no further round is coming — is
-        the event recorded on its own.
-        """
-        if not len(self):
-            self._record_round(0, 0, 0, [], now, self.page_pool.counters())
 
     # ------------------------------------------------------------------ #
     # Deadlines
@@ -1236,10 +1173,11 @@ class ContinuousBatchingScheduler:
         if sampled.top_logprobs:
             slot.top_logprobs.append(sampled.top_logprobs)
         if index == 0:
-            self._ledger.ttfts.append(now - slot.queued.enqueued_at)
-            self._ledger.ttft_classes.append(slot.request.slo_class)
+            self.stats.record_first_token(
+                now - slot.queued.enqueued_at, slot.request.slo_class
+            )
         elif slot.last_token_at is not None:
-            self._ledger.gaps.append(now - slot.last_token_at)
+            self.stats.record_token_gap(now - slot.last_token_at)
         slot.last_token_at = now
         if slot.sampler.is_stop(sampled.token_id):
             slot.finish_reason = FinishReason.STOP
@@ -1473,8 +1411,8 @@ class ContinuousBatchingScheduler:
                     with tracer.span("kv_rollback"):
                         slot.cache.truncate_to(base_lengths[row] + emitted)
                         slot.cache.flush_seals()
-                    self._ledger.proposed += len(proposal)
-                    self._ledger.accepted += accepted
+                    self._proposed += len(proposal)
+                    self._accepted += accepted
                     emitted_total += emitted
             return emitted_total
 
@@ -1542,11 +1480,13 @@ class ContinuousBatchingScheduler:
                 for index, slot in enumerate(self._slots):
                     if slot is None or not slot.done:
                         continue
-                    results.append(
-                        self._build_result(slot, completed_at, occupancy_now)
-                    )
-                    self._ledger.finish(
-                        slot.finish_reason, slot.request, results[-1].latency
+                    result = self._build_result(slot, completed_at, occupancy_now)
+                    results.append(result)
+                    self.stats.record_finish(
+                        slot.finish_reason,
+                        slot.request.slo_class,
+                        slot.request.tenant,
+                        result.latency,
                     )
                     self._register_generated_suffix(slot)
                     if self.tracer.enabled:

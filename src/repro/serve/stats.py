@@ -6,15 +6,20 @@ numbers a serving dashboard would show.  The byte accounting uses the same
 tile-reuse DRAM model as the performance simulators
 (:func:`repro.hardware.memory.gemm_traffic`), so requests/sec and decode GB/s
 line up with the paper's memory-traffic methodology.
+
+Request outcomes (first token, token gap, finish, preemption) are recorded
+by one call each at the moment they happen: the registry sees them at once,
+and the window files them with the next decode round.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,29 +63,6 @@ def _request_instruments(registry: MetricsRegistry) -> tuple:
             labels=("reason", "slo_class", "tenant"),
         ),
     )
-
-
-def _classes_for(values, classes) -> tuple:
-    """Per-value SLO classes, backfilled with ``default`` on length mismatch.
-
-    Records from pre-SLO call sites (or tests) carry values without classes;
-    rather than guess a pairing from a short class tuple, mismatches fall
-    back to the default class for every value.
-    """
-    values = tuple(values)
-    classes = tuple(classes)
-    if len(classes) == len(values):
-        return classes
-    return (_DEFAULT_CLASS,) * len(values)
-
-
-def _tenants_for(values, tenants) -> tuple:
-    """Per-value tenants, backfilled with ``"-"`` on length mismatch."""
-    values = tuple(values)
-    tenants = tuple(tenants)
-    if len(tenants) == len(values):
-        return tenants
-    return (_DEFAULT_TENANT,) * len(values)
 
 
 def _finite(values) -> np.ndarray:
@@ -151,29 +133,14 @@ class DecodeRoundRecord:
     compute_seconds: float
     kv_cache_bytes: int        # OVP-packed pages + fp32 open pages, all slots
     kv_fp32_bytes: int         # fp32 cache footprint for the same tokens
-    latencies: tuple = ()      # enqueue → completion of requests retired this round
     # Page-pool activity this round (deltas of the pool's counters).
     pool_hits: int = 0                 # pages served without a decode (live shared block)
     pool_misses: int = 0               # sealed pages OVP-decoded (seal/attach)
     prefix_pages_attached: int = 0     # pages adopted from the prefix index
     shared_pages: int = 0              # pool pages with >1 holder at round end
-    # Streaming / sampling telemetry.
-    finish_reasons: tuple = ()         # "stop"/"length"/"aborted"/"error"/"deadline"
-    first_token_seconds: tuple = ()    # TTFT: enqueue → first streamed token
-    inter_token_seconds: tuple = ()    # gaps between consecutive streamed tokens
     # Speculative decoding this round (zero when no slot speculated).
     draft_proposed_tokens: int = 0     # draft tokens fed to the verify pass
     draft_accepted_tokens: int = 0     # draft tokens the target emitted
-    # SLO classes parallel to latencies / first_token_seconds / finish_reasons
-    # (empty tuples backfill as "default" — see _classes_for).
-    latency_classes: tuple = ()
-    first_token_classes: tuple = ()
-    finish_classes: tuple = ()
-    # Tenant of each finished request, parallel to finish_reasons (empty
-    # tuples backfill as "-" — see _tenants_for).
-    finish_tenants: tuple = ()
-    # SLO class of each request preempted (slot evicted, re-queued) this round.
-    preempted_classes: tuple = ()
     # Resource accounting at round end (zero when the scheduler predates it).
     queue_depth: int = 0               # requests waiting for a slot
     slot_kv_bytes: tuple = ()          # resident KV bytes per slot (idle = 0)
@@ -186,12 +153,6 @@ class DecodeRoundRecord:
         return self.active_slots / self.num_slots if self.num_slots else 0.0
 
     @property
-    def pool_hit_rate(self) -> float:
-        """Fraction of page fetches a live shared prefix block served, undecoded."""
-        fetches = self.pool_hits + self.pool_misses
-        return self.pool_hits / fetches if fetches else 0.0
-
-    @property
     def draft_acceptance_rate(self) -> float:
         """Fraction of proposed draft tokens the target accepted this round."""
         return (
@@ -199,6 +160,21 @@ class DecodeRoundRecord:
             if self.draft_proposed_tokens
             else 0.0
         )
+
+
+@dataclass
+class _Outcomes:
+    """Request outcome values filed with one window entry.
+
+    Only the values: the registry took their class and tenant labels when
+    they were recorded.
+    """
+
+    ttfts: List[float] = field(default_factory=list)
+    gaps: List[float] = field(default_factory=list)
+    latencies: List[float] = field(default_factory=list)
+    finishes: List[str] = field(default_factory=list)
+    preemptions: int = 0
 
 
 @dataclass(frozen=True)
@@ -225,11 +201,6 @@ class ServingSummary:
     mean_slot_occupancy: float = 0.0
     kv_cache_bytes_peak: int = 0
     kv_fp32_bytes_peak: int = 0
-    # Page-pool metrics over the window (zero when no pages were fetched).
-    pool_hits: int = 0
-    pool_misses: int = 0
-    prefix_pages_attached: int = 0
-    shared_pages_peak: int = 0
     # Generation finish reasons over the window (zero when nothing finished).
     finish_stop: int = 0
     finish_length: int = 0
@@ -266,12 +237,6 @@ class ServingSummary:
         )
 
     @property
-    def pool_hit_rate(self) -> float:
-        """Fraction of page fetches a live shared prefix block served, undecoded."""
-        fetches = self.pool_hits + self.pool_misses
-        return self.pool_hits / fetches if fetches else 0.0
-
-    @property
     def finish_reasons(self) -> Dict[str, int]:
         """Finish-reason counts as one dict (dashboard convenience)."""
         return {
@@ -305,11 +270,6 @@ class ServingSummary:
             "kv_cache_bytes_peak": self.kv_cache_bytes_peak,
             "kv_fp32_bytes_peak": self.kv_fp32_bytes_peak,
             "kv_compression": round(self.kv_compression, 2),
-            "pool_hits": self.pool_hits,
-            "pool_misses": self.pool_misses,
-            "pool_hit_rate": round(self.pool_hit_rate, 4),
-            "prefix_pages_attached": self.prefix_pages_attached,
-            "shared_pages_peak": self.shared_pages_peak,
             "finish_stop": self.finish_stop,
             "finish_length": self.finish_length,
             "finish_aborted": self.finish_aborted,
@@ -332,7 +292,9 @@ class ServingStats:
     The record log is a sliding window bounded by ``max_records`` (oldest
     batches evicted first), so a long-running serving loop neither leaks
     memory nor makes :meth:`summary` cost grow with server lifetime; the
-    summary covers the retained window.
+    summary covers the retained window.  Request outcomes recorded between
+    two decode rounds are filed with the later round, so they leave the
+    window with it; the summary also counts those no round has filed yet.
     """
 
     def __init__(
@@ -346,7 +308,10 @@ class ServingStats:
         # (recorded_at, record) pairs; timestamps make the wall-clock window
         # well-defined even after old records have been evicted.
         self._records: Deque[Tuple[float, BatchRecord]] = deque(maxlen=int(max_records))
-        self._rounds: Deque[Tuple[float, DecodeRoundRecord]] = deque(maxlen=int(max_records))
+        self._rounds: Deque[Tuple[float, DecodeRoundRecord, _Outcomes]] = deque(
+            maxlen=int(max_records)
+        )
+        self._pending = _Outcomes()
         # Cumulative named metrics, updated in lock-step with the windowed
         # records.  Counters never reset with the window, so a registry
         # shared between several ServingStats instances (sharded workers)
@@ -453,15 +418,16 @@ class ServingStats:
         self._m_weight_bytes.inc(record.weight_stream_bytes)
         self._m_dram_bytes.inc(max(record.dram_bytes, 0.0))
         self._m_fill.set(record.fill)
-        classes = _classes_for(record.latencies, record.latency_classes)
+        classes = record.latency_classes or (_DEFAULT_CLASS,) * len(record.latencies)
         for latency, cls in zip(record.latencies, classes):
             self._m_latency.observe(latency, slo_class=cls)
 
     def record_decode_round(self, record: DecodeRoundRecord) -> None:
-        """Append one continuous-batching decode-round record."""
+        """Append one decode-round record, filing the outcomes recorded since the last."""
         now = self.clock()
         with self._lock:
-            self._rounds.append((now, record))
+            self._rounds.append((now, record, self._pending))
+            self._pending = _Outcomes()
         self._m_rounds.inc()
         self._m_tokens.inc(record.new_tokens)
         self._m_generated.inc(record.generated_tokens)
@@ -471,24 +437,6 @@ class ServingStats:
         self._m_prefix_pages.inc(record.prefix_pages_attached)
         self._m_proposed.inc(record.draft_proposed_tokens)
         self._m_accepted.inc(record.draft_accepted_tokens)
-        finish_classes = _classes_for(record.finish_reasons, record.finish_classes)
-        finish_tenants = _tenants_for(record.finish_reasons, record.finish_tenants)
-        for reason, cls, tenant in zip(
-            record.finish_reasons, finish_classes, finish_tenants
-        ):
-            self._m_finished.inc(reason=str(reason), slo_class=cls, tenant=str(tenant))
-            if str(reason) == "deadline":
-                self._m_deadline_misses.inc(slo_class=cls)
-        for cls in record.preempted_classes:
-            self._m_preemptions.inc(slo_class=str(cls))
-        latency_classes = _classes_for(record.latencies, record.latency_classes)
-        for latency, cls in zip(record.latencies, latency_classes):
-            self._m_latency.observe(latency, slo_class=cls)
-        ttft_classes = _classes_for(record.first_token_seconds, record.first_token_classes)
-        for ttft, cls in zip(record.first_token_seconds, ttft_classes):
-            self._m_ttft.observe(ttft, slo_class=cls)
-        for gap in record.inter_token_seconds:
-            self._m_gap.observe(gap)
         self._m_kv_bytes.set(record.kv_cache_bytes)
         self._m_kv_fp32.set(record.kv_fp32_bytes)
         self._m_occupancy.set(record.occupancy)
@@ -498,6 +446,42 @@ class ServingStats:
         self._m_kv_decoded.set(record.kv_decoded_bytes)
         for slot_index, nbytes in enumerate(record.slot_kv_bytes):
             self._m_slot_kv.set(nbytes, slot=str(slot_index))
+
+    def record_first_token(self, seconds: float, slo_class: str = _DEFAULT_CLASS) -> None:
+        """One request's time to first token (enqueue → first streamed token)."""
+        self._m_ttft.observe(seconds, slo_class=slo_class)
+        with self._lock:
+            self._pending.ttfts.append(seconds)
+
+    def record_token_gap(self, seconds: float) -> None:
+        """The gap between two consecutive streamed tokens of one request."""
+        self._m_gap.observe(seconds)
+        with self._lock:
+            self._pending.gaps.append(seconds)
+
+    def record_finish(
+        self,
+        reason: str,
+        slo_class: str = _DEFAULT_CLASS,
+        tenant: str = _DEFAULT_TENANT,
+        latency: Optional[float] = None,
+    ) -> None:
+        """One request's terminal outcome, with its latency when it has one."""
+        self._m_finished.inc(reason=reason, slo_class=slo_class, tenant=tenant)
+        if reason == "deadline":
+            self._m_deadline_misses.inc(slo_class=slo_class)
+        if latency is not None:
+            self._m_latency.observe(latency, slo_class=slo_class)
+        with self._lock:
+            self._pending.finishes.append(reason)
+            if latency is not None:
+                self._pending.latencies.append(latency)
+
+    def record_preemption(self, slo_class: str = _DEFAULT_CLASS) -> None:
+        """One active slot evicted and re-queued for higher-priority work."""
+        self._m_preemptions.inc(slo_class=slo_class)
+        with self._lock:
+            self._pending.preemptions += 1
 
     def record_submitted(
         self, tenant: str = _DEFAULT_TENANT, slo_class: str = _DEFAULT_CLASS
@@ -545,6 +529,7 @@ class ServingStats:
         with self._lock:
             self._records.clear()
             self._rounds.clear()
+            self._pending = _Outcomes()
 
     @property
     def num_batches(self) -> int:
@@ -561,7 +546,8 @@ class ServingStats:
         with self._lock:
             stamped = list(self._records)
             stamped_rounds = list(self._rounds)
-        if not stamped and not stamped_rounds:
+            pending = copy.deepcopy(self._pending)
+        if not stamped and not stamped_rounds and pending == _Outcomes():
             return ServingSummary(
                 requests=0, batches=0, wall_seconds=0.0, compute_seconds=0.0,
                 tokens=0, throughput_rps=0.0, tokens_per_second=0.0,
@@ -569,7 +555,8 @@ class ServingStats:
                 mean_batch_fill=0.0, weight_stream_bytes=0, dram_bytes=0.0,
             )
         records = [record for _, record in stamped]
-        rounds = [record for _, record in stamped_rounds]
+        rounds = [record for _, record, _ in stamped_rounds]
+        outcomes = [entry[2] for entry in stamped_rounds] + [pending]
         # The window opens when the first retained batch/round *started*
         # computing and closes when the last one was recorded.  Compute
         # durations, latencies and streamed-token timings all pass through
@@ -585,12 +572,16 @@ class ServingStats:
                 - _first_finite(stamped_rounds[0][1].compute_seconds)
             )
             ends.append(stamped_rounds[-1][0])
-        started_at = min(starts)
-        last_at = max(ends)
         latencies = _finite(
             [s for r in records for s in r.latencies]
-            + [s for r in rounds for s in r.latencies]
+            + [s for o in outcomes for s in o.latencies]
         )
+        if not starts:
+            # Only outcomes no round has filed (cancels or expiries on an
+            # idle scheduler): the window spans at least the longest request.
+            starts, ends = [0.0], [float(np.max(latencies, initial=0.0))]
+        started_at = min(starts)
+        last_at = max(ends)
         requests = int(latencies.size)
         tokens = sum(r.tokens for r in records) + sum(r.new_tokens for r in rounds)
         compute = float(_finite(r.compute_seconds for r in records).sum())
@@ -599,9 +590,9 @@ class ServingStats:
         # Report the KV footprint pair of the round holding the most cached
         # tokens, so the compression ratio compares like with like.
         kv_peak = max(rounds, key=lambda r: r.kv_fp32_bytes, default=None)
-        reasons = [reason for r in rounds for reason in r.finish_reasons]
-        ttfts = _finite(s for r in rounds for s in r.first_token_seconds)
-        gaps = _finite(s for r in rounds for s in r.inter_token_seconds)
+        reasons = [reason for o in outcomes for reason in o.finishes]
+        ttfts = _finite(s for o in outcomes for s in o.ttfts)
+        gaps = _finite(s for o in outcomes for s in o.gaps)
         return ServingSummary(
             requests=requests,
             batches=len(records),
@@ -624,16 +615,12 @@ class ServingStats:
             ),
             kv_cache_bytes_peak=kv_peak.kv_cache_bytes if kv_peak else 0,
             kv_fp32_bytes_peak=kv_peak.kv_fp32_bytes if kv_peak else 0,
-            pool_hits=sum(r.pool_hits for r in rounds),
-            pool_misses=sum(r.pool_misses for r in rounds),
-            prefix_pages_attached=sum(r.prefix_pages_attached for r in rounds),
-            shared_pages_peak=max((r.shared_pages for r in rounds), default=0),
             finish_stop=reasons.count("stop"),
             finish_length=reasons.count("length"),
             finish_aborted=reasons.count("aborted"),
             finish_error=reasons.count("error"),
             finish_deadline=reasons.count("deadline"),
-            preemptions=sum(len(r.preempted_classes) for r in rounds),
+            preemptions=sum(o.preemptions for o in outcomes),
             ttft_p50_ms=_pct_ms(ttfts, 50),
             ttft_p95_ms=_pct_ms(ttfts, 95),
             inter_token_p50_ms=_pct_ms(gaps, 50),

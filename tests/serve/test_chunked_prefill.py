@@ -215,7 +215,7 @@ class TestPrefixSharingWithChunks:
                                   sampling=SamplingParams(max_new_tokens=2))
         out_follow = run_to_completion(scheduler, [follow])[follow.request_id]
         # The follow-up adopted sealed pages instead of re-prefilling.
-        assert scheduler.stats.summary().prefix_pages_attached > 0
+        assert scheduler.page_pool.prefix_pages_attached > 0
         assert out_follow == out_first
 
 

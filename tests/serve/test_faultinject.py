@@ -110,8 +110,11 @@ class TestInjection:
         with pytest.raises(InjectedFault):
             scheduler.step()  # round 2: injected
         assert [s.kind for s in injector.fired] == ["phase_error"]
-        aborted = scheduler.abort_active(injector.fired[0] and InjectedFault("x"))
-        assert len(aborted) == 1
+        # The raised round ended its one in-flight request in error.
+        assert scheduler.num_active == 0
+        failures = scheduler.take_failures()
+        assert len(failures) == 1
+        assert isinstance(failures[0][1], InjectedFault)
         check_refcounts(scheduler)
 
     def test_pool_decode_error_fires_from_decode_funnel(self, repository):

@@ -81,21 +81,18 @@ def lm_requests(rng_seed, count=3, seq_len=6, max_new_tokens=8, slo_class="defau
     ]
 
 
-def synthetic_round(ttfts=(), finishes=(), slo_class="default", **kwargs):
-    """A DecodeRoundRecord carrying only the signals the SLO layer reads."""
-    kwargs.setdefault("active_slots", 1)
-    kwargs.setdefault("num_slots", 4)
-    kwargs.setdefault("new_tokens", len(ttfts))
-    kwargs.setdefault("generated_tokens", len(ttfts))
-    kwargs.setdefault("compute_seconds", 0.001)
-    kwargs.setdefault("kv_cache_bytes", 0)
-    kwargs.setdefault("kv_fp32_bytes", 0)
-    return DecodeRoundRecord(
-        first_token_seconds=tuple(ttfts),
-        first_token_classes=(slo_class,) * len(ttfts),
-        finish_reasons=tuple(finishes),
-        finish_classes=(slo_class,) * len(finishes),
-        **kwargs,
+def record_round(stats, ttfts=(), finishes=(), slo_class="default"):
+    """Record one round's worth of the outcomes the SLO layer reads."""
+    for ttft in ttfts:
+        stats.record_first_token(ttft, slo_class)
+    for reason in finishes:
+        stats.record_finish(reason, slo_class)
+    stats.record_decode_round(
+        DecodeRoundRecord(
+            active_slots=1, num_slots=4, new_tokens=len(ttfts),
+            generated_tokens=len(ttfts), compute_seconds=0.001,
+            kv_cache_bytes=0, kv_fp32_bytes=0,
+        )
     )
 
 
@@ -180,7 +177,7 @@ class TestAttainment:
     def test_ttft_attainment_reads_histogram_buckets(self):
         clock = FakeClock()
         stats, monitor = monitored_stats(clock)
-        stats.record_decode_round(synthetic_round(ttfts=(0.01, 0.01, 0.01, 1.0)))
+        record_round(stats, ttfts=(0.01, 0.01, 0.01, 1.0))
         monitor.evaluate()
         report = monitor.report()
         ttft = report["slo"]["default"]["ttft"]
@@ -191,9 +188,7 @@ class TestAttainment:
     def test_availability_counts_errors_not_aborts(self):
         clock = FakeClock()
         stats, monitor = monitored_stats(clock)
-        stats.record_decode_round(
-            synthetic_round(finishes=("stop", "length", "error", "aborted"))
-        )
+        record_round(stats, finishes=("stop", "length", "error", "aborted"))
         monitor.evaluate()
         availability = monitor.report()["slo"]["default"]["availability"]
         # 2 good (stop+length), 1 bad (error); aborted is client-initiated.
@@ -203,7 +198,7 @@ class TestAttainment:
     def test_unconfigured_class_is_recorded_but_not_evaluated(self):
         clock = FakeClock()
         stats, monitor = monitored_stats(clock)
-        stats.record_decode_round(synthetic_round(ttfts=(1.0,), slo_class="mystery"))
+        record_round(stats, ttfts=(1.0,), slo_class="mystery")
         monitor.evaluate()
         assert "mystery" not in monitor.report()["slo"]
         # The observation still exists in the labeled histogram.
@@ -219,7 +214,7 @@ class TestAttainment:
                 SLOClass(name="gold", ttft_target_seconds=TTFT_TARGET),
             ),
         )
-        stats.record_decode_round(synthetic_round(ttfts=(0.01,), slo_class="gold"))
+        record_round(stats, ttfts=(0.01,), slo_class="gold")
         monitor.evaluate()
         text = stats.metrics_text()
         assert 'serve_slo_attainment{slo_class="gold",objective="ttft"} 1' in text
@@ -237,7 +232,7 @@ class TestBurnRateAlerting:
         """Record ``rounds`` rounds of uniform traffic; returns emitted events."""
         events = []
         for _ in range(rounds):
-            stats.record_decode_round(synthetic_round(ttfts=(ttft,) * per_round))
+            record_round(stats, ttfts=(ttft,) * per_round)
             clock.advance(step_seconds)
             events.extend(monitor.evaluate())
         return events
@@ -291,9 +286,7 @@ class TestBurnRateAlerting:
         # fire (14.4): the alert must neither resolve nor re-fire.
         events = []
         for _ in range(30):
-            stats.record_decode_round(
-                synthetic_round(ttfts=(0.01,) * 19 + (1.0,))
-            )
+            record_round(stats, ttfts=(0.01,) * 19 + (1.0,))
             clock.advance(6.0)
             events.extend(monitor.evaluate())
         assert events == []
@@ -349,7 +342,7 @@ class TestUnifiedEventLog:
         with tracer.span("round"):
             clock.advance(0.5)
         for _ in range(10):
-            stats.record_decode_round(synthetic_round(ttfts=(1.0,) * 10))
+            record_round(stats, ttfts=(1.0,) * 10)
             clock.advance(6.0)
             monitor.evaluate()
         with tracer.span("round"):

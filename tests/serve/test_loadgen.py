@@ -185,8 +185,7 @@ class TestReplayDeterminism:
         )
         assert len(conv.stream) > len(first_turn.new_tokens)
         # Prefix sharing engaged: conversations re-walked shared pages.
-        summary = gateway.engine.stats.summary()
-        assert summary.prefix_pages_attached > 0
+        assert gateway.engine.page_pool.prefix_pages_attached > 0
 
     def test_report_is_valid_sorted_json(self, repo):
         clock = VirtualClock()

@@ -14,7 +14,6 @@ MODULE_ONLY = {
     "Gauge": "repro.serve.telemetry",
     "Histogram": "repro.serve.telemetry",
     "InferenceResult": "repro.serve.requests",
-    "LogitsProcessor": "repro.serve.sampling",
     "PackedModel": "repro.serve.repository",
     "PageHandle": "repro.serve.kvcache",
     "PhaseRow": "repro.serve.telemetry",
@@ -27,7 +26,7 @@ MODULE_ONLY = {
 
 def test_every_exported_name_resolves():
     exported = repro.serve.__all__
-    assert len(exported) == len(set(exported)) == 71
+    assert len(exported) == len(set(exported)) == 67
     missing = [name for name in exported if not hasattr(repro.serve, name)]
     assert missing == []
 

@@ -1,4 +1,4 @@
-"""Generation-API tests: SamplingParams, processor chain, streaming, cancel."""
+"""Generation-API tests: SamplingParams, sampler filters, streaming, cancel."""
 
 import asyncio
 
@@ -14,10 +14,6 @@ from repro.serve import (
     Sampler,
     SamplingParams,
     ServingEngine,
-    TemperatureWarper,
-    TopKFilter,
-    TopPFilter,
-    default_processors,
     top_k_candidates,
 )
 from repro.serve.kvcache import cache_for_model
@@ -125,37 +121,34 @@ class TestDeterministicTopK:
             assert top_k_candidates(log_probs, 5)[0] == int(np.argmax(log_probs))
 
 
-class TestProcessorChain:
-    def test_default_chain_composition(self):
-        assert default_processors(SamplingParams()) == ()
-        chain = default_processors(
-            SamplingParams(temperature=0.5, top_k=10, top_p=0.9)
-        )
-        assert [type(p) for p in chain] == [TemperatureWarper, TopKFilter, TopPFilter]
+def draw_support(params, log_probs, draws=400):
+    """The set of token ids ``draws`` seeded samples from ``log_probs`` hit."""
+    sampler = Sampler(params)
+    generator = sampler.make_generator()
+    return {sampler.sample(log_probs, generator).token_id for _ in range(draws)}
 
-    def test_top_k_filter_keeps_boundary_ties(self):
-        filtered = TopKFilter(2)(np.array([1.0, 3.0, 1.0, 2.0, 2.0]))
+
+class TestSamplerFilters:
+    def test_top_k_keeps_boundary_ties(self):
+        log_probs = np.array([1.0, 3.0, 1.0, 2.0, 2.0])
         # k-th largest is 2.0; both 2.0 ties survive, both 1.0s are masked.
-        assert np.isneginf(filtered[[0, 2]]).all()
-        assert filtered[[1, 3, 4]].tolist() == [3.0, 2.0, 2.0]
+        params = SamplingParams(temperature=1.0, top_k=2, seed=5)
+        assert draw_support(params, log_probs) == {1, 3, 4}
 
     def test_top_p_keeps_minimal_nucleus(self):
         log_probs = np.log(np.array([0.6, 0.3, 0.08, 0.02]))
-        filtered = TopPFilter(0.7)(log_probs)
         # 0.6 < 0.7 so the second token is still needed; the tail is cut.
-        assert np.isfinite(filtered[[0, 1]]).all()
-        assert np.isneginf(filtered[[2, 3]]).all()
+        params = SamplingParams(temperature=1.0, top_p=0.7, seed=6)
+        assert draw_support(params, log_probs) == {0, 1}
 
-    def test_temperature_zero_bypasses_chain(self):
-        class Exploding(TopKFilter):
-            def __call__(self, log_probs):
-                raise AssertionError("chain must not run on the greedy path")
-
-        sampler = Sampler(SamplingParams(), processors=[Exploding(1)])
-        log_probs = np.array([0.1, 0.9, 0.3])
-        sampled = sampler.sample(log_probs)
+    def test_greedy_is_argmax_and_draws_nothing(self):
+        sampler = Sampler(SamplingParams(top_k=1, top_p=0.5, seed=7))
+        generator = sampler.make_generator()
+        state = generator.bit_generator.state
+        sampled = sampler.sample(np.array([0.1, 0.9, 0.3]), generator)
         assert sampled.token_id == 1
         assert sampled.logprob == pytest.approx(0.9)
+        assert generator.bit_generator.state == state
 
     def test_seeded_sampling_reproducible(self):
         params = SamplingParams(temperature=0.8, top_k=20, seed=7)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.serve.admission import AdmissionPolicy
 from repro.serve.engine import ServingEngine
+from repro.serve.faultinject import check_refcounts
 from repro.serve.kvcache import KVCacheConfig
+from repro.serve.loadgen import VirtualClock
 from repro.serve.repository import ModelRepository
 from repro.serve.requests import InferenceRequest, ServingError, WorkloadFamily
 from repro.serve.sampling import SamplingParams
@@ -185,7 +188,7 @@ class TestPrefixSharing:
         assert pool.num_entries == pool.num_prefix_nodes * 2 * 3
         assert pool.num_shared_pages == 0
 
-    def test_pool_metrics_reach_stats_summary(self, repo):
+    def test_pool_counters_reach_registry(self, repo):
         engine = ServingEngine(
             repository=repo,
             max_batch_size=4,
@@ -204,21 +207,29 @@ class TestPrefixSharing:
                     )
                 ]
             )
-        summary = engine.stats.summary()
         pool = engine.page_pool
         # Every page decodes once when it seals; an attached page decodes
         # once into a shared block or is served by a live one (a hit).
-        assert summary.pool_misses == pool.decode_misses > 0
+        assert pool.decode_misses > 0
+        assert pool.decode_hits == 0
         assert (
             pool.decode_misses + pool.decode_hits
             == pool.pages_registered + pool.prefix_pages_attached
         )
-        assert summary.pool_hit_rate == 0.0
-        assert summary.prefix_pages_attached > 0
-        assert summary.shared_pages_peak > 0
-        as_dict = summary.as_dict()
-        for key in ("pool_hit_rate", "pool_misses", "shared_pages_peak"):
-            assert key in as_dict
+        assert pool.prefix_pages_attached > 0
+        # The registry's pool counters sum the per-round deltas of the
+        # pool's own counters.
+        registry = engine.stats.registry
+        counters = pool.counters()
+        assert registry.get("serve_pool_hits_total").value() == counters["decode_hits"]
+        assert (
+            registry.get("serve_pool_misses_total").value()
+            == counters["decode_misses"]
+        )
+        assert (
+            registry.get("serve_prefix_pages_attached_total").value()
+            == counters["prefix_pages_attached"]
+        )
 
 
 class TestEngineWiring:
@@ -392,18 +403,20 @@ class RecordingStats(ServingStats):
         super().record_decode_round(record)
 
 
-class TestRoundLedger:
-    """Per-round bookkeeping: every terminal outcome, first token and
-    inter-token gap reaches exactly one decode-round record, with its class
-    and tenant alongside."""
+class TestOutcomeRecording:
+    """Every first token, token gap, finish and preemption reaches the stats
+    exactly once, when it happens, with its class and tenant."""
 
-    def _scheduler(self, repo, num_slots):
+    def _scheduler(self, repo, num_slots, **kwargs):
         stats = RecordingStats()
-        return ContinuousBatchingScheduler(repo, num_slots=num_slots, stats=stats), stats
+        scheduler = ContinuousBatchingScheduler(
+            repo, num_slots=num_slots, stats=stats, **kwargs
+        )
+        return scheduler, stats
 
     @staticmethod
-    def _flat(records, name):
-        return [value for record in records for value in getattr(record, name)]
+    def _finished(stats, **labels):
+        return stats.registry.get("serve_requests_finished_total").value_sum(**labels)
 
     def test_every_finish_recorded_once_with_class_and_tenant(self, repo):
         scheduler, stats = self._scheduler(repo, num_slots=2)
@@ -418,19 +431,16 @@ class TestRoundLedger:
                 )
             )
         scheduler.run_until_idle()
-        for record in stats.records:
-            assert len(record.finish_classes) == len(record.finish_reasons)
-            assert len(record.finish_tenants) == len(record.finish_reasons)
-            assert len(record.latency_classes) == len(record.latencies)
-        assert self._flat(stats.records, "finish_reasons") == ["length"] * 3
-        finished = zip(
-            self._flat(stats.records, "finish_classes"),
-            self._flat(stats.records, "finish_tenants"),
-        )
-        assert sorted(finished) == sorted(labels)
-        assert sorted(self._flat(stats.records, "latency_classes")) == sorted(
-            cls for cls, _ in labels
-        )
+        summary = stats.summary()
+        assert summary.finish_reasons["length"] == summary.requests == 3
+        assert self._finished(stats) == 3
+        for slo_class, tenant in labels:
+            assert self._finished(
+                stats, reason="length", slo_class=slo_class, tenant=tenant
+            ) == 1
+        latency = stats.registry.get("serve_request_latency_seconds")
+        assert latency.count_value(slo_class="batch") == 2
+        assert latency.count_value(slo_class="interactive") == 1
 
     def test_token_timings_recorded_once_per_token(self, repo):
         scheduler, stats = self._scheduler(repo, num_slots=2)
@@ -440,17 +450,13 @@ class TestRoundLedger:
                 gen_request(max_new_tokens=budget, seed=50 + seed, slo_class="c%d" % seed)
             )
         scheduler.run_until_idle()
-        assert sorted(self._flat(stats.records, "first_token_classes")) == [
-            "c0",
-            "c1",
-            "c2",
-        ]
-        assert len(self._flat(stats.records, "first_token_seconds")) == len(budgets)
-        gaps = self._flat(stats.records, "inter_token_seconds")
-        assert len(gaps) == sum(budget - 1 for budget in budgets)
-        assert all(gap >= 0.0 for gap in gaps)
+        ttft = stats.registry.get("serve_ttft_seconds")
+        assert [ttft.count_value(slo_class="c%d" % i) for i in range(3)] == [1, 1, 1]
+        gaps = stats.registry.get("serve_inter_token_seconds")
+        assert gaps.count == sum(budget - 1 for budget in budgets)
+        assert stats.summary().inter_token_p50_ms > 0.0
 
-    def test_queued_cancel_rides_the_next_round(self, repo):
+    def test_queued_cancel_recorded_when_it_happens(self, repo):
         scheduler, stats = self._scheduler(repo, num_slots=1)
         scheduler.submit(gen_request(max_new_tokens=3, seed=60))
         doomed = gen_request(max_new_tokens=3, seed=61, slo_class="gone", tenant="t1")
@@ -458,29 +464,29 @@ class TestRoundLedger:
         scheduler.step()
         recorded = len(stats.records)
         assert scheduler.cancel(doomed.request_id) is not None
-        # Traffic is still active, so the cancel waits for the next round.
+        # Recorded at once, with no round of its own.
         assert len(stats.records) == recorded
-        scheduler.step()
-        record = stats.records[recorded]
-        assert record.finish_reasons == ("aborted",)
-        assert record.finish_classes == ("gone",)
-        assert record.finish_tenants == ("t1",)
-        assert record.latency_classes == ("gone",)
+        assert self._finished(stats, reason="aborted", slo_class="gone", tenant="t1") == 1
+        latency = stats.registry.get("serve_request_latency_seconds")
+        assert latency.count_value(slo_class="gone") == 1
+        assert stats.summary().finish_aborted == 1
         scheduler.run_until_idle()
-        assert self._flat(stats.records, "finish_reasons").count("aborted") == 1
+        assert stats.summary().finish_aborted == 1
+        assert self._finished(stats, reason="aborted") == 1
 
-    def test_cancel_that_empties_scheduler_is_recorded_alone(self, repo):
+    def test_cancel_that_empties_scheduler_adds_no_round(self, repo):
         scheduler, stats = self._scheduler(repo, num_slots=1)
         request = gen_request(max_new_tokens=5, seed=62, tenant="t2")
         scheduler.submit(request)
         scheduler.step()
         recorded = len(stats.records)
+        rounds = stats.summary().decode_rounds
         scheduler.cancel(request.request_id)
-        assert len(stats.records) == recorded + 1
-        record = stats.records[-1]
-        assert record.finish_reasons == ("aborted",)
-        assert record.finish_tenants == ("t2",)
-        assert record.generated_tokens == 0
+        assert len(stats.records) == recorded
+        summary = stats.summary()
+        assert summary.decode_rounds == rounds
+        assert summary.finish_aborted == 1
+        assert self._finished(stats, reason="aborted", tenant="t2") == 1
 
     def test_idle_step_records_nothing(self, repo):
         scheduler, stats = self._scheduler(repo, num_slots=1)
@@ -489,4 +495,102 @@ class TestRoundLedger:
         recorded = len(stats.records)
         assert scheduler.step() == []
         assert len(stats.records) == recorded
-        assert self._flat(stats.records, "finish_reasons") == ["length"]
+        assert stats.summary().finish_reasons["length"] == 1
+        assert self._finished(stats) == 1
+
+    def test_terminal_outcomes_visible_before_the_next_step(self, repo):
+        """A preemption, a cancel, a deadline expiry and an error each reach
+        the registry and the summary before another step() runs."""
+        clock = VirtualClock()
+        scheduler, stats = self._scheduler(
+            repo,
+            num_slots=1,
+            clock=clock,
+            admission=AdmissionPolicy(class_priority={"gold": 5}, preempt=True),
+        )
+        preemptions = stats.registry.get("serve_preemptions_total")
+        low = gen_request(max_new_tokens=6, seed=64, slo_class="bronze", tenant="tb")
+        scheduler.submit(low)
+        scheduler.step()
+        high = gen_request(max_new_tokens=8, seed=65, slo_class="gold", tenant="tg")
+        scheduler.submit(high)
+        scheduler.step()  # the gold request preempts the bronze one
+        assert preemptions.value(slo_class="bronze") == 1
+        assert stats.summary().preemptions == 1
+
+        assert scheduler.cancel(low.request_id) is not None  # re-queued victim
+        assert self._finished(stats, reason="aborted", slo_class="bronze", tenant="tb") == 1
+        assert stats.summary().finish_aborted == 1
+
+        late = gen_request(max_new_tokens=4, seed=66, slo_class="silver", tenant="ts",
+                           deadline_s=1.0)
+        scheduler.submit(late)
+        clock.advance(2.0)
+        expired = scheduler.step()
+        assert [r.request_id for r in expired] == [late.request_id]
+        assert self._finished(stats, reason="deadline", slo_class="silver", tenant="ts") == 1
+        misses = stats.registry.get("serve_deadline_misses_total")
+        assert misses.value(slo_class="silver") == 1
+        assert stats.summary().finish_deadline == 1
+
+        fail_next_retire(scheduler)
+        with pytest.raises(RuntimeError):
+            scheduler.step()
+        assert scheduler.num_active == 0
+        assert [rid for rid, _ in scheduler.take_failures()] == [high.request_id]
+        assert self._finished(stats, reason="error", slo_class="gold", tenant="tg") == 1
+        summary = stats.summary()
+        assert summary.finish_error == 1
+        assert summary.preemptions == 1
+        assert self._finished(stats) == 3
+
+
+def fail_next_retire(scheduler):
+    """Make the scheduler's next ``_retire`` raise, once."""
+    original = scheduler._retire
+
+    def boom():
+        scheduler._retire = original
+        raise RuntimeError("retire failed")
+
+    scheduler._retire = boom
+
+
+class TestFailedRound:
+    """A round that raises ends every slot still live in it, in ``error``,
+    with one terminal chunk at the delivered index; stepping again runs
+    nothing stale."""
+
+    def _fail_round(self, repo, decode_rounds_first):
+        scheduler = ContinuousBatchingScheduler(
+            repo, num_slots=1, cache_config=KVCacheConfig(bits=4, page_size=4)
+        )
+        request = gen_request(max_new_tokens=8, seed=67)
+        scheduler.submit(request)
+        delivered = 0
+        for _ in range(decode_rounds_first):
+            scheduler.step()
+            delivered += sum(c.is_token for c in scheduler.take_chunks())
+        fail_next_retire(scheduler)
+        with pytest.raises(RuntimeError):
+            scheduler.step()
+        return scheduler, request, delivered
+
+    @pytest.mark.parametrize("rounds_first", [0, 2], ids=["prefill", "decode"])
+    def test_failed_round_ends_its_live_slot(self, repo, rounds_first):
+        scheduler, request, delivered = self._fail_round(repo, rounds_first)
+        # Stepping again neither raises (a completed prefill rolled back to
+        # no token) nor re-feeds a decoded token whose K/V the cache holds.
+        assert scheduler.step() == []
+        chunks = scheduler.take_chunks()
+        assert [(c.index, c.token_id, c.finish_reason) for c in chunks] == [
+            (delivered, None, "error")
+        ]
+        assert scheduler.num_active == 0
+        assert [rid for rid, _ in scheduler.take_failures()] == [request.request_id]
+        check_refcounts(scheduler)
+        probe = gen_request(max_new_tokens=2, seed=68)
+        scheduler.submit(probe)
+        (result,) = scheduler.run_until_idle()
+        assert result.request_id == probe.request_id
+        assert result.output.finish_reason == "length"

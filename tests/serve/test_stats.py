@@ -1,5 +1,6 @@
 """Serving-stats aggregation tests (synthetic batch records, fake clock)."""
 
+import sys
 import threading
 
 import pytest
@@ -132,20 +133,29 @@ class TestPercentileHardening:
 
     def test_non_finite_measurements_do_not_poison_the_window(self):
         stats = ServingStats(clock=FakeClock())
-        stats.record_decode_round(
-            self._round(
-                compute_seconds=float("nan"),
-                latencies=(float("nan"), 0.02),
-                first_token_seconds=(float("inf"), 0.001),
-                inter_token_seconds=(float("nan"),),
-            )
-        )
+        stats.record_finish("length", latency=float("nan"))
+        stats.record_finish("length", latency=0.02)
+        stats.record_first_token(float("inf"))
+        stats.record_first_token(0.001)
+        stats.record_token_gap(float("nan"))
+        stats.record_decode_round(self._round(compute_seconds=float("nan")))
         summary = stats.summary()
         self._assert_finite(summary)
         assert summary.requests == 1          # the finite latency survives
         assert summary.latency_p50_ms == pytest.approx(20.0)
         assert summary.ttft_p50_ms == pytest.approx(1.0)
         assert summary.inter_token_p50_ms == 0.0
+
+    def test_outcomes_no_round_filed_span_their_longest_request(self):
+        stats = ServingStats(clock=FakeClock())
+        stats.record_finish("aborted", latency=0.5)
+        stats.record_finish("deadline", latency=0.25)
+        summary = stats.summary()
+        assert summary.decode_rounds == 0
+        assert summary.finish_aborted == summary.finish_deadline == 1
+        assert summary.wall_seconds == pytest.approx(0.5)
+        assert summary.throughput_rps == pytest.approx(4.0)
+        self._assert_finite(summary)
 
     def test_non_finite_batch_compute_keeps_wall_finite(self):
         stats = ServingStats(clock=FakeClock())
@@ -179,14 +189,14 @@ class TestThreadSafety:
             try:
                 for i in range(rounds):
                     stats.record_batch(record())
+                    stats.record_first_token(0.001)
+                    stats.record_token_gap(0.0005)
+                    stats.record_finish("length", latency=0.01)
                     stats.record_decode_round(
                         DecodeRoundRecord(
                             active_slots=1 + i % 4, num_slots=4, new_tokens=4,
                             generated_tokens=4, compute_seconds=0.0001,
                             kv_cache_bytes=100, kv_fp32_bytes=800,
-                            latencies=(0.01,), finish_reasons=("length",),
-                            first_token_seconds=(0.001,),
-                            inter_token_seconds=(0.0005,),
                         )
                     )
             except Exception as exc:  # pragma: no cover - failure path
@@ -217,6 +227,47 @@ class TestThreadSafety:
         ) == rounds
         final = stats.summary()
         assert final.decode_rounds == stats.num_decode_rounds
+
+
+    def test_outcomes_from_many_threads_are_all_counted(self):
+        """Outcomes recorded while other threads file rounds: the summary
+        and the registry each count every one exactly once."""
+        from repro.serve.stats import DecodeRoundRecord
+
+        writers, per_writer = 8, 1500
+        stats = ServingStats(max_records=writers * per_writer)
+        start = threading.Barrier(writers)
+
+        def writer():
+            start.wait()
+            for _ in range(per_writer):
+                stats.record_finish("length", latency=0.01)
+                stats.record_preemption()
+                stats.record_decode_round(
+                    DecodeRoundRecord(
+                        active_slots=1, num_slots=4, new_tokens=1,
+                        generated_tokens=1, compute_seconds=0.0001,
+                        kv_cache_bytes=0, kv_fp32_bytes=0,
+                    )
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(writers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        total = writers * per_writer
+        summary = stats.summary()
+        assert summary.finish_length == summary.requests == total
+        assert summary.decode_rounds == summary.preemptions == total
+        finished = stats.registry.get("serve_requests_finished_total")
+        assert finished.value_sum(reason="length") == total
 
 
 class TestMetricsText:
