@@ -1,6 +1,6 @@
 """Benchmark: decode-once K/V rows, prefix-shared prefill, per-slot attend.
 
-Three perf properties guard the paged-attention decode hot path:
+These perf properties guard the paged-attention hot paths:
 
 * a decode round over long cached histories must be ≥2× faster reading the
   caches' decoded rows (each sealed page decoded once, when it sealed) than
@@ -8,6 +8,10 @@ Three perf properties guard the paged-attention decode hot path:
   concatenates every round, at 256+ cached tokens per slot;
 * prefix-shared prefill of a common prompt must be ≥1.5× faster than cold
   prefill (the shared pages attach instead of re-running the model);
+* a cold wave of four requests on one document must be ≥2× faster with
+  prefix sharing, whose followers wait for the first request's sealed pages
+  and prefill only their questions, than with every request prefilling the
+  document (prefill tokens counted exactly on both sides);
 * the round attend, which attends each slot over its own K/V rows in place,
   must be no slower than a padded attend on uniform lengths and faster on
   mixed lengths;
@@ -17,8 +21,9 @@ Three perf properties guard the paged-attention decode hot path:
 
 Every comparison also checks the fast path is *equivalent*: the decoded
 rows are bitwise identical to a fresh decode, prefix sharing reproduces the
-cold path's greedy tokens, the round attend matches the padded baseline's
-outputs, and the cascade round matches the per-slot round within 1e-12.
+cold path's greedy tokens (in the cold wave too), the round attend matches
+the padded baseline's outputs, and the cascade round matches the per-slot
+round within 1e-12.
 """
 
 import numpy as np
@@ -182,6 +187,77 @@ def test_bench_prefix_shared_prefill_1_5x_over_cold(
     )
     serve_trajectory("prefix_sharing", prefix_speedup=round(speedup, 2))
     assert speedup >= 1.5, f"prefix-shared prefill only {speedup:.2f}x over cold"
+
+
+def test_bench_inflight_prefix_wave(run_once, paired_ratio, benchmark, serve_trajectory):
+    """A cold wave on one document: followers wait for the leader's pages.
+
+    Four requests on a document nobody has indexed arrive together, on the
+    scaled tier at servebench's page size.  With prefix sharing the first
+    prefills the document and the other three wait for its sealed pages,
+    then prefill only their questions; without it every request prefills
+    the whole document.
+    """
+    model = "gpt2-xl-scaled"
+    page_size = 32
+    repository = ModelRepository(bits=4)
+    repository.get(model, WorkloadFamily.LM)
+    rng = np.random.default_rng(6)
+    document = rng.integers(0, 96, size=8 * page_size)
+    prompts = [np.concatenate([document, rng.integers(0, 96, size=16)]) for _ in range(4)]
+
+    def serve_wave(prefix_sharing):
+        scheduler = ContinuousBatchingScheduler(
+            repository,
+            num_slots=len(prompts),
+            cache_config=KVCacheConfig(
+                bits=4, page_size=page_size, prefix_sharing=prefix_sharing
+            ),
+        )
+        for prompt in prompts:
+            scheduler.submit(
+                InferenceRequest(
+                    model, WorkloadFamily.LM, prompt, sampling=SamplingParams(max_new_tokens=2)
+                )
+            )
+        results = scheduler.run_until_idle()
+        assert len(results) == len(prompts)
+        registry = scheduler.stats.registry
+        prefilled = (
+            registry.get("serve_tokens_total").value()
+            - registry.get("serve_generated_tokens_total").value()
+        )
+        streams = sorted(result.output.token_ids for result in results)
+        return streams, prefilled
+
+    ratio, shared_s, cold_s = paired_ratio(
+        lambda: serve_wave(True), lambda: serve_wave(False), trials=9
+    )
+    shared_streams, shared_prefilled = run_once(serve_wave, True)
+    cold_streams, cold_prefilled = serve_wave(False)
+    # Equivalence: the followers generate the cold wave's greedy tokens.
+    assert shared_streams == cold_streams
+    questions = sum(prompt.size - document.size for prompt in prompts)
+    assert shared_prefilled == document.size + questions
+    assert cold_prefilled == sum(prompt.size for prompt in prompts)
+
+    speedup = 1.0 / ratio
+    benchmark.extra_info.update(
+        {
+            "shared_prefill_tokens": int(shared_prefilled),
+            "cold_prefill_tokens": int(cold_prefilled),
+            "shared_wave_ms": round(shared_s * 1e3, 2),
+            "cold_wave_ms": round(cold_s * 1e3, 2),
+            "wave_speedup": round(speedup, 2),
+        }
+    )
+    serve_trajectory(
+        "inflight_prefix",
+        shared_prefill_tokens=int(shared_prefilled),
+        cold_prefill_tokens=int(cold_prefilled),
+        wave_speedup=round(speedup, 2),
+    )
+    assert speedup >= 2.0, f"in-flight prefix wave only {speedup:.2f}x over cold"
 
 
 def test_bench_round_attend_vs_padded(

@@ -34,7 +34,9 @@ runners), and ``_FLOORS``/``_CEILINGS`` pin absolute exit criteria (the
 scaled-tier speculative and padded-over-round-attend wall ratios must stay
 above 1.0; float32 serving must agree with float64 on >= 95% of greedy
 tokens within 1e-3 in logprob; few-row float32 projections must beat
-``x @ W.T``) that flag even when the baseline has no entry yet.  Metrics present in the baseline but absent from the current
+``x @ W.T``; a cold wave on one shared document must run >= 2x faster with
+in-flight followers than with every request prefilling it) that flag even
+when the baseline has no entry yet.  Metrics present in the baseline but absent from the current
 run warn — like missing sections — instead of silently rotting in the diff
 table.
 
@@ -117,6 +119,10 @@ _FLOORS = {
     # Attending each shared prefix block once per round must beat attending
     # every holder over its own copy of the prefix (bench_paged_attention).
     ("shared_prefix_attend", "cascade_speedup"): 1.3,
+    # A cold wave on one document, its followers waiting for the first
+    # request's sealed pages, against every request prefilling it
+    # (bench_paged_attention).
+    ("inflight_prefix", "wave_speedup"): 2.0,
     # Float32 serving vs the same packed model in float64 (bench_scaled_decode):
     # greedy tokens agree before the first divergence on >= 95% of positions.
     ("cross_precision", "token_agreement"): 0.95,

@@ -15,10 +15,15 @@ and shows
 3. **shared blocks**: a second wave arrives all at once, so several live
    requests hold the system prompt together; they read one decoded block
    (pool hits, no decode) and attend it once per round for all of them;
-4. the pool's accounting: pages decoded next to pages served by a live
+4. **in-flight followers**: a third wave arrives all at once on a system
+   prompt nobody has seen; the first admitted request prefills it while the
+   others wait for its sealed pages, then prefill only their suffixes, so
+   the new prompt is prefilled once;
+5. the pool's accounting: pages decoded next to pages served by a live
    shared block, prefix pages attached, live pages.
 
-The demo exits 1 when any greedy stream differs from the cold run's.
+The demo exits 1 when any greedy stream differs from the cold run's, or
+when the cold wave prefilled its system prompt more than once.
 """
 
 import sys
@@ -74,8 +79,18 @@ def serve_together(engine, requests):
     return results, time.perf_counter() - start
 
 
+def prefilled_tokens(engine) -> int:
+    """Prompt tokens the engine's scheduler has run through the model."""
+    registry = engine.stats.registry
+    return int(
+        registry.get("serve_tokens_total").value()
+        - registry.get("serve_generated_tokens_total").value()
+    )
+
+
 def main() -> int:
     system_prompt = np.random.default_rng(0).integers(0, 96, size=SYSTEM_PROMPT_LEN)
+    new_prompt = np.random.default_rng(3).integers(0, 96, size=SYSTEM_PROMPT_LEN)
 
     engine = ServingEngine(max_batch_size=4, max_wait=0.0, kv_cache_config=KV_CONFIG)
     print("== warm: quantize the model once into packed OVP streams ==")
@@ -112,6 +127,17 @@ def main() -> int:
     print(f"  live pages / nodes / shared blocks: {after['entries']} / "
           f"{after['prefix_nodes']} / {after['shared_blocks']}")
 
+    print(f"\n== {NUM_REQUESTS} requests arriving together on an unseen "
+          f"{SYSTEM_PROMPT_LEN}-token system prompt ==")
+    before_tokens = prefilled_tokens(engine)
+    cold_wave, _ = serve_together(engine, make_requests(new_prompt, 3))
+    cold_wave_tokens = prefilled_tokens(engine) - before_tokens
+    once = SYSTEM_PROMPT_LEN + NUM_REQUESTS * SUFFIX_LEN
+    print(f"  prompt tokens prefilled: {cold_wave_tokens} "
+          f"(system prompt once + every suffix = {once}; "
+          f"{NUM_REQUESTS * (SYSTEM_PROMPT_LEN + SUFFIX_LEN)} without sharing)")
+    prefilled_once = cold_wave_tokens == once
+
     cold_engine = ServingEngine(
         repository=engine.repository,
         max_batch_size=4,
@@ -122,18 +148,22 @@ def main() -> int:
         cold_engine, make_requests(system_prompt)
     )
     cold_together, _ = serve_one_by_one(cold_engine, make_requests(system_prompt, 2))
+    cold_new, _ = serve_one_by_one(cold_engine, make_requests(new_prompt, 3))
 
     same_tokens = all(
         a.output.token_ids == b.output.token_ids
-        for a, b in zip(results + together, cold_results + cold_together)
+        for a, b in zip(
+            results + together + cold_wave, cold_results + cold_together + cold_new
+        )
     )
     print("\n== shared pool vs cold (no prefix sharing) ==")
     print(f"  shared pool : {shared_seconds * 1e3:6.0f} ms one by one, "
           f"{together_seconds * 1e3:6.0f} ms together")
     print(f"  cold        : {cold_seconds * 1e3:6.0f} ms one by one")
     print(f"  speedup     : {cold_seconds / shared_seconds:.2f}x, "
-          f"greedy tokens identical in both waves: {same_tokens}")
-    return 0 if same_tokens else 1
+          f"greedy tokens identical in all three waves: {same_tokens}, "
+          f"unseen prompt prefilled once: {prefilled_once}")
+    return 0 if same_tokens and prefilled_once else 1
 
 
 if __name__ == "__main__":

@@ -100,7 +100,8 @@ class KVCacheConfig:
         reference mode used by the equivalence tests.
     prefix_sharing:
         Let the continuous scheduler attach new requests to already-sealed
-        pages of a matching token prefix instead of re-prefilling them.
+        pages of a matching token prefix instead of re-prefilling them, and
+        make a request wait for a prefix another request is still prefilling.
     """
 
     bits: int = 4
@@ -432,14 +433,17 @@ class PagePool:
     def register_prefix(self, key, token_ids: np.ndarray, cache: "SequenceKVCache") -> int:
         """Index ``cache``'s sealed pages under ``token_ids``' hash chain.
 
-        Call with the prompt after a successful prefill (every full page of
-        prompt tokens is sealed by then), or with ``prompt + generated`` at
-        retirement when the scheduler shares generated suffixes — decode
-        seals its pages the same way, so the chain extends naturally.  Pages
-        already indexed (a shared sub-prefix) are refreshed, not duplicated;
-        new nodes take one reference per handle so indexed pages survive the
-        registering sequence's retirement.  The index is LRU-bounded; evicted
-        nodes drop their references.
+        ``token_ids`` are the tokens whose K/V the cache holds, from the
+        first: every whole page of them must be sealed.  The scheduler calls
+        this after every prefill chunk (with the chain appended so far, so
+        requests waiting on an in-flight prefix find each chunk's pages at
+        once), at preemption, and with ``prompt + generated`` at retirement
+        when it shares generated suffixes — decode seals its pages the same
+        way, so the chain extends naturally.  Pages already indexed (a shared
+        sub-prefix) are refreshed, not duplicated; new nodes take one
+        reference per handle so indexed pages survive the registering
+        sequence's retirement.  The index is LRU-bounded; evicted nodes drop
+        their references.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         page_size = cache.config.page_size

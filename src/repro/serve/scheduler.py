@@ -13,7 +13,11 @@ admits/retires sequences *mid-flight*:
   model's incremental path, producing the first generated token; prompts
   whose page-aligned token prefix hashes to pages another request already
   sealed *attach* to those pool entries copy-on-write and prefill only the
-  remaining suffix;
+  remaining suffix.  A prompt whose prefix another slot is still
+  prefilling *follows* that slot instead of prefilling the prefix again:
+  its cache stays empty and it runs no chunk until the leader has sealed
+  the shared pages (or stopped prefilling), then it attaches what the index
+  holds.  So a wave of requests on an unseen document prefills it once;
 * **decode round** — all active slots advance one token in a single batched
   incremental forward (the Linear/FFN/head GEMMs stack across slots; only
   the attention core runs per-slot, since every sequence has its own past).
@@ -168,6 +172,10 @@ class _Slot:
     pending_tokens: Optional[np.ndarray] = None
     chain: Optional[np.ndarray] = None
     preempted_at: Optional[float] = None  # the queue timeout restarts here
+    # A follower waits, with an empty cache, for ``leader`` to seal the
+    # first ``follow_pages`` pages of its chain (None: the slot computes).
+    leader: Optional["_Slot"] = None
+    follow_pages: int = 0
 
     @property
     def prefilling(self) -> bool:
@@ -684,13 +692,12 @@ class ContinuousBatchingScheduler:
         """Occupy slot ``index`` for ``queued`` without running the model yet.
 
         The request's token *chain* — the prompt for a fresh request, prompt
-        plus already-generated tokens for a preempted one resuming — probes
-        the page pool's prefix index, so pages already sealed attach
-        copy-on-write instead of re-prefilling.  The un-appended rest parks
-        on the slot as ``pending_tokens`` for :meth:`_advance_prefills`.  A
-        resumed request re-admits its own slot, so a cancel or deadline
-        landing mid-prefill still reports everything delivered before its
-        eviction.
+        plus already-generated tokens for a preempted one resuming — either
+        attaches the pages the prefix index already holds, or, when a live
+        slot is still prefilling more of the same chain, makes this slot
+        that slot's *follower* (:meth:`_share_prefix`).  A resumed request
+        re-admits its own slot, so a cancel or deadline landing mid-prefill
+        still reports everything delivered before its eviction.
         """
         slot = queued.resume
         if slot is None:
@@ -708,17 +715,75 @@ class ContinuousBatchingScheduler:
             slot.pending_tokens = slot.chain = slot.finish_reason = None
         self._slots[index] = slot
         slot.chain = _fed_chain(queued.request, slot.generated)
-        shared = self._lookup_prefix(queued.request, slot.chain)
+        self._share_prefix(index, slot)
+
+    def _share_prefix(self, index: int, slot: _Slot) -> None:
+        """Follow a live leader of ``slot``'s chain, or attach what is indexed.
+
+        A slot still prefilling (and not itself following) *leads* when it
+        will seal whole pages of this chain that it has not sealed yet:
+        this slot then follows the leader sharing the most pages, its cache
+        stays empty and it runs no chunk while it waits.  Otherwise the
+        pages the prefix index already holds attach copy-on-write and the
+        un-appended rest parks on the slot as ``pending_tokens`` for
+        :meth:`_advance_prefills`.  Followers never lead, so no cycle forms.
+        """
+        slot.leader, slot.follow_pages = self._find_leader(slot)
+        if slot.leader is not None:
+            slot.pending_tokens = slot.chain  # still owed: the cache is empty
+            return
+        shared = self._lookup_prefix(slot.request, slot.chain)
         if shared is not None:
             num_pages, layers_k, layers_v = shared
             slot.shared_tokens = num_pages * self.cache_config.page_size
             try:
-                cache.attach_prefix(layers_k, layers_v, slot.shared_tokens)
+                slot.cache.attach_prefix(layers_k, layers_v, slot.shared_tokens)
             except Exception as exc:
                 # Releasing the cache drops any layers the attach already took.
                 self._end_slot(index, FinishReason.ERROR, exc=exc)
                 return
-        slot.pending_tokens = slot.chain[cache.seq_len:]
+        slot.pending_tokens = slot.chain[slot.cache.seq_len:]
+
+    def _find_leader(self, slot: _Slot) -> Tuple[Optional[_Slot], int]:
+        """``(leader, pages)``: the live slot to wait for, or ``(None, 0)``.
+
+        Shared pages are capped as :meth:`_lookup_prefix` caps them.  A
+        candidate whose first page differs is dismissed before anything else,
+        so slots sharing nothing cost one short comparison each.
+        """
+        size = self.cache_config.page_size
+        chain = slot.chain
+        max_pages = (int(chain.size) - 1) // size
+        if not self.cache_config.prefix_sharing or max_pages < 1:
+            return None, 0
+        key = self._prefix_key(slot.request)
+        best, best_pages = None, 0
+        for other in self._slots:
+            if (
+                other is None
+                or other is slot
+                or other.leader is not None
+                or not other.prefilling
+                or not np.array_equal(other.chain[:size], chain[:size])
+                or self._prefix_key(other.request) != key
+            ):
+                continue
+            span = min(chain.size, other.chain.size)
+            mismatch = np.flatnonzero(chain[:span] != other.chain[:span])
+            pages = min(max_pages, (int(mismatch[0]) if mismatch.size else span) // size)
+            if pages > max(best_pages, other.cache.seq_len // size):
+                best, best_pages = other, pages
+        return best, best_pages
+
+    def _still_leads(self, slot: _Slot) -> bool:
+        """True while ``slot``'s leader is live and short of its shared pages."""
+        leader = slot.leader
+        return (
+            leader.leader is None
+            and leader.prefilling
+            and any(other is leader for other in self._slots)
+            and leader.cache.seq_len // self.cache_config.page_size < slot.follow_pages
+        )
 
     def _advance_prefills(self) -> Tuple[int, List[_Slot]]:
         """Feed every prefilling slot its next chunk.
@@ -727,18 +792,32 @@ class ContinuousBatchingScheduler:
         suffix when that is ``None``).  Slots sharing a model entry, chunk
         length and finality advance in one batched incremental pass.
         Intermediate chunks run the backbone only — their hidden states are
-        never consumed, so the O(t × vocab) LM-head GEMM is skipped.  The
-        final chunk runs the full ``last_only`` pass: the chain's pages
-        register under the prefix index and a fresh request emits its first
-        token (a resumed one discards the output — its next token was already
-        delivered before eviction — and rejoins decode this same round).
+        never consumed, so the O(t × vocab) LM-head GEMM is skipped.  After
+        every chunk the chain's sealed pages register under the prefix
+        index.  The final chunk runs the full ``last_only`` pass: a fresh
+        request emits its first token (a resumed one discards the output —
+        its next token was already delivered before eviction — and rejoins
+        decode this same round).
+
+        Followers run no chunk.  Before the chunk groups form, each one whose
+        leader has sealed its shared pages, or has stopped prefilling
+        (finished, cancelled, preempted or failed), shares again
+        (:meth:`_share_prefix`): it attaches whatever the index now holds
+        and prefills only the rest, or follows another leader — the first
+        follower of a lost leader takes over, and the others follow it.
 
         Returns ``(chunk_tokens_appended, fresh_slots_completed)``.
         """
+        for index, slot in enumerate(self._slots):
+            if slot is not None and slot.leader is not None and not self._still_leads(slot):
+                self._share_prefix(index, slot)
         pending = [
             slot
             for slot in self._slots
-            if slot is not None and slot.prefilling and not slot.done
+            if slot is not None
+            and slot.prefilling
+            and slot.leader is None
+            and not slot.done
         ]
         if not pending:
             return 0, []
@@ -801,14 +880,18 @@ class ContinuousBatchingScheduler:
         completed = []
         for row, slot in enumerate(slots):
             slot.prefill_tokens += take
+            if self.cache_config.prefix_sharing:
+                # Every chunk ends on a seal (quantized chunks are page
+                # multiples), so followers find each chunk's pages at once.
+                self.page_pool.register_prefix(
+                    self._prefix_key(slot.request),
+                    slot.chain[: slot.cache.seq_len],
+                    slot.cache,
+                )
             if not final:
                 slot.pending_tokens = slot.pending_tokens[take:]
                 continue
             slot.pending_tokens = None
-            if self.cache_config.prefix_sharing:
-                self.page_pool.register_prefix(
-                    self._prefix_key(slot.request), slot.chain, slot.cache
-                )
             # A slot that already emitted tokens is a resumed one: its next
             # token was delivered before eviction.
             resumed = bool(slot.generated)

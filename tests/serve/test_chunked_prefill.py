@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.serve.admission import AdmissionPolicy
 from repro.serve.engine import ServingEngine
+from repro.serve.faultinject import (
+    FaultInjector,
+    FaultSchedule,
+    FaultSpec,
+    check_refcounts,
+)
 from repro.serve.kvcache import KVCacheConfig
 from repro.serve.repository import ModelRepository
 from repro.serve.requests import InferenceRequest, ServingError, WorkloadFamily
 from repro.serve.sampling import SamplingParams
 from repro.serve.scheduler import ContinuousBatchingScheduler
 from repro.serve.spec import SpeculativeConfig, SpeculativeDecoder
+from repro.serve.telemetry import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +289,179 @@ class TestSpeculationDuringChunkedPrefill:
             return [out[r.request_id] for r in reqs]
 
         assert run(8, decoder) == run(None, None)
+
+
+class TestInflightFollowers:
+    """A request whose prefix another slot is still prefilling waits for it.
+
+    The follower's cache stays empty and it runs no chunk until its leader
+    has sealed the shared pages (or stopped prefilling); it then attaches
+    what the prefix index holds and prefills only the rest.  Every stream
+    must equal the one-slot, no-sharing reference's, and every round must
+    leave the pool's refcounts balanced.
+    """
+
+    PAGE = 8
+    DOC = 40  # five pages
+
+    def prompts(self, seed, suffixes=(3, 5, 7)):
+        rng = np.random.default_rng(seed)
+        doc = rng.integers(0, 96, size=self.DOC)
+        return [np.concatenate([doc, rng.integers(0, 96, size=n)]) for n in suffixes]
+
+    def requests(self, prompts, **kwargs):
+        return [
+            InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt,
+                             sampling=SamplingParams(max_new_tokens=6), **kwargs)
+            for prompt in prompts
+        ]
+
+    def reference(self, repo, prompts):
+        scheduler = ContinuousBatchingScheduler(
+            repo, num_slots=1,
+            cache_config=KVCacheConfig(bits=4, page_size=self.PAGE, prefix_sharing=False),
+        )
+        outputs = run_to_completion(scheduler, self.requests(prompts))
+        return sorted(outputs.values())
+
+    def drain(self, scheduler, outputs, max_steps=200):
+        """Step to idle, checking refcounts every round."""
+        for _ in range(max_steps):
+            if not len(scheduler):
+                break
+            for result in scheduler.step():
+                outputs[result.request_id] = result.output
+            check_refcounts(scheduler)
+        assert not len(scheduler), "scheduler did not drain"
+        pool = scheduler.page_pool
+        assert pool.num_blocks == 0 and pool.decoded_cache_bytes == 0
+        # No sequence holds a page any more: each is its index node's alone.
+        assert all(handle.refcount == 1 for handle in pool._entries.values())
+        return outputs
+
+    @staticmethod
+    def prefilled(scheduler):
+        registry = scheduler.stats.registry
+        return (registry.get("serve_tokens_total").value()
+                - registry.get("serve_generated_tokens_total").value())
+
+    @pytest.mark.parametrize("chunk", [None, 8, 16])
+    def test_cold_wave_prefills_the_document_once(self, repo, chunk):
+        prompts = self.prompts(seed=30)
+        scheduler = ContinuousBatchingScheduler(
+            repo, num_slots=3, cache_config=KVCacheConfig(bits=4, page_size=self.PAGE),
+            prefill_chunk_tokens=chunk,
+        )
+        requests = self.requests(prompts)
+        for request in requests:
+            scheduler.submit(request)
+        scheduler.step()
+        # The two later requests wait on the first with empty caches.
+        followers = [slot for slot in scheduler._slots if slot.leader is not None]
+        assert len(followers) == 2
+        assert all(slot.cache.seq_len == 0 and slot.prefill_tokens == 0
+                   for slot in followers)
+        outputs = self.drain(scheduler, {})
+        got = [outputs[request.request_id] for request in requests]
+        assert sorted(list(out.token_ids) for out in got) == self.reference(repo, prompts)
+        assert [out.kv_cache["prefix_shared_tokens"] for out in got] == [0, 40, 40]
+        suffixes = sum(prompt.size - self.DOC for prompt in prompts)
+        assert self.prefilled(scheduler) == self.DOC + suffixes
+
+    @pytest.mark.parametrize(
+        "ending, chunk",
+        # Unchunked, a leader finishes its prefill in the round that stages
+        # it, so only a failing forward loses it mid-prefill.
+        [("cancel", 8), ("preempt", 8), ("error", 8), ("error", None)],
+    )
+    def test_follower_takes_over_from_a_lost_leader(self, repo, ending, chunk):
+        """The leader stops mid-prefill; one follower takes over from the
+        last indexed page and the other follows it."""
+        prompts = self.prompts(seed=31)
+        scheduler = ContinuousBatchingScheduler(
+            repo, num_slots=3, cache_config=KVCacheConfig(bits=4, page_size=self.PAGE),
+            prefill_chunk_tokens=chunk,
+            admission=AdmissionPolicy(
+                class_priority={"interactive": 10, "batch": 5, "bulk": 0}, preempt=True
+            ),
+            tracer=Tracer() if ending == "error" else None,
+        )
+        if ending == "error":
+            # Fail the leader's second forward (unchunked, its only one).
+            # Its followers run no forward while they wait, so every embed
+            # span before the fault is the leader's.
+            at = 2 if chunk else 1
+            FaultInjector(
+                FaultSchedule([FaultSpec("phase_error", phase="embed", at_count=at)])
+            ).attach(scheduler)
+        [leader] = self.requests(
+            prompts[:1], slo_class="bulk" if ending == "preempt" else "batch"
+        )
+        followers = self.requests(prompts[1:], slo_class="batch")
+        scheduler.submit(leader)
+        if ending == "preempt":
+            # Admission pops the best priority first: let the low-priority
+            # leader start alone, so the followers stage behind it.
+            scheduler.step()
+        for request in followers:
+            scheduler.submit(request)
+        outputs = {}
+        for result in scheduler.step():
+            outputs[result.request_id] = result.output
+        check_refcounts(scheduler)
+        assert all(slot.leader is not None for slot in scheduler._slots[1:])
+        # The leader's chunks so far are indexed (nothing when the unchunked
+        # leader failed).
+        indexed = scheduler.page_pool.num_prefix_nodes * self.PAGE
+        assert 0 < indexed < self.DOC if chunk else indexed == 0
+        late = []
+        if ending == "cancel":
+            scheduler.cancel(leader.request_id)
+        elif ending == "preempt":
+            late = self.requests(
+                [np.random.default_rng(32).integers(0, 96, size=12)],
+                slo_class="interactive",
+            )
+            scheduler.submit(late[0])
+        self.drain(scheduler, outputs)
+        served = [*followers, *late] + ([leader] if ending == "preempt" else [])
+        want = self.reference(repo, [r.token_ids for r in served])
+        assert sorted(list(outputs[r.request_id].token_ids) for r in served) == want
+        if ending == "preempt":
+            assert scheduler.preempted == 1
+        if ending == "error":
+            assert [rid for rid, _ in scheduler.take_failures()] == [leader.request_id]
+        shared = sorted(outputs[r.request_id].kv_cache["prefix_shared_tokens"]
+                        for r in followers)
+        assert shared == [indexed, self.DOC]
+        suffixes = sum(prompt.size - self.DOC for prompt in prompts[1:])
+        if ending != "preempt":  # a preempted leader resumes and prefills too
+            assert self.prefilled(scheduler) == self.DOC + suffixes
+
+    @pytest.mark.parametrize("chunk", [None, 8])
+    def test_follower_deadline_passes_while_it_waits(self, repo, chunk):
+        clock = {"t": 0.0}
+        scheduler = ContinuousBatchingScheduler(
+            repo, num_slots=2, clock=lambda: clock["t"],
+            cache_config=KVCacheConfig(bits=4, page_size=self.PAGE),
+            prefill_chunk_tokens=chunk,
+        )
+        prompts = self.prompts(seed=33, suffixes=(3, 5))
+        [leader] = self.requests(prompts[:1])
+        [follower] = self.requests(prompts[1:], deadline_s=1.0)
+        scheduler.submit(leader)
+        scheduler.submit(follower)
+        scheduler.step()
+        waiting = next(s for s in scheduler._slots if s.request is follower)
+        assert waiting.leader is not None and waiting.cache.seq_len == 0
+        scheduler.take_chunks()
+        clock["t"] = 5.0
+        results = {r.request_id: r.output for r in scheduler.step()}
+        check_refcounts(scheduler)
+        expired = results[follower.request_id]
+        assert expired.finish_reason == "deadline" and expired.token_ids == []
+        mine = [c for c in scheduler.take_chunks() if c.request_id == follower.request_id]
+        assert [c.token_id for c in mine] == [None]
+        assert waiting.prefill_tokens == 0
+        outputs = self.drain(scheduler, {})
+        assert list(outputs[leader.request_id].token_ids) == self.reference(repo, prompts[:1])[0]

@@ -2,8 +2,9 @@
 
 One derandomized property test serves a shared-document request mix with
 prefix sharing on, under a drawn feature vector: prefill chunk size,
-speculation on or off, one preemption, and 4-bit, 8-bit or unquantized
-pages.  Every token stream and finish reason must equal the one-slot
+speculation on or off, one preemption, an in-flight follower (a first-wave
+request on a document another first-wave request is still prefilling), and
+4-bit, 8-bit or unquantized pages.  Every token stream and finish reason must equal the one-slot
 oracle's (no sharing, no chunking, no speculation, each request served
 alone), and every logprob must agree within ``LOGPROB_BOUND``.  Both sides
 serve the same float32 repository entry, but not the same float32
@@ -35,14 +36,16 @@ catches (e.g. ``chunk=None, speculative=False, bits=4, preempt_round=3,
 seed=0``, in float64 too); no derandomized draw, tier-1 or widened, does.
 
 The example count defaults to 10; the ``COMBINATION_EXAMPLES`` environment
-variable widens it (CI's chaos job does).
+variable widens it (CI's chaos job does).  A widened run also replays
+``DEFECT_DRAWS`` first, so it keeps failing on the 8-bit defect until the
+defect is fixed, whichever draws the derandomized search makes.
 """
 
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.serve import (
     AdmissionPolicy,
@@ -67,6 +70,19 @@ LOGPROB_BOUND = 1e-3
 #: Page widths drawn: 4- and 8-bit OVP, and ``None`` for unquantized pages.
 PAGE_BITS = (4, 8, None)
 EXAMPLES = int(os.environ.get("COMBINATION_EXAMPLES", "10"))
+#: Draws that hit the 8-bit defect described above.
+DEFECT_DRAWS = (
+    dict(chunk=4, speculative=False, bits=8, preempt_round=1, follower=False, seed=24181),
+    dict(chunk=4, speculative=True, bits=8, preempt_round=3, follower=False, seed=58755),
+)
+
+
+def replay_defect_draws_when_widened(test):
+    """Add ``DEFECT_DRAWS`` as explicit examples, in widened runs only."""
+    if EXAMPLES > 10:
+        for draw in DEFECT_DRAWS:
+            test = example(**draw)(test)
+    return test
 
 #: Cheap calibration: the heads only need to propose, not to be accurate.
 SPEC = SpeculativeConfig(
@@ -116,15 +132,25 @@ def cache_config(bits, prefix_sharing=True):
 WAVES = ((0, 1), (0, 0, 1))
 
 
-def request_mix(seed):
-    """``(prompt, max_new_tokens)`` per request, in submission order."""
+def request_mix(seed, follower=False):
+    """``(prompt, max_new_tokens)`` per request, in submission order.
+
+    With ``follower``, the first wave ends with one more request on
+    document 0, drawn after the others so the rest of the mix is unchanged:
+    it arrives while the wave's first request is still prefilling the
+    document, which nobody has indexed yet.
+    """
     rng = np.random.default_rng(seed)
     documents = [rng.integers(0, VOCAB, size=n) for n in rng.integers(17, 27, size=2)]
     picks = [doc for wave in WAVES for doc in wave] + [int(rng.integers(2))]
+    if follower:
+        picks.append(0)
     mix = []
     for doc in picks:
         question = rng.integers(0, VOCAB, size=int(rng.integers(2, 6)))
         mix.append((np.concatenate([documents[doc], question]), int(rng.integers(8, 13))))
+    if follower:
+        mix.insert(len(WAVES[0]), mix.pop())
     return mix
 
 
@@ -151,11 +177,15 @@ def one_slot_oracle(repository, mix, bits):
     return [outputs[request_id] for request_id in ids]
 
 
-def served_with_features(repository, mix, bits, chunk, speculative, preempt_round):
+def served_with_features(
+    repository, mix, bits, chunk, speculative, preempt_round, follower
+):
     """Outputs with every drawn feature on.
 
-    The first wave indexes both documents; the second wave arrives at once,
-    so its holders of document 0 read one shared block in the same rounds.
+    The first wave indexes both documents (with ``follower``, its last
+    request waits for the first to seal document 0); the second wave
+    arrives at once, so its holders of document 0 read one shared block in
+    the same rounds.
     The interactive request arrives ``preempt_round`` rounds later, evicts
     a batch slot, and the victim resumes by re-attaching its own pages.
     Returns the outputs and ``(victim index, tokens emitted before its
@@ -172,7 +202,7 @@ def served_with_features(repository, mix, bits, chunk, speculative, preempt_roun
         prefill_chunk_tokens=chunk,
     )
     requests = make_requests(mix)
-    first = len(WAVES[0])
+    first = len(WAVES[0]) + follower
     outputs = {}
     for request in requests[:first]:
         scheduler.submit(request)
@@ -210,12 +240,14 @@ def served_with_features(repository, mix, bits, chunk, speculative, preempt_roun
     speculative=st.booleans(),
     bits=st.sampled_from(PAGE_BITS),
     preempt_round=st.integers(min_value=1, max_value=3),
+    follower=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**16),
 )
+@replay_defect_draws_when_widened
 def test_feature_mix_matches_one_slot_oracle(
-    repository, decoders, chunk, speculative, bits, preempt_round, seed
+    repository, decoders, chunk, speculative, bits, preempt_round, follower, seed
 ):
-    mix = request_mix(seed)
+    mix = request_mix(seed, follower)
     want = one_slot_oracle(repository, mix, bits)
     got, (victim, before_eviction) = served_with_features(
         repository,
@@ -224,7 +256,11 @@ def test_feature_mix_matches_one_slot_oracle(
         chunk,
         decoders(bits) if speculative else None,
         preempt_round,
+        follower,
     )
+    if follower:
+        # It attached the pages its leader sealed instead of prefilling them.
+        assert got[len(WAVES[0])].kv_cache["prefix_shared_tokens"] >= PAGE_SIZE
     for index, (ours, oracle) in enumerate(zip(got, want)):
         assert list(ours.token_ids) == list(oracle.token_ids)
         assert ours.finish_reason == oracle.finish_reason
