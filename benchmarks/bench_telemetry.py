@@ -2,9 +2,9 @@
 
 Two perf properties guard the observability layer:
 
-* **off means free** — serving with a disabled tracer (the instrumented hot
-  path hitting ``tracer.enabled`` checks and the shared null span) must stay
-  within 2% of serving with no tracer argument at all (``NULL_TRACER``);
+* **off means free** — serving with a disabled ``Tracer`` (the instrumented
+  hot path hitting its ``enabled`` checks and the shared null span) must
+  stay within 2% of serving with a bench-local stand-in that does nothing;
 * **on means cheap** — the fully-enabled tracer's overhead on a speculative
   serving run is reported informationally, and its phase report must name at
   least 90% of where the round wall-clock went (the report is useless if
@@ -15,6 +15,7 @@ The enabled run's phase breakdown is attached to ``BENCH_serve.json`` via the
 the throughput trajectory.
 """
 
+import contextlib
 import json
 
 import numpy as np
@@ -57,6 +58,26 @@ def lm_requests(seed, count=4, seq_len=8, max_new_tokens=12):
     ]
 
 
+class _AbsentTracer:
+    """The least a tracer can be: never enabled, every call a no-op.
+
+    The baseline of the disabled-tracer pin, so the pin compares a real
+    ``Tracer(enabled=False)`` with tracing that costs nothing at all.
+    """
+
+    enabled = False
+    _NOOP = contextlib.nullcontext()
+
+    def span(self, name, cat="phase", attrs=None):
+        return self._NOOP
+
+    def lifecycle_begin(self, track, name, attrs=None):
+        pass
+
+    def lifecycle_end(self, track, attrs=None):
+        pass
+
+
 def make_engine(repository, tracer=None):
     engine = ServingEngine(
         repository,
@@ -69,10 +90,11 @@ def make_engine(repository, tracer=None):
 
 
 def test_bench_disabled_tracer_is_free(run_once, paired_ratio, benchmark, serve_trajectory):
-    """Serving with ``Tracer(enabled=False)`` must match no-tracer serving.
+    """Serving with ``Tracer(enabled=False)`` must match do-nothing tracing.
 
-    Every instrumented call site pays only an ``enabled`` attribute check on
-    the null path, so the regression budget is 2%.  Both engines also run
+    The baseline engine carries an :class:`_AbsentTracer`.  Every
+    instrumented call site pays only an ``enabled`` attribute check on the
+    disabled ``Tracer``, so the regression budget is 2%.  Both engines also run
     with the health layer at its default (``health=None``), so the pin
     covers the disabled-health step path too.  The measurement is paired
     interleaved median-of-k trials (alternating order each trial): separate
@@ -85,7 +107,7 @@ def test_bench_disabled_tracer_is_free(run_once, paired_ratio, benchmark, serve_
     ratio stayed within 0.99-1.013 over 10 reruns.
     """
     repository = ModelRepository(bits=4, seed=0)
-    absent = make_engine(repository)
+    absent = make_engine(repository, tracer=_AbsentTracer())
     disabled = make_engine(repository, tracer=Tracer(enabled=False))
     for engine in (absent, disabled):
         engine.warm(MODEL, WorkloadFamily.LM)

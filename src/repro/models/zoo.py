@@ -19,6 +19,7 @@ from repro.models.configs import (
     analogue_config,
 )
 from repro.models.outliers import inject_model_outliers, inject_tensor_outliers
+from repro.nn.attention import _NULL_SPAN
 from repro.nn.heads import ClassificationHead, LMHead, SpanHead
 from repro.nn.layers import Linear
 from repro.nn.module import Module
@@ -114,10 +115,9 @@ class CausalLM(Module):
         )
         if last_only:
             hidden = hidden[:, -1:]
-        if tracer is not None and tracer.enabled:
-            with tracer.span("lm_head"):
-                return self.head.log_probs(hidden)
-        return self.head.log_probs(hidden)
+        traced = tracer is not None and tracer.enabled
+        with tracer.span("lm_head") if traced else _NULL_SPAN:
+            return self.head.log_probs(hidden)
 
 
 def build_backbone(config: AnalogueConfig, rng: np.random.Generator) -> Module:

@@ -15,7 +15,7 @@ __all__ = ["MultiHeadAttention"]
 
 
 class _NullSpan:
-    """No-op context manager so the untraced forward stays branch-free."""
+    """No-op span shared by the untraced forward and every disabled tracer."""
 
     __slots__ = ()
 

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.attention import MultiHeadAttention
+from repro.nn.attention import _NULL_SPAN, MultiHeadAttention
 from repro.nn.layers import Embedding, LayerNorm, Linear, PositionalEmbedding
 from repro.nn.module import Module
 
@@ -128,11 +128,9 @@ class TransformerDecoderLayer(Module):
         x = x + self.self_attention.forward_incremental(
             self.norm_self(x), layer_caches, batched_rounds=batched_rounds, tracer=tracer
         )
-        if tracer is not None and tracer.enabled:
-            with tracer.span("ffn"):
-                return x + self.ffn(self.norm_ffn(x))
-        x = x + self.ffn(self.norm_ffn(x))
-        return x
+        traced = tracer is not None and tracer.enabled
+        with tracer.span("ffn") if traced else _NULL_SPAN:
+            return x + self.ffn(self.norm_ffn(x))
 
 
 class _EmbeddingFrontend(Module):
@@ -273,10 +271,8 @@ class TransformerDecoder(Module):
                 f"got {token_ids.shape[0]} sequences but {len(caches)} caches"
             )
         offsets = np.array([cache.seq_len for cache in caches], dtype=np.int64)
-        if tracer is not None and tracer.enabled:
-            with tracer.span("embed"):
-                hidden = self.embeddings(token_ids, position_offsets=offsets)
-        else:
+        traced = tracer is not None and tracer.enabled
+        with tracer.span("embed") if traced else _NULL_SPAN:
             hidden = self.embeddings(token_ids, position_offsets=offsets)
         for i in range(self.num_layers):
             layer_caches = [cache.layer(i) for cache in caches]

@@ -37,9 +37,9 @@ request/response engine:
   latency (TTFT / inter-token) accounting aligned with the performance
   simulators;
 * :mod:`repro.serve.telemetry` — span-based request-lifecycle tracing and
-  per-phase round profiling (:class:`~repro.serve.telemetry.Tracer`, off by
-  default via the :data:`~repro.serve.telemetry.NULL_TRACER` null object)
-  plus the Prometheus-style
+  per-phase round profiling (:class:`~repro.serve.telemetry.Tracer`; each
+  engine builds a disabled one unless given a tracer, and
+  ``engine.tracer.enable()`` traces it in place) plus the Prometheus-style
   :class:`~repro.serve.telemetry.MetricsRegistry`; exports Chrome
   ``trace_event`` JSON, JSONL span logs and ``phase_report()`` wall-clock
   breakdowns;
@@ -92,18 +92,11 @@ whole prompt-length prefill pass — greedy outputs stay token-identical.
 
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.aio import AsyncServer, RetryPolicy
-from repro.serve.batcher import MicroBatcher, QueuedRequest
-from repro.serve.errors import (
-    AdmissionRejectedError,
-    AuthenticationError,
-    InjectedFault,
-    QueueFullError,
-    QuotaExceededError,
-    RateLimitedError,
-    is_retryable,
-)
+# Not exported, but ``from repro.serve import MicroBatcher`` keeps resolving.
+from repro.serve.batcher import MicroBatcher  # noqa: F401
+from repro.serve.errors import AdmissionRejectedError, InjectedFault, QueueFullError
 from repro.serve.faultinject import FaultInjector, FaultSchedule, FaultSpec
-from repro.serve.engine import InferenceEngine, ServingEngine
+from repro.serve.engine import ServingEngine
 from repro.serve.gateway import (
     ErrorEnvelope,
     Gateway,
@@ -115,27 +108,16 @@ from repro.serve.loadgen import (
     LoadRunner,
     TenantLoad,
     TraceConfig,
-    TraceEvent,
     VirtualClock,
     generate_trace,
-    load_trace,
-    save_trace,
 )
-from repro.serve.health import (
-    BurnRatePolicy,
-    HealthConfig,
-    HealthEvent,
-    HealthMonitor,
-    SLOClass,
-    unified_event_log,
-)
+from repro.serve.health import HealthConfig, HealthEvent, HealthMonitor, SLOClass
 from repro.serve.sampling import (
     FinishReason,
     RequestOutput,
     Sampler,
     SamplingParams,
     TokenChunk,
-    top_k_candidates,
 )
 from repro.serve.spec import SpeculativeConfig, SpeculativeDecoder
 from repro.serve.kvcache import (
@@ -152,34 +134,20 @@ from repro.serve.requests import (
     WorkloadFamily,
 )
 from repro.serve.scheduler import ContinuousBatchingScheduler
-from repro.serve.stats import (
-    BatchRecord,
-    DecodeRoundRecord,
-    ServingStats,
-)
+from repro.serve.stats import ServingStats
 from repro.serve.telemetry import (
-    NULL_TRACER,
-    Counter,
     MetricsRegistry,
-    NullTracer,
     PhaseReport,
     Span,
     Tracer,
-    exponential_buckets,
     validate_chrome_trace,
-    validate_exposition,
 )
 
 __all__ = [
     "AdmissionPolicy",
     "AdmissionRejectedError",
     "AsyncServer",
-    "AuthenticationError",
-    "BatchRecord",
-    "BurnRatePolicy",
     "ContinuousBatchingScheduler",
-    "Counter",
-    "DecodeRoundRecord",
     "ErrorEnvelope",
     "FaultInjector",
     "FaultSchedule",
@@ -190,23 +158,16 @@ __all__ = [
     "HealthConfig",
     "HealthEvent",
     "HealthMonitor",
-    "InferenceEngine",
     "InferenceRequest",
     "InjectedFault",
     "KVCacheConfig",
     "LayerKVCache",
     "LoadRunner",
-    "MicroBatcher",
     "MetricsRegistry",
     "ModelRepository",
-    "NULL_TRACER",
-    "NullTracer",
     "PagePool",
     "PhaseReport",
     "QueueFullError",
-    "QueuedRequest",
-    "QuotaExceededError",
-    "RateLimitedError",
     "RequestOutput",
     "ResponseEnvelope",
     "RetryPolicy",
@@ -224,18 +185,10 @@ __all__ = [
     "TenantLoad",
     "TokenChunk",
     "TraceConfig",
-    "TraceEvent",
     "Tracer",
     "VirtualClock",
     "WorkloadFamily",
     "cache_for_model",
-    "exponential_buckets",
     "generate_trace",
-    "is_retryable",
-    "load_trace",
-    "save_trace",
-    "top_k_candidates",
-    "unified_event_log",
     "validate_chrome_trace",
-    "validate_exposition",
 ]

@@ -43,7 +43,7 @@ from repro.serve.requests import (
 from repro.serve.sampling import FinishReason, RequestOutput, TokenChunk
 from repro.serve.scheduler import ContinuousBatchingScheduler, greedy_top_k
 from repro.serve.stats import BatchRecord, ServingStats
-from repro.serve.telemetry import NULL_TRACER
+from repro.serve.telemetry import Tracer
 
 __all__ = ["InferenceEngine", "ServingEngine"]
 
@@ -274,7 +274,7 @@ class ServingEngine:
     ) -> None:
         self.repository = repository or ModelRepository()
         self.clock = clock
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.admission = admission
         self.batcher = MicroBatcher(
             max_batch_size=max_batch_size,
@@ -286,7 +286,6 @@ class ServingEngine:
         # One page pool for every generation slot: sealed pages and the
         # prefix index are shared across sequences.
         self.page_pool = PagePool()
-        self.page_pool.tracer = self.tracer
         self.engine = InferenceEngine(self.repository)
         self.stats = ServingStats(clock=clock)
         # The monitor builds before the scheduler so the admission policy's
@@ -301,7 +300,7 @@ class ServingEngine:
             page_pool=self.page_pool,
             share_generated_suffix=share_generated_suffix,
             speculative=speculative,
-            tracer=tracer,
+            tracer=self.tracer,
             admission=admission,
             health_monitor=self.health,
             prefill_chunk_tokens=prefill_chunk_tokens,
@@ -457,12 +456,11 @@ class ServingEngine:
             while len(self._chunks) > self.result_buffer:
                 request_id, dropped = self._chunks.popitem(last=False)
                 self.stats.record_chunks_evicted(len(dropped))
-                if self.tracer.enabled:
-                    with self.tracer.span(
-                        "stream_evicted",
-                        attrs={"request_id": request_id, "chunks": len(dropped)},
-                    ):
-                        pass
+                with self.tracer.span(
+                    "stream_evicted",
+                    attrs={"request_id": request_id, "chunks": len(dropped)},
+                ):
+                    pass
 
     def next_chunk(self, request_id: str) -> Optional[TokenChunk]:
         """Pop the oldest buffered chunk of ``request_id`` (None when empty).
@@ -637,8 +635,9 @@ class ServingEngine:
         """Wall-clock breakdown of traced decode rounds (see the tracer)."""
         return self.tracer.phase_report(root=root)
 
-    def chrome_trace(self) -> str:
-        """Chrome ``trace_event`` JSON of everything traced so far."""
+    def chrome_trace(self) -> dict:
+        """Chrome ``trace_event`` dict (``{"traceEvents": [...], ...}``) of
+        everything traced so far; ``json.dumps`` it to write a trace file."""
         return self.tracer.chrome_trace()
 
     def health_report(self) -> dict:

@@ -163,9 +163,10 @@ class _InjectingTracer:
     ``span()`` consults the injector *before* delegating, so a phase error
     raises before the span opens (no dangling open spans in the report).
     Everything else — ``enabled``, lifecycle tracks, report methods —
-    passes through to the wrapped tracer untouched, so a NULL_TRACER stays
-    free and an enabled tracer's output is unchanged apart from the
-    injected behaviour.
+    passes through to the wrapped tracer untouched, so a disabled tracer
+    stays free and an enabled tracer's output is unchanged apart from the
+    injected behaviour.  Scheduler spans are counted traced or not; the nn
+    layers enter theirs only while the tracer is enabled.
     """
 
     def __init__(self, inner, injector: "FaultInjector") -> None:

@@ -513,11 +513,8 @@ def unified_event_log(tracer, monitor: Optional[HealthMonitor]) -> str:
     from the monitor (each carrying its alert's ``correlation_id``).
     """
     epochs = []
-    tracer_epoch = getattr(tracer, "_epoch", None)
-    if tracer_epoch is not None and (
-        getattr(tracer, "num_spans", 0) or tracer.lifecycles()
-    ):
-        epochs.append(tracer_epoch())
+    if tracer.num_spans or tracer.lifecycles():
+        epochs.append(tracer._epoch())
     if monitor is not None and monitor._epoch() is not None:
         epochs.append(monitor._epoch())
     if not epochs:

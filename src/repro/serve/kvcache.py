@@ -72,7 +72,7 @@ from repro.core.ovp import OVPairCodec, PackedOVPTensor
 from repro.core.quantizer import OVPQuantizerConfig
 from repro.nn.functional import as_float
 from repro.serve.requests import ServingError
-from repro.serve.telemetry import NULL_TRACER
+from repro.serve.telemetry import Tracer
 
 __all__ = [
     "KVCacheConfig",
@@ -219,10 +219,10 @@ class PagePool:
         if prefix_capacity < 1:
             raise ServingError("prefix_capacity must be >= 1")
         self.prefix_capacity = int(prefix_capacity)
-        # Span tracer for the batched pool decode; the owning engine/
-        # scheduler assigns its own tracer here (last assignment wins when a
-        # pool is shared, so share a tracer along with the pool).
-        self.tracer = NULL_TRACER
+        # Span tracer for seals and the batched pool decode, disabled until
+        # the owning engine/scheduler hands over its own (last assignment
+        # wins when a pool is shared, so share a tracer along with the pool).
+        self.tracer = Tracer(enabled=False)
         self._entries: Dict[int, PageHandle] = {}
         # Live shared blocks, keyed by the page id of their chain's first K page.
         self._blocks: Dict[int, _SharedBlock] = {}
@@ -310,10 +310,9 @@ class PagePool:
             if codec is None:
                 raise ServingError("decoding packed KV pages requires a codec")
             tracer = self.tracer
-            if tracer.enabled:
-                with tracer.span("pool_decode", attrs={"pages": len(pending)}):
-                    self._decode_pending(handles, pending, codec, out)
-            else:
+            with tracer.span(
+                "pool_decode", attrs={"pages": len(pending)} if tracer.enabled else None
+            ):
                 self._decode_pending(handles, pending, codec, out)
         return out  # type: ignore[return-value]
 
@@ -688,38 +687,32 @@ class LayerKVCache:
         if first >= stop:
             return
         tracer = self.pool.tracer
-        if tracer.enabled:
-            with tracer.span("seal", attrs={"pages": 2 * (stop - first)}):
-                self._seal_pages(first, stop)
-        else:
-            self._seal_pages(first, stop)
-
-    def _seal_pages(self, first: int, stop: int) -> None:
-        """Seal pages ``[first, stop)`` (see :meth:`_seal_full_pages`)."""
-        size = self.config.page_size
-        pages = []
-        for page in range(first, stop):
-            start = page * size - self._shared
-            rows = slice(start, start + size)
-            pages += [self._k[:, rows], self._v[:, rows]]
-        dtype = self._k.dtype
-        if not self.config.quantize:
-            handles = [self.pool.register(page.copy(), dtype) for page in pages]
+        with tracer.span(
+            "seal", attrs={"pages": 2 * (stop - first)} if tracer.enabled else None
+        ):
+            pages = []
+            for page in range(first, stop):
+                start = page * size - self._shared
+                rows = slice(start, start + size)
+                pages += [self._k[:, rows], self._v[:, rows]]
+            dtype = self._k.dtype
+            if not self.config.quantize:
+                handles = [self.pool.register(page.copy(), dtype) for page in pages]
+                self._hold(handles[0::2], handles[1::2])
+                return
+            scales = [self._page_scale(page) for page in pages]
+            threshold = self.codec.normal_dtype.max_value
+            if pages[0].size % 2 == 0:
+                packed = self.codec.encode_tensor_batch(pages, scales, threshold)
+            else:
+                packed = [
+                    self.codec.encode_tensor(page, scale, threshold)
+                    for page, scale in zip(pages, scales)
+                ]
+            handles = [self.pool.register(payload, dtype) for payload in packed]
             self._hold(handles[0::2], handles[1::2])
-            return
-        scales = [self._page_scale(page) for page in pages]
-        threshold = self.codec.normal_dtype.max_value
-        if pages[0].size % 2 == 0:
-            packed = self.codec.encode_tensor_batch(pages, scales, threshold)
-        else:
-            packed = [
-                self.codec.encode_tensor(page, scale, threshold)
-                for page, scale in zip(pages, scales)
-            ]
-        handles = [self.pool.register(payload, dtype) for payload in packed]
-        self._hold(handles[0::2], handles[1::2])
-        for page, decoded in zip(pages, self.pool.decoded_many(handles, self.codec)):
-            page[...] = decoded
+            for page, decoded in zip(pages, self.pool.decoded_many(handles, self.codec)):
+                page[...] = decoded
 
     def _page_scale(self, page: np.ndarray) -> float:
         """3σ scale rule: normals span 3σ, anything beyond is an OVP outlier."""

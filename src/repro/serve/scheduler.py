@@ -103,7 +103,7 @@ from repro.serve.sampling import (
 )
 from repro.serve.spec import SpeculativeConfig, SpeculativeDecoder
 from repro.serve.stats import DecodeRoundRecord, ServingStats
-from repro.serve.telemetry import NULL_TRACER
+from repro.serve.telemetry import Tracer
 
 __all__ = ["ContinuousBatchingScheduler", "greedy_top_k"]
 
@@ -291,7 +291,7 @@ class ContinuousBatchingScheduler:
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self.clock = clock
         self.stats = stats if stats is not None else ServingStats(clock=clock)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.share_generated_suffix = bool(share_generated_suffix)
         if speculative is None:
             self.spec = None
@@ -311,9 +311,9 @@ class ContinuousBatchingScheduler:
         # One shared pool for every admitted sequence: sealed pages are
         # refcounted here and the prefix index lives here.
         self.page_pool = page_pool if page_pool is not None else PagePool()
-        if tracer is not None:
-            # Only adopt the pool when a tracer was passed explicitly, so a
-            # shared pool's tracer is never clobbered with the null default.
+        if tracer is not None or page_pool is None:
+            # A passed-in pool adopts only an explicitly passed tracer, so a
+            # shared pool's tracer is never clobbered with a disabled default.
             self.page_pool.tracer = self.tracer
         self._queue: Deque[QueuedRequest] = deque()
         self._slots: List[Optional[_Slot]] = [None] * self.num_slots
@@ -363,10 +363,9 @@ class ContinuousBatchingScheduler:
             self._deadline_watch = True
         self._queue.append(QueuedRequest(request=request, enqueued_at=self.clock()))
         self.stats.record_submitted(request.tenant, request.slo_class)
-        if self.tracer.enabled:
-            self.tracer.lifecycle_begin(
-                request.request_id, "queued", {"model": request.model}
-            )
+        self.tracer.lifecycle_begin(
+            request.request_id, "queued", {"model": request.model}
+        )
         return request.request_id
 
     def _check_admission(self, request: InferenceRequest) -> None:
@@ -676,8 +675,7 @@ class ContinuousBatchingScheduler:
             free.extend(self._preempt_for_queue(len(free)))
             while free and self._queue:
                 queued = self._pop_next()
-                if self.tracer.enabled:
-                    self.tracer.lifecycle_begin(queued.request.request_id, "prefill")
+                self.tracer.lifecycle_begin(queued.request.request_id, "prefill")
                 prepared = self._prepare(queued)
                 if prepared is not None:
                     self._stage(free.pop(0), queued, *prepared)
@@ -853,15 +851,14 @@ class ContinuousBatchingScheduler:
         step_tokens = np.stack([slot.pending_tokens[:take] for slot in slots])
         caches = [slot.cache for slot in slots]
         base_lengths = [cache.seq_len for cache in caches]
-        tracer = self.tracer if self.tracer.enabled else None
         try:
             if final:
                 log_probs = entry.model.log_probs_incremental(
-                    step_tokens, caches, last_only=True, tracer=tracer
+                    step_tokens, caches, last_only=True, tracer=self.tracer
                 )[:, -1, :]
             else:
                 entry.model.backbone.forward_incremental(
-                    step_tokens, caches, tracer=tracer
+                    step_tokens, caches, tracer=self.tracer
                 )
         except Exception as exc:
             if len(slots) == 1:
@@ -898,12 +895,11 @@ class ContinuousBatchingScheduler:
             if not resumed:
                 self._emit_token(slot, log_probs[row], now)
                 completed.append(slot)
-            if self.tracer.enabled:
-                self.tracer.lifecycle_begin(
-                    slot.request.request_id,
-                    "decode",
-                    {"resumed": True} if resumed else None,
-                )
+            self.tracer.lifecycle_begin(
+                slot.request.request_id,
+                "decode",
+                {"resumed": True} if resumed else None,
+            )
         return completed, take * len(slots)
 
     def _pop_next(self) -> QueuedRequest:
@@ -1008,12 +1004,11 @@ class ContinuousBatchingScheduler:
                 request=request, enqueued_at=slot.queued.enqueued_at, resume=resume
             )
         )
-        if self.tracer.enabled:
-            self.tracer.lifecycle_begin(
-                request.request_id,
-                "queued",
-                {"preempted": True, "tokens": len(slot.generated)},
-            )
+        self.tracer.lifecycle_begin(
+            request.request_id,
+            "queued",
+            {"preempted": True, "tokens": len(slot.generated)},
+        )
 
     def _prefix_key(self, request: InferenceRequest) -> tuple:
         """Prefix-index scope: one model's pages never serve another model.
@@ -1076,10 +1071,9 @@ class ContinuousBatchingScheduler:
             )
         except Exception as exc:
             self._failed.append((request.request_id, exc))
-            if self.tracer.enabled:
-                self.tracer.lifecycle_end(
-                    request.request_id, {"reason": FinishReason.ERROR}
-                )
+            self.tracer.lifecycle_end(
+                request.request_id, {"reason": FinishReason.ERROR}
+            )
             return None
         return entry, cache
 
@@ -1191,10 +1185,9 @@ class ContinuousBatchingScheduler:
                 finish_reason=reason,
             )
         )
-        if self.tracer.enabled:
-            self.tracer.lifecycle_end(
-                request.request_id, {"reason": reason, "tokens": len(slot.generated)}
-            )
+        self.tracer.lifecycle_end(
+            request.request_id, {"reason": reason, "tokens": len(slot.generated)}
+        )
         return result
 
     # ------------------------------------------------------------------ #
@@ -1324,7 +1317,7 @@ class ContinuousBatchingScheduler:
             log_probs = slots[0].entry.model.log_probs_incremental(
                 step_tokens,
                 caches,
-                tracer=tracer if tracer.enabled else None,
+                tracer=tracer,
             )
             now = self.clock()
             with tracer.span("sample"):
@@ -1472,7 +1465,7 @@ class ContinuousBatchingScheduler:
                 step_tokens,
                 caches,
                 batched_rounds=True,
-                tracer=tracer if tracer.enabled else None,
+                tracer=tracer,
             )
             now = self.clock()
             emitted_total = 0
@@ -1572,14 +1565,13 @@ class ContinuousBatchingScheduler:
                         result.latency,
                     )
                     self._register_generated_suffix(slot)
-                    if self.tracer.enabled:
-                        self.tracer.lifecycle_end(
-                            slot.request.request_id,
-                            {
-                                "reason": slot.finish_reason,
-                                "tokens": len(slot.generated),
-                            },
-                        )
+                    self.tracer.lifecycle_end(
+                        slot.request.request_id,
+                        {
+                            "reason": slot.finish_reason,
+                            "tokens": len(slot.generated),
+                        },
+                    )
                     # Retirement releases the sequence's page references;
                     # pages kept alive by the prefix index go on serving
                     # later requests.

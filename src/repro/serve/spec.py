@@ -61,7 +61,7 @@ from repro.serve.errors import ServingError
 from repro.serve.kvcache import KVCacheConfig, PagePool, SequenceKVCache, cache_for_model
 from repro.serve.repository import ModelRepository, PackedModel
 from repro.serve.requests import WorkloadFamily
-from repro.serve.telemetry import NULL_TRACER
+from repro.serve.telemetry import Tracer
 
 __all__ = ["SpeculativeConfig", "SpeculativeDecoder"]
 
@@ -244,7 +244,7 @@ class SpeculativeDecoder:
     ) -> None:
         self.repository = repository
         self.config = config or SpeculativeConfig()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         # Calibration rollouts decode through the same cache precision the
         # scheduler serves with, so the fitted heads see the on-policy
         # trajectories (quantized-KV greedy loops included), not an fp proxy.
@@ -282,10 +282,7 @@ class SpeculativeDecoder:
         if key in self._pairs:
             return self._pairs[key]
         try:
-            with self.tracer.span(
-                "spec_calibrate",
-                attrs={"model": model} if self.tracer.enabled else None,
-            ):
+            with self.tracer.span("spec_calibrate", attrs={"model": model}):
                 pair = self._build_pair(model, family, target_entry)
         except Exception as exc:  # fall back to plain decode for this model
             self.pair_errors[key] = exc

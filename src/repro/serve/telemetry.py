@@ -15,11 +15,13 @@ module gives *time* the same treatment.  Three pieces:
       :meth:`Tracer.lifecycle_begin` / :meth:`Tracer.lifecycle_end`.
 
     The clock is injected (like the scheduler's ``clock``) so tests can drive
-    it deterministically.  A disabled tracer — either :data:`NULL_TRACER` or a
-    real ``Tracer`` after :meth:`Tracer.disable` — records nothing and
-    allocates nothing on the hot path: ``span()`` returns a shared no-op
-    context manager.  Hot call sites guard attribute construction with
-    ``if tracer.enabled:``.
+    it deterministically.  A disabled tracer — ``Tracer(enabled=False)``, the
+    default an engine, scheduler, speculative decoder or page pool builds for
+    itself, or any tracer after :meth:`Tracer.disable` — records nothing and allocates
+    nothing on the hot path: ``span()`` returns a shared no-op context
+    manager and the ``lifecycle_*`` calls return at once.  Call sites call
+    the tracer unconditionally; hot ones read ``tracer.enabled`` only to
+    skip building span attributes.
 
 ``MetricsRegistry``
     Named counters, gauges, and histograms (fixed exponential buckets) with a
@@ -47,13 +49,13 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.nn.attention import _NULL_SPAN
+
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullTracer",
-    "NULL_TRACER",
     "PhaseReport",
     "PhaseRow",
     "Span",
@@ -469,21 +471,6 @@ class PhaseReport:
         return "\n".join(lines)
 
 
-class _NullSpan:
-    """Shared no-op context manager returned by disabled tracers."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class _SpanHandle:
     """Shared context manager for an enabled tracer.
 
@@ -502,58 +489,6 @@ class _SpanHandle:
     def __exit__(self, exc_type, exc, tb):
         self._tracer._end()
         return False
-
-
-class NullTracer:
-    """No-op tracer: zero spans, zero allocations, always disabled.
-
-    The single shared instance is :data:`NULL_TRACER`; engine/scheduler/pool
-    default to it so untraced serving pays only an attribute check.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def enable(self) -> None:
-        raise RuntimeError("NULL_TRACER cannot be enabled; pass a Tracer instead")
-
-    def disable(self) -> None:
-        pass
-
-    def span(self, name: str = "", cat: str = "phase", attrs: Optional[Dict[str, Any]] = None):
-        return _NULL_SPAN
-
-    def lifecycle_begin(self, track, name, attrs=None) -> None:
-        pass
-
-    def lifecycle_end(self, track, attrs=None) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    @property
-    def num_spans(self) -> int:
-        return 0
-
-    def spans(self) -> List[Span]:
-        return []
-
-    def lifecycles(self) -> List[Tuple[Any, str, float, float, Optional[Dict[str, Any]]]]:
-        return []
-
-    def phase_report(self, root: str = "round") -> PhaseReport:
-        return PhaseReport(rounds=0, round_ms=0.0, coverage=0.0, rows=())
-
-    def chrome_trace(self) -> Dict[str, Any]:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
-    def jsonl(self, epoch: Optional[float] = None) -> str:
-        return ""
-
-
-NULL_TRACER = NullTracer()
 
 
 class Tracer:
@@ -634,6 +569,8 @@ class Tracer:
 
     def lifecycle_end(self, track: Any, attrs: Optional[Dict[str, Any]] = None) -> None:
         """Close the open lifecycle phase on ``track`` (no-op when none)."""
+        if not self.enabled:
+            return
         open_phase = self._open_lifecycle.pop(track, None)
         if open_phase is None:
             return

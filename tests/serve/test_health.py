@@ -22,7 +22,6 @@ import pytest
 
 from repro.serve import (
     AsyncServer,
-    BurnRatePolicy,
     HealthConfig,
     HealthMonitor,
     InferenceRequest,
@@ -36,10 +35,10 @@ from repro.serve import (
     ServingError,
     Tracer,
     WorkloadFamily,
-    unified_event_log,
-    validate_exposition,
 )
+from repro.serve.health import BurnRatePolicy, unified_event_log
 from repro.serve.stats import DecodeRoundRecord, ServingStats
+from repro.serve.telemetry import validate_exposition
 
 MODEL = "gpt2-xl"
 VOCAB = 96

@@ -11,22 +11,40 @@ import pytest
 import repro.serve
 
 MODULE_ONLY = {
+    "AuthenticationError": "repro.serve.errors",
+    "BatchRecord": "repro.serve.stats",
+    "BurnRatePolicy": "repro.serve.health",
+    "Counter": "repro.serve.telemetry",
+    "DecodeRoundRecord": "repro.serve.stats",
     "Gauge": "repro.serve.telemetry",
     "Histogram": "repro.serve.telemetry",
+    "InferenceEngine": "repro.serve.engine",
     "InferenceResult": "repro.serve.requests",
+    "MicroBatcher": "repro.serve.batcher",
     "PackedModel": "repro.serve.repository",
     "PageHandle": "repro.serve.kvcache",
     "PhaseRow": "repro.serve.telemetry",
+    "QueuedRequest": "repro.serve.batcher",
+    "QuotaExceededError": "repro.serve.errors",
+    "RateLimitedError": "repro.serve.errors",
     "RepositoryStats": "repro.serve.repository",
     "RetryableServingError": "repro.serve.errors",
     "SampledToken": "repro.serve.sampling",
     "ServingSummary": "repro.serve.stats",
+    "TraceEvent": "repro.serve.loadgen",
+    "exponential_buckets": "repro.serve.telemetry",
+    "is_retryable": "repro.serve.errors",
+    "load_trace": "repro.serve.loadgen",
+    "save_trace": "repro.serve.loadgen",
+    "top_k_candidates": "repro.serve.sampling",
+    "unified_event_log": "repro.serve.health",
+    "validate_exposition": "repro.serve.telemetry",
 }
 
 
 def test_every_exported_name_resolves():
     exported = repro.serve.__all__
-    assert len(exported) == len(set(exported)) == 67
+    assert len(exported) == len(set(exported)) == 47
     missing = [name for name in exported if not hasattr(repro.serve, name)]
     assert missing == []
 

@@ -14,10 +14,10 @@ from repro.serve import (
     Sampler,
     SamplingParams,
     ServingEngine,
-    top_k_candidates,
 )
 from repro.serve.kvcache import cache_for_model
 from repro.serve.requests import InferenceRequest, ServingError, WorkloadFamily
+from repro.serve.sampling import top_k_candidates
 from repro.serve.scheduler import ContinuousBatchingScheduler, greedy_top_k
 
 

@@ -17,10 +17,10 @@ import pytest
 
 from repro.serve import (
     AsyncServer,
+    ContinuousBatchingScheduler,
     InferenceRequest,
     KVCacheConfig,
     ModelRepository,
-    NULL_TRACER,
     SamplingParams,
     ServingEngine,
     SpeculativeConfig,
@@ -30,7 +30,6 @@ from repro.serve import (
 from repro.serve.stats import ServingStats
 from repro.serve.telemetry import (
     MetricsRegistry,
-    NullTracer,
     exponential_buckets,
     validate_chrome_trace,
 )
@@ -318,10 +317,24 @@ class TestTracerSpans:
         assert tracer.num_spans == 0
         assert tracer.spans() == []
         assert tracer.lifecycles() == []
+        assert tracer.phase_report().rounds == 0
+        assert tracer.chrome_trace()["traceEvents"] == []
+        assert tracer.jsonl() == ""
         tracer.enable()
         with tracer.span("round"):
             pass
         assert tracer.num_spans == 1
+
+    def test_disabling_mid_lifecycle_records_nothing_more(self):
+        tracer = Tracer(clock=FakeClock(tick=1.0))
+        tracer.lifecycle_begin("r0", "queued")
+        tracer.disable()
+        tracer.lifecycle_end("r0")
+        tracer.lifecycle_begin("r1", "queued")
+        assert tracer.lifecycles() == []
+        tracer.enable()
+        tracer.lifecycle_end("r0")
+        assert [entry[:2] for entry in tracer.lifecycles()] == [("r0", "queued")]
 
     def test_disabled_span_allocates_nothing(self):
         tracer = Tracer(enabled=False)
@@ -334,21 +347,6 @@ class TestTracerSpans:
                 pass
         after = sys.getallocatedblocks()
         assert after - before <= 2  # shared _NULL_SPAN: no per-span objects
-
-    def test_null_tracer_is_inert(self):
-        assert NULL_TRACER.enabled is False
-        assert isinstance(NULL_TRACER, NullTracer)
-        with NULL_TRACER.span("round"):
-            pass
-        NULL_TRACER.lifecycle_begin("r0", "queued")
-        NULL_TRACER.lifecycle_end("r0")
-        NULL_TRACER.reset()
-        assert NULL_TRACER.num_spans == 0
-        assert NULL_TRACER.phase_report().rounds == 0
-        assert NULL_TRACER.chrome_trace()["traceEvents"] == []
-        assert NULL_TRACER.jsonl() == ""
-        with pytest.raises(RuntimeError):
-            NULL_TRACER.enable()
 
 
 class TestLifecycle:
@@ -703,7 +701,7 @@ class TestEndToEnd:
             num_slots=2,
             kv_cache_config=KVCacheConfig(bits=4, page_size=8),
         )
-        assert engine.tracer is NULL_TRACER
+        assert engine.tracer.enabled is False
         results = engine.serve(lm_requests(11, count=2, max_new_tokens=4))
         assert all(r.output.finish_reason == "length" for r in results)
         assert engine.phase_report().rounds == 0
@@ -722,6 +720,51 @@ class TestEndToEnd:
             return [list(r.output.token_ids) for r in results]
 
         assert run(None) == run(Tracer())
+
+    def test_enabling_an_untraced_engine_traces_it_in_place(self):
+        def build():
+            return ServingEngine(
+                ModelRepository(bits=4, seed=0),
+                num_slots=4,
+                kv_cache_config=KVCacheConfig(bits=4, page_size=8),
+                speculative=TEST_SPEC,
+            )
+
+        def serve_twice(engine, enable_between):
+            engine.serve(lm_requests(11, count=1, max_new_tokens=4))
+            if enable_between:
+                assert engine.tracer.num_spans == 0
+                assert engine.tracer.lifecycles() == []
+                engine.tracer.enable()
+            results = engine.serve(lm_requests(13, count=3, max_new_tokens=6))
+            return [list(r.output.token_ids) for r in results], results
+
+        traced = build()
+        streams, results = serve_twice(traced, enable_between=True)
+        assert streams == serve_twice(build(), enable_between=False)[0]
+        names = {span.name for span in traced.tracer.spans()}
+        # Scheduler, nn and page-pool spans all land on the engine's tracer.
+        assert {"round", "attend", "seal"} <= names
+        assert traced.phase_report().rounds > 0
+        phases = {}
+        for track, name, *_ in traced.tracer.lifecycles():
+            phases.setdefault(track, []).append(name)
+        assert set(phases) == {r.request_id for r in results}
+        assert all(seq[:3] == ["queued", "prefill", "decode"] for seq in phases.values())
+        validate_chrome_trace(json.dumps(traced.chrome_trace()))
+
+    def test_enabling_a_standalone_scheduler_traces_its_own_pool(self):
+        scheduler = ContinuousBatchingScheduler(
+            ModelRepository(bits=4, seed=0),
+            num_slots=2,
+            cache_config=KVCacheConfig(bits=4, page_size=8),
+        )
+        scheduler.tracer.enable()
+        (request,) = lm_requests(19, count=1, seq_len=20, max_new_tokens=4)
+        scheduler.submit(request)
+        scheduler.run_until_idle()
+        assert scheduler.page_pool.pages_registered > 0
+        assert {"round", "seal"} <= {span.name for span in scheduler.tracer.spans()}
 
     def test_cancelled_request_lifecycle_ends_aborted(self):
         tracer = Tracer()
