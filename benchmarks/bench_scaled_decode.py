@@ -286,7 +286,7 @@ def test_bench_scaled_decode(
     repository, run_once, paired_ratio, benchmark, serve_trajectory, padded_attend
 ):
     decoder = SpeculativeDecoder(repository, SPEC, target_cache_config=CACHE)
-    decoder.warm(MODEL)  # pack the draft + calibrate heads outside the timers
+    decoder.warm(MODEL)  # calibrate the heads outside the timers
 
     # ---------------- speculative decode, wall-clock ---------------- #
     plain_tokens, plain_summary = _drain(repository)

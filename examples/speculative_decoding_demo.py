@@ -2,17 +2,16 @@
 
 Run with ``python examples/speculative_decoding_demo.py``.  The demo
 
-1. pairs the served ``gpt2-xl`` analogue with its packed 1-layer draft
-   (``gpt2-xl@draft1``) and calibrates the speculative heads (one-off,
-   at ``warm_speculative`` time);
+1. pairs the served ``gpt2-xl`` analogue with its own first decoder layer
+   as the draft and calibrates the speculative heads (one-off, at
+   ``warm_speculative`` time);
 2. serves the same greedy request stream with and without speculation and
    shows the streams are **token-for-token identical** — every emitted
    token is sampled from the target's own verified distribution;
 3. prints the speculative telemetry: proposed/accepted draft tokens, the
    acceptance rate, and the decode-round reduction (each round streams the
-   packed target weights once on the modeled accelerator, and the draft's
-   packed streams are byte-identical subsets of the target's — speculation
-   adds no weight bytes).
+   packed target weights once on the modeled accelerator, and the draft is
+   the target's own first layer — speculation adds no weight bytes).
 """
 
 import numpy as np
@@ -65,7 +64,7 @@ def main():
     print(f"   decode rounds: {plain.decode_rounds}, "
           f"generated: {plain.generated_tokens}")
 
-    print("== speculative decode (draft gpt2-xl@draft1, calibrated heads)")
+    print("== speculative decode (draft: the target's first layer, calibrated heads)")
     spec_tokens, spec = serve(SpeculativeConfig())
     print(f"   decode rounds: {spec.decode_rounds}, "
           f"generated: {spec.generated_tokens}")

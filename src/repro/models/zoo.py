@@ -7,8 +7,7 @@ seeded, so a given ``(model name, seed)`` always yields bit-identical weights.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from repro.nn.transformer import (
 )
 
 __all__ = [
-    "DRAFT_NAME_SEPARATOR",
     "SequenceClassifier",
     "SpanExtractor",
     "CausalLM",
@@ -38,9 +36,7 @@ __all__ = [
     "build_classifier",
     "build_span_model",
     "build_causal_lm",
-    "build_draft_lm",
     "model_weight_tensors",
-    "parse_draft_name",
     "resnet18_tensors",
     "transformer_analogue_tensors",
 ]
@@ -173,17 +169,7 @@ def build_span_model(name: str, seed: int = 0) -> SpanExtractor:
 
 
 def build_causal_lm(name: str, seed: int = 0) -> CausalLM:
-    """Build a causal-LM analogue of ``name`` with a sharpened LM head.
-
-    ``name`` may carry a draft suffix (``"gpt2-xl@draft1"``): the build is
-    delegated to :func:`build_draft_lm`, yielding the layer-truncated
-    speculative draft of the base model (same seed → bit-identical shared
-    weights).
-    """
-    draft = parse_draft_name(name)
-    if draft is not None:
-        base, num_layers = draft
-        return build_draft_lm(base, seed=seed, num_layers=num_layers)
+    """Build a causal-LM analogue of ``name`` with a sharpened LM head."""
     config = analogue_config(name)
     rng = np.random.default_rng(seed)
     decoder_config = config
@@ -218,69 +204,6 @@ def _apply_residual_decay(backbone: Module, decay: float) -> None:
             linear.weight.data = linear.weight.data * gain
             if linear.bias is not None:
                 linear.bias.data = linear.bias.data * gain
-
-
-#: Suffix marking a speculative draft build: ``"<base>@draft<num_layers>"``.
-DRAFT_NAME_SEPARATOR = "@draft"
-
-
-def parse_draft_name(name: str) -> Optional[Tuple[str, int]]:
-    """Split a draft model name into ``(base_name, num_layers)``.
-
-    Returns ``None`` for plain zoo names.  The depth must be a positive
-    integer — ``"gpt2-xl@draft1"`` keeps the first decoder layer only.
-    """
-    if DRAFT_NAME_SEPARATOR not in name:
-        return None
-    base, _, depth = name.partition(DRAFT_NAME_SEPARATOR)
-    try:
-        num_layers = int(depth)
-    except ValueError:
-        raise ValueError(
-            f"malformed draft model name {name!r}; "
-            f"expected '<base>{DRAFT_NAME_SEPARATOR}<num_layers>'"
-        ) from None
-    if not base or num_layers < 1:
-        raise ValueError(
-            f"malformed draft model name {name!r}; "
-            f"expected '<base>{DRAFT_NAME_SEPARATOR}<num_layers>'"
-        )
-    return base, num_layers
-
-
-def build_draft_lm(name: str, seed: int = 0, num_layers: int = 1) -> CausalLM:
-    """Build the layer-truncated speculative draft of causal LM ``name``.
-
-    The draft is the *prefix* of the full model: the same embeddings, the
-    first ``num_layers`` decoder layers, the same final norm and the same LM
-    head.  It is built from the full model at the same seed and then
-    truncated, so every kept weight (outlier injection included) is bitwise
-    identical to the target's — the draft's residual stream is the target's
-    minus the dropped layers' contributions, which is what makes its
-    next-token guesses worth verifying.  Serving-side calibration
-    (:class:`repro.serve.spec.SpeculativeDecoder`) fits the speculative heads
-    that turn this hidden state into multi-position proposals.
-    """
-    full = build_causal_lm(name, seed=seed)
-    backbone = full.backbone
-    keep = int(num_layers)
-    if keep >= backbone.num_layers:
-        raise ValueError(
-            f"draft of {name!r} must be smaller than the target "
-            f"({backbone.num_layers} layers); got num_layers={num_layers}"
-        )
-    for index in range(keep, backbone.num_layers):
-        attr = f"layer_{index}"
-        backbone._modules.pop(attr)
-        object.__delattr__(backbone, attr)
-    backbone.num_layers = keep
-    config = dataclasses.replace(
-        full.config,
-        name=f"{name}{DRAFT_NAME_SEPARATOR}{keep}",
-        num_layers=keep,
-    )
-    full.config = config
-    return full
 
 
 def model_weight_tensors(model: Module) -> Dict[str, np.ndarray]:

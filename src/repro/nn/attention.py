@@ -61,12 +61,6 @@ class MultiHeadAttention(Module):
         # the six source weight/bias arrays is replaced (e.g. by packing).
         self._fused_qkv = None
 
-    #: Decode-round Q/K/V projection: "fused" concatenates the three weight
-    #: matrices once and runs a single GEMM per round (the production path);
-    #: "unfused" runs the three Linear projections separately — the oracle
-    #: the greedy-token-identity tests pin the fused path against.
-    qkv_mode: str = "fused"
-
     def _fused_qkv_operands(self):
         """Cached ``(W_qkv, b_qkv)`` for the fused round projection.
 
@@ -163,9 +157,9 @@ class MultiHeadAttention(Module):
             One per-sequence cache (``append``/``kv``/``seq_len``, e.g.
             :class:`~repro.serve.kvcache.LayerKVCache`) per row of ``hidden``.
         batched_rounds:
-            Project Q/K/V with one fused GEMM (see :attr:`qkv_mode`).
-            Defaults to auto: single-token multi-slot rounds fuse, everything
-            else (prefill) runs the three separate projections.  Speculative
+            Project Q/K/V with one fused GEMM.  Defaults to auto: every
+            single-token forward fuses (one slot or many), everything else
+            (prefill) runs the three separate projections.  Speculative
             verify passes ``True`` so its ``m``-token rows fuse too.
         tracer:
             Optional span tracer (``span(name, attrs=None)`` context-manager
@@ -192,14 +186,10 @@ class MultiHeadAttention(Module):
             )
         num_seqs, t_new = hidden.shape[0], hidden.shape[1]
         if batched_rounds is None:
-            batched_rounds = t_new == 1 and num_seqs > 1
+            batched_rounds = t_new == 1
         # Fuse only rounds: prefill stays on the three separate projections
         # so the one-shot prefill path remains bitwise-equal to ``forward``.
-        fused = (
-            self._fused_qkv_operands()
-            if batched_rounds and self.qkv_mode == "fused"
-            else None
-        )
+        fused = self._fused_qkv_operands() if batched_rounds else None
         traced = tracer is not None and tracer.enabled
         with tracer.span("qkv_proj") if traced else _NULL_SPAN:
             if fused is not None:

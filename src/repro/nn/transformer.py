@@ -252,7 +252,7 @@ class TransformerDecoder(Module):
             exposing ``seq_len``/``layer(i)``) per row.
         batched_rounds:
             Project each layer's Q/K/V with one fused GEMM.  Defaults to
-            auto (single-token multi-slot rounds only); a speculative verify
+            auto (single-token forwards only); a speculative verify
             round passes ``True`` so its ``m`` tokens per slot fuse too.
             Attention itself runs per sequence over each cache's own rows
             either way.

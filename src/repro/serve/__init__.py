@@ -25,10 +25,10 @@ request/response engine:
   and retires generation sequences mid-flight, samples per-slot with
   per-request seeded generators, honors stop tokens mid-round and cancels
   in-flight sequences on demand;
-* :mod:`repro.serve.spec` — draft-model speculative decoding: a
-  layer-truncated zoo draft with calibrated multi-position speculative
-  heads proposes ``k`` tokens per slot per round, confidence-gated, and the
-  target verifies all ``k + 1`` positions in one batched multi-token pass
+* :mod:`repro.serve.spec` — self-speculative decoding: the target's own
+  first layers with calibrated multi-position speculative heads propose
+  ``k`` tokens per slot per round, confidence-gated, and the target
+  verifies all ``k + 1`` positions in one batched multi-token pass
   (greedy outputs stay token-for-token identical);
 * :mod:`repro.serve.aio` — asyncio front-end for concurrent clients
   (``infer`` / ``stream`` / ``cancel``);

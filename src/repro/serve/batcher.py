@@ -19,7 +19,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.serve.errors import QueueFullError
 from repro.serve.requests import InferenceRequest, ServingError
@@ -128,11 +128,6 @@ class MicroBatcher:
         """Number of distinct batch keys currently queued."""
         with self._lock:
             return len(self._queues)
-
-    def queue_depths(self) -> Dict[Tuple, int]:
-        """Snapshot of per-group queue depths."""
-        with self._lock:
-            return {key: len(q) for key, q in self._queues.items()}
 
     # ------------------------------------------------------------------ #
     # Dequeue

@@ -221,7 +221,7 @@ class ServingEngine:
     ``share_generated_suffix=True`` additionally registers decode-sealed KV
     pages in the page pool's prefix index at retirement, so a follow-up
     conversation turn (``prompt + generated``) attaches copy-on-write.
-    ``speculative=SpeculativeConfig(...)`` turns on draft-model speculative
+    ``speculative=SpeculativeConfig(...)`` turns on self-speculative
     decoding (:mod:`repro.serve.spec`): slots propose draft tokens each
     round and verify them in one batched multi-token target pass, leaving
     greedy outputs token-for-token unchanged.
@@ -376,7 +376,7 @@ class ServingEngine:
         return self.repository.get(model, family, num_classes)
 
     def warm_speculative(self, model: str) -> None:
-        """Pack the draft and calibrate ``model``'s speculative pairing now.
+        """Calibrate ``model``'s speculative pairing now.
 
         Like :meth:`warm`, but for the draft side: the one-off head
         calibration otherwise lands on the first request's decode latency.
@@ -614,10 +614,6 @@ class ServingEngine:
         destroying the record, so this read is non-destructive.
         """
         return self._failed.get(request_id)
-
-    def is_completed(self, request_id: str) -> bool:
-        """True when :meth:`result` would return (not raise) for this id."""
-        return request_id in self._completed
 
     @property
     def pending(self) -> int:

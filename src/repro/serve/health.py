@@ -169,12 +169,6 @@ class HealthConfig:
         if self.max_events < 1:
             raise ServingError("max_events must be >= 1")
 
-    def class_named(self, name: str) -> Optional[SLOClass]:
-        for cls in self.classes:
-            if cls.name == name:
-                return cls
-        return None
-
 
 @dataclass(frozen=True)
 class HealthEvent:

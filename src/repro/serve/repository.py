@@ -92,14 +92,6 @@ class PackedModel:
         """Number of packed Linear weight tensors."""
         return len(self.packed_weights)
 
-    def linear_shapes(self) -> List[Tuple[int, int]]:
-        """``(out_features, in_features)`` of every served Linear layer."""
-        return [
-            (module.out_features, module.in_features)
-            for _, module in self.model.named_modules()
-            if isinstance(module, Linear)
-        ]
-
 
 @dataclass
 class RepositoryStats:

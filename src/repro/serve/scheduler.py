@@ -224,7 +224,7 @@ class ContinuousBatchingScheduler:
         re-prompted outside multi-turn chat, and each registration pins
         pages in the index LRU).
     speculative:
-        Enable draft-model speculative decoding: a
+        Enable self-speculative decoding: a
         :class:`~repro.serve.spec.SpeculativeConfig` (the scheduler builds
         its own :class:`~repro.serve.spec.SpeculativeDecoder`) or an
         existing decoder instance to share calibrated pairs across

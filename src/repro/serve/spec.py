@@ -1,4 +1,4 @@
-"""Draft-model speculative decoding for the continuous scheduler.
+"""Self-speculative decoding for the continuous scheduler.
 
 Decode rounds are latency-bound: every generated token pays one full pass of
 the target model.  Speculative decoding breaks the one-token-per-pass wall by
@@ -7,12 +7,14 @@ the target then verifies **in one batched multi-token pass** (a decode round
 generalised from 1 to ``m`` tokens per slot, each slot attending its own
 K/V rows):
 
-* **draft** — :func:`repro.models.zoo.build_draft_lm` truncates the target to
-  its first ``draft_layers`` decoder layers (same seed → bit-identical shared
-  weights), and the repository packs it like any served model
-  (``"<model>@draft<L>"`` entries).  The draft keeps its own incremental KV
-  cache and is fed exactly the tokens the target actually emitted, so it
-  never needs rollback.
+* **draft** — the target's own first ``draft_layers`` decoder layers, an
+  early exit of the target itself (self-speculative decoding): the target's
+  embeddings, layers ``0..L-1`` and final norm run the slot's last emitted
+  token over the target's own KV caches, with seals held, and the draft's
+  one appended row is rolled back with
+  :meth:`~repro.serve.kvcache.SequenceKVCache.truncate_to` before the verify
+  pass appends it for real.  There is no second model, no draft KV memory
+  and no state carried between rounds.
 * **speculative heads** — at pairing time the decoder *calibrates* ``k``
   linear heads on the draft's hidden state (least squares against the target
   model's logits over seeded greedy rollouts; Medusa-style multi-position
@@ -43,7 +45,7 @@ K/V rows):
   mutated).
 
 The scheduler mixes speculative and plain slots in the same round: slots
-whose model cannot be paired (already a draft, too few layers), whose budget
+whose model cannot be paired (not a decoder LM, too few layers), whose budget
 leaves no headroom, or whose heads are all gated simply decode one token as
 before.
 """
@@ -55,7 +57,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.models.zoo import DRAFT_NAME_SEPARATOR, parse_draft_name
 from repro.nn import functional as F
 from repro.serve.errors import ServingError
 from repro.serve.kvcache import KVCacheConfig, PagePool, SequenceKVCache, cache_for_model
@@ -73,9 +74,10 @@ class SpeculativeConfig:
     Parameters
     ----------
     draft_layers:
-        Decoder layers kept in the layer-truncated draft (must be smaller
-        than the target's depth).  One layer gives the cheapest proposer;
-        acceptance comes from the calibrated heads, not from draft depth.
+        How many of the target's own first decoder layers form the draft
+        (must be smaller than the target's depth, else the model serves
+        plainly).  One layer gives the cheapest proposer; acceptance comes
+        from the calibrated heads, not from draft depth.
     num_speculative_tokens:
         ``k``: speculative heads fitted at calibration and the maximum
         tokens proposed per slot per round (the verify pass then covers
@@ -135,91 +137,18 @@ class SpeculativeConfig:
 
 @dataclass
 class _DraftPair:
-    """One calibrated (target, draft) pairing shared by every request."""
+    """One calibrated pairing of a target with its layer-prefix draft."""
 
-    entry: PackedModel                 # the packed draft
     heads: List[np.ndarray]            # head j: (features_j, vocab) weights
     feature_r: Optional[np.ndarray]    # (hidden, feature_width*hidden) or None
     emb: np.ndarray                    # token-embedding rows (vocab, hidden)
     vocab: int
-
-    @property
-    def model(self):
-        return self.entry.model
 
     def head_logits(self, base: np.ndarray, chain: Sequence[np.ndarray]) -> np.ndarray:
         """Head ``len(chain)``'s logits over ``base`` features and the chain's tokens."""
         ones = np.ones((base.shape[0], 1), dtype=base.dtype)
         parts = [base] + [self.emb[tokens] for tokens in chain] + [ones]
         return np.concatenate(parts, axis=1) @ self.heads[len(chain)]
-
-
-class _BorrowedLayerCache:
-    """The draft's view of one target layer cache, plus this round's token.
-
-    The draft is the target's *layer prefix* built from the same seed and
-    packed through the same deterministic quantizer, so its layer ``i``
-    weights — and therefore the K/V it would cache for any token — are the
-    target's layer ``i`` values.  Instead of re-computing and re-storing
-    them, the draft borrows the target's pages copy-on-write: ``kv`` reads
-    the target's decoded K/V rows (each page decoded once, when it sealed) and
-    appends only the current round's one in-flight token, which is kept
-    locally and discarded — the verify pass re-derives and truly appends it.
-    ``shared_kv`` forwards the target's shared prefix block, so the draft
-    attends it once per round like the target does.  The target cache is
-    never mutated, and the draft needs no KV memory, no feed bookkeeping and
-    no rollback of its own.
-    """
-
-    __slots__ = ("_base", "_k_new", "_v_new")
-
-    def __init__(self, base) -> None:
-        self._base = base
-        self._k_new = None
-        self._v_new = None
-
-    @property
-    def seq_len(self) -> int:
-        return self._base.seq_len
-
-    def append(self, k_new, v_new) -> None:
-        self._k_new, self._v_new = k_new, v_new
-
-    def kv(self):
-        k, v = self._base.kv()
-        return (
-            np.concatenate([k, self._k_new], axis=1),
-            np.concatenate([v, self._v_new], axis=1),
-        )
-
-    def shared_kv(self):
-        return self._base.shared_kv()
-
-    @classmethod
-    def kv_many(cls, caches):
-        """Batched fetch: every slot's borrowed own rows (after its shared
-        prefix) plus its in-flight token."""
-        base_kvs = type(caches[0]._base).kv_many([c._base for c in caches])
-        return [
-            (
-                np.concatenate([k, cache._k_new], axis=1),
-                np.concatenate([v, cache._v_new], axis=1),
-            )
-            for (k, v), cache in zip(base_kvs, caches)
-        ]
-
-
-class _BorrowedSequenceCache:
-    """Sequence-level shim handing the draft one borrowed view per layer."""
-
-    def __init__(self, target_cache: SequenceKVCache, num_layers: int) -> None:
-        self._layers = [
-            _BorrowedLayerCache(target_cache.layer(i)) for i in range(num_layers)
-        ]
-        self.seq_len = target_cache.seq_len
-
-    def layer(self, index: int) -> _BorrowedLayerCache:
-        return self._layers[index]
 
 
 class SpeculativeDecoder:
@@ -230,8 +159,8 @@ class SpeculativeDecoder:
     The scheduler calls :meth:`plan` once per decode round with the slots of
     one model entry; slots whose model cannot be paired get an empty
     proposal and decode plainly.  The proposer is *stateless* per request:
-    the draft attends through borrowed views of the target's own KV pages
-    (see :class:`_BorrowedLayerCache`), so there is nothing to create, sync
+    the draft is the target's own first layers over the target's own KV
+    caches (see :meth:`_draft_hidden`), so there is nothing to create, sync
     or release as requests come and go.
     """
 
@@ -295,32 +224,57 @@ class SpeculativeDecoder:
     ) -> _DraftPair:
         if family != WorkloadFamily.LM:
             raise ServingError("speculative decoding pairs LM models only")
-        if parse_draft_name(model) is not None:
-            raise ServingError(f"{model!r} is itself a draft; refusing to pair")
-        draft_name = f"{model}{DRAFT_NAME_SEPARATOR}{self.config.draft_layers}"
-        draft_entry = self.repository.get(draft_name, family)
         target = target_entry.model
-        draft = draft_entry.model
-        vocab = int(target.config.vocab_size)
-        if int(draft.config.vocab_size) != vocab:
+        depth = target.backbone.num_layers
+        if self.config.draft_layers >= depth:
             raise ServingError(
-                f"draft vocab {draft.config.vocab_size} != target vocab {vocab}"
+                f"a {self.config.draft_layers}-layer draft of {model!r} must be "
+                f"smaller than the target ({depth} layers)"
             )
-        hidden = int(draft.config.hidden_size)
+        vocab = int(target.config.vocab_size)
+        hidden = int(target.config.hidden_size)
         feature_r = None
-        emb = draft.backbone.embeddings.token_embedding.weight.data
+        emb = target.backbone.embeddings.token_embedding.weight.data
         if self.config.feature_width > 0:
             feature_r = np.random.default_rng(self.config.feature_seed).normal(
                 0.0, 1.0 / np.sqrt(hidden), size=(hidden, self.config.feature_width * hidden)
             ).astype(emb.dtype, copy=False)
-        rollouts = self._calibration_rollouts(target, vocab, draft)
+        rollouts = self._calibration_rollouts(target, vocab)
         heads = self._fit_heads(rollouts, feature_r, emb, vocab)
-        return _DraftPair(
-            entry=draft_entry, heads=heads, feature_r=feature_r, emb=emb, vocab=vocab
-        )
+        return _DraftPair(heads=heads, feature_r=feature_r, emb=emb, vocab=vocab)
+
+    def _draft_hidden(
+        self, backbone, tokens: np.ndarray, caches: Sequence[SequenceKVCache]
+    ) -> np.ndarray:
+        """The draft's final hidden state for one new token per cache.
+
+        The draft is ``backbone``'s first ``draft_layers`` layers: the
+        embeddings, those layers as one batched single-token round over the
+        target's own ``caches``, and the final norm.  Seals are held for the
+        pass, so a draft row that fills a page leaves it open in full
+        precision, and every cache is rolled back to its length before the
+        pass (also when a layer raises): the cache then holds what it held
+        before, and the verify pass appends the token for real.
+        """
+        bases = [cache.seq_len for cache in caches]
+        for cache in caches:
+            cache.hold_seals()
+        try:
+            hidden = backbone.embeddings(
+                tokens, position_offsets=np.array(bases, dtype=np.int64)
+            )
+            for i in range(self.config.draft_layers):
+                hidden = getattr(backbone, f"layer_{i}").forward_incremental(
+                    hidden, [cache.layer(i) for cache in caches], batched_rounds=True
+                )
+            return backbone.final_norm(hidden)[:, -1, :]
+        finally:
+            for cache, base in zip(caches, bases):
+                cache.truncate_to(base)
+                cache.flush_seals()
 
     def _calibration_rollouts(
-        self, target, vocab: int, draft
+        self, target, vocab: int
     ) -> List[Tuple[np.ndarray, np.ndarray, int, np.ndarray]]:
         """Seeded greedy rollouts of the target — the on-policy fitting set.
 
@@ -332,8 +286,8 @@ class SpeculativeDecoder:
         the scheduler's decode rounds will produce.
 
         The draft hidden states are captured the same way :meth:`plan` will
-        produce them: a batched single-token incremental pass per step,
-        attending *borrowed* views of the target's quantized pages.  A clean
+        produce them: one :meth:`_draft_hidden` pass per step over the
+        target's caches at the serving precision.  A clean
         full-attention forward is **not** a substitute — quantize-on-append
         caches perturb the served hidden states enough to flip a third of
         greedy argmaxes, so heads fit on fp hidden states systematically
@@ -342,7 +296,7 @@ class SpeculativeDecoder:
         Returns ``(sequences, log_probs, prompt_len, hiddens)`` per group,
         where ``log_probs[:, i]`` is the target's distribution at position
         ``prompt_len - 1 + i`` and ``hiddens[:, s]`` is the draft's
-        borrowed-cache hidden state after consuming generated token ``s``.
+        hidden state after consuming generated token ``s``.
         """
         cfg = self.config
         rng = np.random.default_rng(cfg.calibration_seed)
@@ -377,7 +331,6 @@ class SpeculativeDecoder:
                 )
                 for _ in range(count)
             ]
-            depth = draft.backbone.num_layers
             try:
                 log_probs = target.log_probs_incremental(
                     prompts, caches, last_only=True
@@ -388,16 +341,11 @@ class SpeculativeDecoder:
                 for _ in range(steps):
                     step_tokens = np.argmax(log_probs, axis=-1).astype(np.int64)
                     columns.append(step_tokens[:, None])
-                    # The draft sees this token exactly as plan() will: a
-                    # borrowed view of the target's pages *before* the
-                    # target has consumed it.
-                    borrowed = [
-                        _BorrowedSequenceCache(cache, depth) for cache in caches
-                    ]
+                    # The draft sees this token exactly as plan() will:
+                    # over the target's caches *before* the target has
+                    # consumed it.
                     hiddens.append(
-                        draft.backbone.forward_incremental(
-                            step_tokens[:, None], borrowed, batched_rounds=True
-                        )[:, -1, :]
+                        self._draft_hidden(target.backbone, step_tokens[:, None], caches)
                     )
                     log_probs = target.log_probs_incremental(
                         step_tokens[:, None], caches
@@ -421,13 +369,13 @@ class SpeculativeDecoder:
     ) -> List[np.ndarray]:
         """Least-squares heads: draft hidden (+ token conditioning) → target log-probs.
 
-        Head ``j`` (1-based) maps the draft's borrowed-cache hidden state
+        Head ``j`` (1-based) maps the draft's hidden state
         after consuming generated token ``s`` — plus the embeddings of the
         ``j-1`` *true* intermediate tokens — onto the target's serving
         distribution for token ``s + j``.  At inference the intermediate
         tokens are the earlier heads' proposals; since head ``j`` is only
         consulted when those were accepted, and the hidden states come from
-        the same borrowed-quantized-page pass ``plan()`` runs, the
+        the same pass over quantized pages ``plan()`` runs, the
         inference-time input distribution matches the calibration one
         exactly.
         """
@@ -476,9 +424,9 @@ class SpeculativeDecoder:
         ``max_tokens[i]`` caps slot ``i``'s proposals (its remaining token
         budget minus the guaranteed correction/bonus token); ``< 1`` means
         the slot decodes plainly this round.  Each speculating slot's last
-        emitted token runs through the draft's layer stack in one batched
-        single-token pass — attending *borrowed* views of the target's own
-        KV pages, so the draft pass carries no state between rounds — then
+        emitted token runs through the target's first ``draft_layers``
+        layers in one batched single-token pass over the target's own KV
+        caches, rolled back afterwards (:meth:`_draft_hidden`) — then
         all ``k`` speculative heads read the final hidden state and their
         proposals are confidence-gated per slot.  Returns one (possibly
         empty) token list per slot, in slot order.
@@ -495,12 +443,10 @@ class SpeculativeDecoder:
         pair = self.pair_for(first.request.model, first.request.family, first.entry)
         if pair is None:
             return proposals
-        depth = pair.entry.model.backbone.num_layers
         tokens = np.array([[slot.generated[-1]] for _, slot in staged], dtype=np.int64)
-        borrowed = [_BorrowedSequenceCache(slot.cache, depth) for _, slot in staged]
-        hidden = pair.model.backbone.forward_incremental(
-            tokens, borrowed, batched_rounds=True
-        )[:, -1, :]
+        hidden = self._draft_hidden(
+            first.entry.model.backbone, tokens, [slot.cache for _, slot in staged]
+        )
         self._propose(pair, hidden, [index for index, _ in staged], max_tokens, proposals)
         return proposals
 

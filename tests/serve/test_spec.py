@@ -1,4 +1,4 @@
-"""Draft-model speculative decoding: drafts, pairing, equivalence, lifecycle.
+"""Self-speculative decoding: the draft pass, pairing, equivalence, lifecycle.
 
 The load-bearing guarantee is **exactness**: speculative greedy decode must
 be token-for-token identical to non-speculative greedy decode — fp32 and
@@ -9,15 +9,12 @@ tokens routed through eager sealing).
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.models.zoo import (
-    build_causal_lm,
-    build_draft_lm,
-    parse_draft_name,
-)
+from repro.nn.transformer import TransformerDecoderLayer
 from repro.serve import (
     ContinuousBatchingScheduler,
     InferenceRequest,
@@ -30,6 +27,7 @@ from repro.serve import (
     SpeculativeDecoder,
     WorkloadFamily,
 )
+from repro.serve.kvcache import LayerKVCache, PagePool, cache_for_model
 from repro.serve.stats import ServingStats
 
 MODEL = "gpt2-xl"
@@ -43,6 +41,10 @@ TEST_SPEC = SpeculativeConfig(
     calibration_tokens=12,
     calibration_prompt_len=4,
 )
+#: A draft as deep as the 3-layer toy target: it cannot be paired with it.
+TOO_DEEP = dataclasses.replace(TEST_SPEC, draft_layers=3)
+#: A 4-layer target the too-deep draft still pairs with.
+DEEP_MODEL = "gpt2-xl-scaled"
 
 
 @pytest.fixture(scope="module")
@@ -105,48 +107,147 @@ def lm_requests(rng_seed, count=4, seq_len=8, max_new_tokens=16, model=MODEL, **
 
 
 # --------------------------------------------------------------------------- #
-# Draft builder
+# The draft pass: the target's own first layers over the target's caches
 # --------------------------------------------------------------------------- #
-class TestDraftBuilder:
-    def test_parse_draft_name(self):
-        assert parse_draft_name("gpt2-xl") is None
-        assert parse_draft_name("gpt2-xl@draft1") == ("gpt2-xl", 1)
-        assert parse_draft_name("opt-6.7b@draft2") == ("opt-6.7b", 2)
-        for bad in ("gpt2-xl@draftx", "@draft1", "gpt2-xl@draft0"):
-            with pytest.raises(ValueError):
-                parse_draft_name(bad)
-
-    def test_truncated_prefix_shares_weights_bitwise(self):
-        full = build_causal_lm(MODEL, seed=0)
-        draft = build_draft_lm(MODEL, seed=0, num_layers=1)
-        assert draft.backbone.num_layers == 1
-        assert draft.config.num_layers == 1
-        assert draft.config.name == "gpt2-xl@draft1"
-        full_state = full.state_dict()
-        for name, value in draft.state_dict().items():
-            np.testing.assert_array_equal(value, full_state[name])
-
-    def test_build_causal_lm_delegates_draft_names(self):
-        via_name = build_causal_lm("gpt2-xl@draft1", seed=0)
-        direct = build_draft_lm("gpt2-xl", seed=0, num_layers=1)
-        for (_, a), (_, b) in zip(
-            sorted(via_name.state_dict().items()), sorted(direct.state_dict().items())
-        ):
-            np.testing.assert_array_equal(a, b)
-
-    def test_draft_must_be_smaller_than_target(self):
-        with pytest.raises(ValueError):
-            build_draft_lm(MODEL, seed=0, num_layers=3)  # target depth
-
-    def test_packed_draft_streams_are_target_subset(self, repository):
-        target = repository.get(MODEL, WorkloadFamily.LM)
-        draft = repository.get("gpt2-xl@draft1", WorkloadFamily.LM)
-        assert set(draft.packed_weights) <= set(target.packed_weights)
-        for name, stream in draft.packed_weights.items():
-            np.testing.assert_array_equal(
-                stream.data, target.packed_weights[name].data
+def cache_state(cache):
+    """Everything the draft pass may touch in one target cache, per layer."""
+    state = []
+    for index in range(cache.num_layers):
+        layer = cache.layer(index)
+        own = layer.seq_len - layer._shared
+        state.append(
+            (
+                layer.seq_len,
+                layer._k[:, :own].copy(),
+                layer._v[:, :own].copy(),
+                [(h, h.refcount) for h in layer._sealed_k + layer._sealed_v],
+                layer._block,
+                layer._hold_seals,
             )
-        assert draft.packed_bytes < target.packed_bytes
+        )
+    return state
+
+
+def pool_state(pool):
+    return (
+        pool.counters(),
+        pool.decoded_cache_bytes,
+        pool.num_entries,
+        [(block, block.holders) for block in pool._blocks.values()],
+    )
+
+
+def assert_restored(before, caches, pool, pool_before):
+    for state, cache in zip(before, caches):
+        for was, now in zip(state, cache_state(cache)):
+            assert now[0] == was[0]
+            np.testing.assert_array_equal(now[1], was[1])
+            np.testing.assert_array_equal(now[2], was[2])
+            assert now[3] == was[3] and now[4] is was[4]
+            assert not now[5]  # no seal left held
+    assert pool_state(pool) == pool_before
+
+
+@pytest.fixture(
+    params=[
+        KVCacheConfig(bits=4, page_size=8),
+        KVCacheConfig(bits=8, page_size=8),
+        KVCacheConfig(page_size=8, quantize=False),
+    ],
+    ids=["packed4", "packed8", "fp32"],
+)
+def draft_slots(repository, request):
+    """Three prefilled slots on one pool: one a token short of a page
+    boundary, so its draft row would fill the page, and two reading one
+    shared prefix block (so the draft attends it as a cascade)."""
+    entry = repository.get(MODEL, WorkloadFamily.LM)
+    model = entry.model
+    config = request.param
+    size = config.page_size
+    pool = PagePool()
+    rng = np.random.default_rng(3)
+
+    def prefilled(prompt, cache=None):
+        cache = cache or cache_for_model(model, config, pool=pool)
+        model.log_probs_incremental(prompt[None], [cache], last_only=True)
+        return cache
+
+    document = rng.integers(0, VOCAB, size=2 * size)
+    leader = prefilled(document)
+    pool.register_prefix(MODEL, document, leader)
+    caches = [prefilled(rng.integers(0, VOCAB, size=2 * size - 1))]
+    for suffix in (3, 5):
+        cache = cache_for_model(model, config, pool=pool)
+        pages, layers_k, layers_v = pool.lookup_prefix(MODEL, document, size, 2)
+        cache.attach_prefix(layers_k, layers_v, pages * size)
+        caches.append(prefilled(rng.integers(0, VOCAB, size=suffix), cache))
+    assert caches[0].seq_len % size == size - 1
+    assert all(cache.layer(0).shared_kv() is not None for cache in caches[1:])
+    slots = [
+        SimpleNamespace(
+            request=InferenceRequest(MODEL, WorkloadFamily.LM, document),
+            entry=entry,
+            generated=[int(token)],
+            cache=cache,
+        )
+        for token, cache in zip(rng.integers(0, VOCAB, size=3), caches)
+    ]
+    return slots, pool
+
+
+class TestDraftPass:
+    def test_warm_adds_no_repository_entry(self):
+        repository = ModelRepository(bits=4, seed=0)
+        target = repository.get(MODEL, WorkloadFamily.LM)
+        packed_bytes = target.packed_bytes
+        SpeculativeDecoder(repository, TEST_SPEC).warm(MODEL)
+        assert repository.cached_entries() == [target]
+        assert target.packed_bytes == packed_bytes
+
+    def test_draft_as_deep_as_target_is_a_pairing_error(self, repository):
+        decoder = SpeculativeDecoder(repository, TOO_DEEP)
+        with pytest.raises(ServingError, match="smaller than the target"):
+            decoder.warm(MODEL)
+        assert (MODEL, WorkloadFamily.LM) in decoder.pair_errors
+
+    def test_plan_restores_every_cache(self, packed_decoder, draft_slots, monkeypatch):
+        slots, pool = draft_slots
+        caches = [slot.cache for slot in slots]
+        before = [cache_state(cache) for cache in caches]
+        pool_before = pool_state(pool)
+        lengths = []
+        append = LayerKVCache.append
+
+        def recording_append(self, k_new, v_new):
+            append(self, k_new, v_new)
+            lengths.append(self.seq_len)
+
+        monkeypatch.setattr(LayerKVCache, "append", recording_append)
+        proposals = packed_decoder.plan(slots, [2] * len(slots))
+        assert len(proposals) == len(slots)
+        # The draft really appended one row per slot to its one layer,
+        # filling the first slot's page under held seals.
+        assert lengths == [cache.seq_len + 1 for cache in caches]
+        assert lengths[0] % 8 == 0
+        assert_restored(before, caches, pool, pool_before)
+
+    def test_failed_draft_layer_restores_every_cache(
+        self, packed_decoder, draft_slots, monkeypatch
+    ):
+        slots, pool = draft_slots
+        caches = [slot.cache for slot in slots]
+        before = [cache_state(cache) for cache in caches]
+        pool_before = pool_state(pool)
+        forward = TransformerDecoderLayer.forward_incremental
+
+        def failing_layer(self, *args, **kwargs):
+            forward(self, *args, **kwargs)  # appends this layer's rows first
+            raise RuntimeError("draft layer failed")
+
+        monkeypatch.setattr(TransformerDecoderLayer, "forward_incremental", failing_layer)
+        with pytest.raises(RuntimeError, match="draft layer failed"):
+            packed_decoder.plan(slots, [2] * len(slots))
+        assert_restored(before, caches, pool, pool_before)
 
 
 # --------------------------------------------------------------------------- #
@@ -233,35 +334,43 @@ class TestSchedulerIntegration:
         assert summary.generated_tokens == 4 * 16
 
     def test_unpairable_model_falls_back_to_plain(self, repository, packed_config):
-        # A draft served as the *target* cannot be paired again; it must
+        # A draft as deep as the target cannot be paired; the model must
         # still decode correctly (plain path), and the error is recorded.
         decoder = SpeculativeDecoder(
-            repository, TEST_SPEC, target_cache_config=packed_config
+            repository, TOO_DEEP, target_cache_config=packed_config
         )
-        requests = lm_requests(17, count=2, model="gpt2-xl@draft1", max_new_tokens=6)
         plain, _, _ = drain(
-            repository, packed_config, lm_requests(17, count=2, model="gpt2-xl@draft1", max_new_tokens=6)
+            repository, packed_config, lm_requests(17, count=2, max_new_tokens=6)
         )
         spec, summary, _ = drain(
-            repository, packed_config, requests, speculative=decoder
+            repository,
+            packed_config,
+            lm_requests(17, count=2, max_new_tokens=6),
+            speculative=decoder,
         )
         assert spec == plain
         assert summary.draft_proposed_tokens == 0
-        assert ("gpt2-xl@draft1", WorkloadFamily.LM) in decoder.pair_errors
+        assert (MODEL, WorkloadFamily.LM) in decoder.pair_errors
 
-    def test_mixed_pairable_and_unpairable_slots(self, repository, packed_config, packed_decoder):
+    def test_mixed_pairable_and_unpairable_slots(self, repository, packed_config):
+        # The 3-layer draft pairs with the 4-layer model only: the toy
+        # model's slots decode plainly beside the speculating ones.
+        decoder = SpeculativeDecoder(
+            repository, TOO_DEEP, target_cache_config=packed_config
+        )
+
         def build():
-            return (
-                lm_requests(19, count=2, max_new_tokens=8)
-                + lm_requests(23, count=2, model="gpt2-xl@draft1", max_new_tokens=8)
+            return lm_requests(19, count=2, model=DEEP_MODEL, max_new_tokens=8) + (
+                lm_requests(23, count=2, max_new_tokens=8)
             )
 
         plain, _, _ = drain(repository, packed_config, build())
         spec, summary, _ = drain(
-            repository, packed_config, build(), speculative=packed_decoder
+            repository, packed_config, build(), speculative=decoder
         )
         assert spec == plain
         assert summary.draft_proposed_tokens > 0
+        assert set(decoder.pair_errors) == {(MODEL, WorkloadFamily.LM)}
 
     def test_cancel_with_speculation_releases_pages(self, repository, packed_config, packed_decoder):
         scheduler = ContinuousBatchingScheduler(
