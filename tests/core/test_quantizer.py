@@ -1,12 +1,23 @@
-"""Tests for the tensor-level OVP quantizer and its MSE threshold search."""
+"""Tests for the tensor-level OVP quantizer and its MSE threshold search.
+
+``TestVectorizedFitSweep::test_matches_reference_bitwise`` draws 30
+derandomized examples; the ``FIT_SWEEP_EXAMPLES`` environment variable widens
+it (CI's chaos job does), and a red widened run replays locally with the same
+variable.
+"""
+
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.errors import QuantizationError
+from repro.core.dtypes import get_normal_dtype
+from repro.core.errors import EncodingError, QuantizationError
 from repro.core.quantizer import OVPQuantizerConfig, OVPTensorQuantizer, make_quantizer
 from repro.quant.uniform import Int4Quantizer
+
+FIT_SWEEP_EXAMPLES = int(os.environ.get("FIT_SWEEP_EXAMPLES", "30"))
 
 
 def _outlier_tensor(seed=0, n=8192, outlier_every=512, outlier_scale=40.0):
@@ -218,7 +229,7 @@ class TestVectorizedFitSweep:
         st.integers(min_value=0, max_value=2 ** 16),
         st.sampled_from(["int4", "flint4", "int8"]),
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=FIT_SWEEP_EXAMPLES, deadline=None, derandomize=True)
     def test_matches_reference_bitwise(self, n, sigma, seed, dtype):
         rng = np.random.default_rng(seed)
         x = rng.normal(0, sigma, size=n)
@@ -233,13 +244,23 @@ class TestVectorizedFitSweep:
         q._SWEEP_BLOCK_ELEMENTS = x.size + 1  # force block size 1
         assert q._fit_flat(x) == full
 
-    def test_oversized_tensors_fall_back_to_reference(self):
+    def test_partial_last_block_matches_reference(self):
+        x = _outlier_tensor(seed=6, n=1001)
+        q = OVPTensorQuantizer(OVPQuantizerConfig(search_points=24))
+        q._SWEEP_BLOCK_ELEMENTS = 5 * 1002  # blocks of 5 rows: 4 full, then 4
+        assert q._fit_flat(x) == q._fit_flat_reference(x)
+
+    def test_oversized_tensors_take_the_in_place_path(self, monkeypatch):
         x = _outlier_tensor(seed=4)
         q = OVPTensorQuantizer(OVPQuantizerConfig(search_points=6))
-        uncapped = q._fit_flat(x)  # vectorized: x.size is below the cap
-        q._SWEEP_BLOCK_ELEMENTS = x.size - 1
-        # Over the cap the fallback must agree with the vectorized sweep.
-        assert q._fit_flat(x) == uncapped
+        reference = q._fit_flat_reference(x)
+        q._SWEEP_BLOCK_ELEMENTS = x.size - 1  # one candidate per block
+
+        def no_fallback(flat):
+            raise AssertionError("the sweep fell back to the reference loop")
+
+        monkeypatch.setattr(q, "_fit_flat_reference", no_fallback)
+        assert q._fit_flat(x) == reference
 
     def test_per_channel_fit_uses_vectorized_sweep(self):
         x = _outlier_tensor(seed=5, n=4096).reshape(8, 512)
@@ -250,3 +271,69 @@ class TestVectorizedFitSweep:
         for channel in range(8):
             scale, _, mse = reference._fit_flat_reference(x[channel])
             assert np.asarray(per_channel.scale).ravel()[channel] == scale
+
+
+def _out_cases():
+    """Grids the in-place codec calls must treat like the allocating ones."""
+    rng = np.random.default_rng(21)
+    odd = rng.normal(0.0, 6.0, size=1001)
+    odd[::97] *= 20.0
+    infinite = rng.normal(0.0, 6.0, size=16)
+    infinite[[2, 5, 11]] = [np.inf, -np.inf, np.inf]
+    return {
+        "odd": odd,
+        "single": np.array([40.0]),
+        "constant": np.full(9, 3.3),
+        "constant-outliers": np.full(8, -50.0),
+        "infinite": infinite,
+        "matrix": rng.normal(0.0, 6.0, size=(6, 10)),
+    }
+
+
+@pytest.mark.parametrize("dtype", ["int4", "flint4", "int8"])
+@pytest.mark.parametrize("case", sorted(_out_cases()))
+class TestInPlaceCodecCalls:
+    """``out=`` writes exactly what the allocating call returns."""
+
+    def test_quantize_out_matches_allocating_call(self, dtype, case):
+        normal = get_normal_dtype(dtype)
+        grid = _out_cases()[case]
+        expected = normal.quantize(grid)
+        out = np.empty_like(grid)
+        assert normal.quantize(grid, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+        aliased = grid.copy()
+        normal.quantize(aliased, out=aliased)
+        np.testing.assert_array_equal(aliased, expected)
+
+    def test_fake_quantize_grid_out_matches_allocating_call(self, dtype, case):
+        q = OVPTensorQuantizer(OVPQuantizerConfig(normal_dtype=dtype))
+        threshold = q.normal_dtype.max_value
+        grid = _out_cases()[case]
+        expected = q.codec.fake_quantize_grid(grid, threshold)
+        out = np.empty_like(grid)
+        assert q.codec.fake_quantize_grid(grid, threshold, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+        aliased = grid.copy()
+        scratch = np.empty(2 * grid.size + 6, dtype=bool)
+        q.codec.fake_quantize_grid(aliased, threshold, out=aliased, scratch=scratch)
+        np.testing.assert_array_equal(aliased, expected)
+        # The allocating call is still what the packed stream decodes to.
+        packed = q.codec.encode_tensor(grid, 1.0, threshold)
+        np.testing.assert_array_equal(q.codec.decode_tensor(packed), expected)
+
+    def test_nan_still_raises_from_the_encoder(self, dtype, case):
+        q = OVPTensorQuantizer(OVPQuantizerConfig(normal_dtype=dtype))
+        grid = _out_cases()[case].copy()
+        grid.flat[-1] = np.nan
+        with pytest.raises(EncodingError):
+            q.codec.encode_tensor(grid, 1.0, q.normal_dtype.max_value)
+
+
+def test_fake_quantize_grid_rejects_a_mismatched_out():
+    q = make_quantizer(4)
+    grid = np.zeros((4, 6))
+    with pytest.raises(EncodingError):
+        q.codec.fake_quantize_grid(grid, 7.0, out=np.empty((6, 4)))
+    with pytest.raises(EncodingError):
+        q.codec.fake_quantize_grid(grid, 7.0, out=np.empty((6, 4)).T)

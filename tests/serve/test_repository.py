@@ -112,3 +112,55 @@ class TestPackedWeights:
         assert entry.scheme == "olive-8bit"
         packed = next(iter(entry.packed_weights.values()))
         assert packed.nbytes == packed.num_elements  # one byte per element
+
+
+def _build_recording_fits(model, bits, fit):
+    """Build ``model`` with ``fit`` as the flat threshold sweep; return the
+    entry and the ``(scale, threshold_sigma, mse)`` of every fit it made."""
+    fits = []
+
+    def recording(quantizer, flat):
+        fits.append(fit(quantizer, flat))
+        return fits[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(OVPTensorQuantizer, "_fit_flat", recording)
+        entry = ModelRepository(bits=bits, seed=0).get(model, WorkloadFamily.LM)
+    return entry, fits
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(model, bits) for model in ("gpt2-xl", "gpt2-xl-scaled") for bits in (4, 8)],
+    ids=lambda param: f"{param[0]}-{param[1]}bit",
+)
+def in_place_and_reference_builds(request):
+    """One LM built with the in-place sweep and one with the reference loop."""
+    model, bits = request.param
+    in_place = _build_recording_fits(model, bits, OVPTensorQuantizer._fit_flat)
+    reference = _build_recording_fits(model, bits, OVPTensorQuantizer._fit_flat_reference)
+    return in_place, reference
+
+
+class TestInPlaceFitBitwise:
+    """The in-place threshold sweep packs what the reference loop packs."""
+
+    def test_every_packed_weight_fits_like_the_reference(self, in_place_and_reference_builds):
+        (entry, fits), (_, reference_fits) = in_place_and_reference_builds
+        assert len(fits) == len(entry.packed_weights)
+        assert fits == reference_fits
+        scales = [packed.scale for packed in entry.packed_weights.values()]
+        assert scales == [fit[0] for fit in fits]
+
+    def test_reference_build_packs_identical_streams(self, in_place_and_reference_builds):
+        (entry, _), (reference, _) = in_place_and_reference_builds
+        assert entry.packed_weights.keys() == reference.packed_weights.keys()
+        for name, packed in entry.packed_weights.items():
+            other = reference.packed_weights[name]
+            assert packed.data.tobytes() == other.data.tobytes(), name
+            assert (packed.scale, packed.shape, packed.padded) == (
+                other.scale, other.shape, other.padded
+            )
+        served = dict(entry.model.named_parameters())
+        for name, parameter in reference.model.named_parameters():
+            np.testing.assert_array_equal(served[name].data, parameter.data)
