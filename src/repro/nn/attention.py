@@ -56,38 +56,47 @@ class MultiHeadAttention(Module):
         self.k_proj = Linear(hidden_size, hidden_size, rng=rng)
         self.v_proj = Linear(hidden_size, hidden_size, rng=rng)
         self.out_proj = Linear(hidden_size, hidden_size, rng=rng)
-        # Lazily-built (source_arrays, (W_qkv, b_qkv)) pair for the fused
-        # decode-round projection; invalidated by identity whenever any of
-        # the six source weight/bias arrays is replaced (e.g. by packing).
-        self._fused_qkv = None
+        # ``(W_qkv, b_qkv)`` once fused: the storage the Q/K/V projections'
+        # weights and biases are row views of (see _fused_qkv_operands).
+        self._qkv = None
 
     def _fused_qkv_operands(self):
-        """Cached ``(W_qkv, b_qkv)`` for the fused round projection.
+        """``(W_qkv, b_qkv)`` for the fused round projection.
 
         ``W_qkv`` is the ``(3 * hidden, hidden)`` row concatenation of the Q,
         K and V weights, in the ``(out, in)`` layout
         :func:`repro.nn.functional.linear` takes, and ``b_qkv`` their biases.
 
+        The fused arrays are the storage, not a copy: the first call
+        concatenates them and rebinds each projection's ``weight.data`` and
+        ``bias.data`` to contiguous row views of them, so the separate
+        arrays are freed.  Later calls return them while every projection
+        still views them (``.base``); a pass that binds a projection a new
+        array (``Parameter.copy_``, ``Module.astype``, ``copy.deepcopy``)
+        makes the next call fuse again from the current rows.
+
         Only plain :class:`Linear` projections fuse — a quantization wrapper
         must keep running its own ``forward``, so any subclass falls back to
-        the unfused path.  The cache holds references to the six source
-        arrays and rebuilds when any is replaced (``is`` comparison), which
-        is how the packing/finalise passes swap weights in this codebase.
+        the unfused path.
         """
-        for proj in (self.q_proj, self.k_proj, self.v_proj):
+        projections = (self.q_proj, self.k_proj, self.v_proj)
+        for proj in projections:
             if type(proj) is not Linear or proj.bias is None:
                 return None
-        sources = (
-            self.q_proj.weight.data, self.k_proj.weight.data,
-            self.v_proj.weight.data, self.q_proj.bias.data,
-            self.k_proj.bias.data, self.v_proj.bias.data,
-        )
-        cached = self._fused_qkv
-        if cached is not None and all(a is b for a, b in zip(cached[0], sources)):
-            return cached[1]
-        operands = (np.concatenate(sources[:3]), np.concatenate(sources[3:]))
-        self._fused_qkv = (sources, operands)
-        return operands
+        fused = self._qkv
+        if fused is not None and all(
+            proj.weight.data.base is fused[0] and proj.bias.data.base is fused[1]
+            for proj in projections
+        ):
+            return fused
+        weight = np.concatenate([proj.weight.data for proj in projections])
+        bias = np.concatenate([proj.bias.data for proj in projections])
+        for proj, rows, bias_rows in zip(
+            projections, np.split(weight, 3), np.split(bias, 3)
+        ):
+            proj.weight.data, proj.bias.data = rows, bias_rows
+        self._qkv = fused = (weight, bias)
+        return fused
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         batch, seq, _ = x.shape

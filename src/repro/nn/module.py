@@ -37,7 +37,11 @@ class Parameter:
         return int(self.data.size)
 
     def copy_(self, values: np.ndarray) -> None:
-        """In-place overwrite, preserving dtype and shape."""
+        """Bind ``values`` as a new array, preserving dtype and shape.
+
+        The old array is not written, so whatever else holds it (a fused
+        Q/K/V operand this parameter viewed, say) keeps its values.
+        """
         values = np.asarray(values, dtype=self.data.dtype)
         if values.shape != self.data.shape:
             raise ValueError(
@@ -117,8 +121,8 @@ class Module:
     def astype(self, dtype) -> "Module":
         """Cast every parameter in the tree to ``dtype``; returns ``self``.
 
-        Parameters get new arrays, so caches keyed on array identity (the
-        fused QKV operands) rebuild on their next use.
+        Parameters get new arrays, so a Q/K/V projection stops viewing its
+        fused storage and the next fused call fuses the cast rows.
         """
         for param in self.parameters():
             param.data = param.data.astype(dtype)

@@ -1077,22 +1077,6 @@ class ContinuousBatchingScheduler:
             return None
         return entry, cache
 
-    def abort_active(self, exc: Exception) -> List[str]:
-        """Fail every in-flight sequence with ``exc`` (an operator abort).
-
-        Frees the slots (and their page-pool references) so the scheduler
-        keeps serving later requests; returns the aborted request ids, whose
-        failures :meth:`take_failures` reports.  Streams of the aborted
-        sequences end with a terminal ``finish_reason="error"`` marker chunk.
-        A round that raises already ends its own live slots this way.
-        """
-        aborted = []
-        for index, slot in enumerate(self._slots):
-            if slot is not None:
-                aborted.append(slot.request.request_id)
-                self._end_slot(index, FinishReason.ERROR, exc=exc)
-        return aborted
-
     # ------------------------------------------------------------------ #
     # Cancellation
     # ------------------------------------------------------------------ #

@@ -153,6 +153,23 @@ class TestModuleSystem:
         weight, bias = attn._fused_qkv_operands()
         assert weight.dtype == bias.dtype == np.float32
         np.testing.assert_array_equal(weight[:8], attn.q_proj.weight.data)
+        for proj in (attn.q_proj, attn.k_proj, attn.v_proj):
+            assert proj.weight.data.base is weight
+            assert proj.bias.data.base is bias
+
+    def test_parameter_copy_detaches_a_fused_projection(self):
+        attn = MultiHeadAttention(8, 2, rng=np.random.default_rng(0))
+        weight, bias = attn._fused_qkv_operands()
+        old_k = weight[8:16].copy()
+        attn.k_proj.weight.copy_(np.full((8, 8), 0.5))
+        # copy_ binds a new array: the operand keeps the old rows.
+        assert not np.shares_memory(attn.k_proj.weight.data, weight)
+        np.testing.assert_array_equal(weight[8:16], old_k)
+        fused_again, _ = attn._fused_qkv_operands()
+        assert fused_again is not weight
+        np.testing.assert_array_equal(fused_again[8:16], 0.5)
+        np.testing.assert_array_equal(fused_again[:8], weight[:8])
+        assert attn.k_proj.weight.data.base is fused_again
 
 
 #: The ``(out, in)`` GEMM shapes a served ``gpt2-xl-scaled`` round runs:

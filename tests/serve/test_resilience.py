@@ -21,8 +21,12 @@ from repro.serve import (
     AdmissionPolicy,
     AdmissionRejectedError,
     ContinuousBatchingScheduler,
+    FaultInjector,
+    FaultSchedule,
+    FaultSpec,
     FinishReason,
     InferenceRequest,
+    InjectedFault,
     KVCacheConfig,
     LayerKVCache,
     MicroBatcher,
@@ -698,10 +702,10 @@ class TestChunkEviction:
 
 
 # --------------------------------------------------------------------------- #
-# Satellite: abort_active refcount and registry-mirror coverage
+# A raised round: refcount, pool and registry-mirror coverage
 # --------------------------------------------------------------------------- #
-class TestAbortActive:
-    def test_mid_flight_abort_balances_pool_and_mirror(self, repository):
+class TestFailedRound:
+    def test_mid_flight_failure_balances_pool_and_mirror(self, repository):
         stats = ServingStats()
         scheduler = ContinuousBatchingScheduler(
             repository,
@@ -709,6 +713,9 @@ class TestAbortActive:
             cache_config=packed_config(),
             stats=stats,
         )
+        FaultInjector(
+            FaultSchedule((FaultSpec("phase_error", phase="round", at_count=4),))
+        ).attach(scheduler)
         ids = [
             scheduler.submit(lm_request(np.arange(7) + i, max_new_tokens=10))
             for i in range(2)
@@ -716,17 +723,19 @@ class TestAbortActive:
         for _ in range(3):
             scheduler.step()
         assert scheduler.num_active == 2
-        boom = RuntimeError("mid-round failure")
-        aborted = scheduler.abort_active(boom)
-        assert sorted(aborted) == sorted(ids)
+        with pytest.raises(InjectedFault) as raised:
+            scheduler.step()
         assert scheduler.num_active == 0
         # Every page either died with its cache or lives under the prefix
         # index with a matching refcount — nothing leaked, nothing double-freed.
         check_refcounts(scheduler)
+        pool = scheduler.page_pool
+        assert pool.num_entries == pool.num_prefix_nodes * 2 * 3  # K/V × layers
+        assert pool.num_shared_pages == 0
         failures = dict(scheduler.take_failures())
         assert set(failures) == set(ids)
-        assert all(exc is boom for exc in failures.values())
-        # Terminal "error" chunks, one per aborted stream.
+        assert all(exc is raised.value for exc in failures.values())
+        # Terminal "error" chunks, one per failed stream.
         terminal = [c for c in scheduler.take_chunks() if c.finish_reason is not None]
         assert sorted(c.request_id for c in terminal) == sorted(ids)
         assert all(c.finish_reason == FinishReason.ERROR for c in terminal)

@@ -176,18 +176,6 @@ class TestPrefixSharing:
         assert pool.num_entries == pool.num_prefix_nodes * 2 * 3  # K/V × layers
         assert pool.num_shared_pages == 0
 
-    def test_abort_releases_slot_references(self, repo):
-        config = KVCacheConfig(bits=4, page_size=4)
-        scheduler = ContinuousBatchingScheduler(repo, num_slots=2, cache_config=config)
-        scheduler.submit(gen_request(seq_len=12, max_new_tokens=8, seed=44))
-        scheduler.step()  # admitted, decoding
-        assert scheduler.num_active == 1
-        scheduler.abort_active(RuntimeError("boom"))
-        pool = scheduler.page_pool
-        assert scheduler.num_active == 0
-        assert pool.num_entries == pool.num_prefix_nodes * 2 * 3
-        assert pool.num_shared_pages == 0
-
     def test_pool_counters_reach_registry(self, repo):
         engine = ServingEngine(
             repository=repo,
