@@ -218,9 +218,9 @@ class ServingEngine:
     :class:`~repro.serve.sampling.TokenChunk`'s as decode rounds produce
     them, and :meth:`cancel` aborts an in-flight request, freeing its slot
     and KV pages immediately (``finish_reason="aborted"``).
-    ``share_generated_suffix=True`` additionally registers decode-sealed KV
-    pages in the page pool's prefix index at retirement, so a follow-up
-    conversation turn (``prompt + generated``) attaches copy-on-write.
+    Only prefill-sealed KV pages serve other requests from the page pool's
+    prefix index, so a follow-up conversation turn (``prompt + generated +
+    new``) attaches the previous turn's prompt pages and prefills the rest.
     ``speculative=SpeculativeConfig(...)`` turns on self-speculative
     decoding (:mod:`repro.serve.spec`): slots propose draft tokens each
     round and verify them in one batched multi-token target pass, leaving
@@ -265,7 +265,6 @@ class ServingEngine:
         result_buffer: int = 4096,
         num_slots: Optional[int] = None,
         kv_cache_config: Optional[KVCacheConfig] = None,
-        share_generated_suffix: bool = False,
         speculative=None,
         tracer=None,
         health=None,
@@ -298,7 +297,6 @@ class ServingEngine:
             clock=clock,
             stats=self.stats,
             page_pool=self.page_pool,
-            share_generated_suffix=share_generated_suffix,
             speculative=speculative,
             tracer=self.tracer,
             admission=admission,

@@ -284,29 +284,26 @@ class PagePool:
     def decoded_many(
         self, handles: Sequence[PageHandle], codec: Optional[OVPairCodec]
     ) -> List[np.ndarray]:
-        """Decoded fp values of many pages, each distinct page decoded once.
+        """Decoded fp values of ``handles``, one miss per packed page.
 
         Reference-mode (ndarray) payloads pass straight through.  Packed
         pages decode in one batched codec pass per page shape and dtype,
-        into the dtype each page sealed from; a page listed twice decodes
-        once (a hit) and both positions share the result.
+        into the dtype each page sealed from.  Every caller passes distinct
+        pages (a seal's new pages, a chain building its shared block, an
+        attach's tail past the block); a chain's pages served again by a
+        live block count as hits in :meth:`acquire_block`.
         The returned arrays are read-only by contract: callers copy them into
         their own rows.
         """
         out: List[Optional[np.ndarray]] = [None] * len(handles)
-        pending: Dict[int, List[int]] = {}
+        pending: List[int] = []
         for j, handle in enumerate(handles):
-            if not handle.is_packed:
-                out[j] = handle.payload
-                continue
-            positions = pending.get(handle.page_id)
-            if positions is None:
-                pending[handle.page_id] = [j]
-                self.decode_misses += 1
+            if handle.is_packed:
+                pending.append(j)
             else:
-                positions.append(j)
-                self.decode_hits += 1
+                out[j] = handle.payload
         if pending:
+            self.decode_misses += len(pending)
             if codec is None:
                 raise ServingError("decoding packed KV pages requires a codec")
             tracer = self.tracer
@@ -319,23 +316,22 @@ class PagePool:
     @staticmethod
     def _decode_pending(
         handles: Sequence[PageHandle],
-        pending: Dict[int, List[int]],
+        pending: List[int],
         codec: OVPairCodec,
         out: List[Optional[np.ndarray]],
     ) -> None:
-        """Batched OVP decode of the distinct pages (one codec pass per shape
-        and dtype)."""
-        by_kind: Dict[Tuple, List[List[int]]] = {}
-        for positions in pending.values():
-            handle = handles[positions[0]]
-            by_kind.setdefault((tuple(handle.payload.shape), handle.dtype), []).append(positions)
-        for (_, dtype), groups in by_kind.items():
+        """Batched OVP decode of the packed pages at ``pending`` (one codec
+        pass per shape and dtype)."""
+        by_kind: Dict[Tuple, List[int]] = {}
+        for j in pending:
+            handle = handles[j]
+            by_kind.setdefault((tuple(handle.payload.shape), handle.dtype), []).append(j)
+        for (_, dtype), positions in by_kind.items():
             pages = codec.decode_tensor_batch(
-                [handles[positions[0]].payload for positions in groups]
+                [handles[j].payload for j in positions]
             ).astype(dtype, copy=False)
-            for page, positions in zip(pages, groups):
-                for j in positions:
-                    out[j] = page
+            for page, j in zip(pages, positions):
+                out[j] = page
 
     # ------------------------------------------------------------------ #
     # Shared blocks
@@ -436,13 +432,14 @@ class PagePool:
         first: every whole page of them must be sealed.  The scheduler calls
         this after every prefill chunk (with the chain appended so far, so
         requests waiting on an in-flight prefix find each chunk's pages at
-        once), at preemption, and with ``prompt + generated`` at retirement
-        when it shares generated suffixes — decode seals its pages the same
-        way, so the chain extends naturally.  Pages already indexed (a shared
-        sub-prefix) are refreshed, not duplicated; new nodes take one
-        reference per handle so indexed pages survive the registering
-        sequence's retirement.  The index is LRU-bounded; evicted nodes drop
-        their references.
+        once) and at preemption, so the evicted sequence's resume
+        re-attaches the rows it attended.  It never indexes at retirement:
+        a page sealed during decode holds K/V its tokens computed while the
+        page was open in full precision, which a prefill of the same tokens
+        does not reproduce.  Pages already indexed (a shared sub-prefix) are
+        refreshed, not duplicated; new nodes take one reference per handle
+        so indexed pages survive the registering sequence's retirement.  The
+        index is LRU-bounded; evicted nodes drop their references.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         page_size = cache.config.page_size
@@ -609,8 +606,8 @@ class LayerKVCache:
         """Release every sealed page from ``keep_pages`` on.
 
         Only pages past the shared block count against the decoded-row
-        gauge; the block's rows are the pool's (:meth:`_unshare` first to cut
-        into them).
+        gauge; the block's rows are the pool's, and only :meth:`release`
+        drops the block's pages (``keep_pages == 0``).
         """
         dropped = self._sealed_k[keep_pages:] + self._sealed_v[keep_pages:]
         for handle in dropped:
@@ -620,22 +617,6 @@ class LayerKVCache:
         self.pool._decoded_bytes -= 2 * own_pages * self._page_nbytes
         del self._sealed_k[keep_pages:]
         del self._sealed_v[keep_pages:]
-
-    def _unshare(self) -> None:
-        """Copy the shared block's rows into the own buffers and let it go.
-
-        Afterwards the cache owns rows ``[0, seq_len)`` like a cache that
-        never attached, and its shared pages count as decoded own rows.
-        """
-        shared, own = self._shared, self._seq_len - self._shared
-        rows = self._k.shape[1] + shared
-        for name, block_rows in (("_k", self._block.k), ("_v", self._block.v)):
-            merged = np.empty((self.num_heads, rows, self.head_dim), self._k.dtype)
-            merged[:, :shared] = block_rows[:, :shared]
-            merged[:, shared : shared + own] = getattr(self, name)[:, :own]
-            setattr(self, name, merged)
-        self.pool._decoded_bytes += 2 * (shared // self.config.page_size) * self._page_nbytes
-        self._release_block()
 
     def _release_block(self) -> None:
         self.pool.release_block(self._block)
@@ -825,8 +806,10 @@ class LayerKVCache:
         cut inside a sealed page reopens that page *copy-on-write*: its kept
         rows already hold the decoded values and stay in place as open rows
         (the shared payload is never mutated), and this cache's references
-        to the dropped pages are released.  A cut inside the shared prefix
-        first copies the block's rows into this cache's own buffers.
+        to the dropped pages are released.  A cut below the shared block's
+        rows raises :class:`ServingError` and changes nothing: every
+        rollback (failed prefill, draft, verify) returns to a length at or
+        past the attached prefix.
         """
         num_tokens = int(num_tokens)
         if not 0 <= num_tokens <= self._seq_len:
@@ -834,7 +817,10 @@ class LayerKVCache:
                 f"cannot truncate a {self._seq_len}-token cache to {num_tokens}"
             )
         if num_tokens < self._shared:
-            self._unshare()
+            raise ServingError(
+                f"cannot truncate to {num_tokens} tokens into a "
+                f"{self._shared}-token shared prefix"
+            )
         keep_pages = num_tokens // self.config.page_size
         if keep_pages < len(self._sealed_k):
             self._drop(keep_pages)

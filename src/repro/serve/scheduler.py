@@ -131,8 +131,7 @@ def _fed_chain(request: InferenceRequest, generated: List[int]) -> np.ndarray:
     The final generated token was emitted but never fed back, so its K/V does
     not exist yet; a resumed slot feeds it in its first decode round, exactly
     as the uninterrupted run would have.  This is the chain a fresh request
-    prefills (its prompt), a resumed one re-attaches, and a follow-up turn
-    re-submits as its prompt.
+    prefills (its prompt) and a resumed one re-attaches.
     """
     if not generated:
         return request.token_ids
@@ -200,6 +199,10 @@ class ContinuousBatchingScheduler:
     slot over views of those rows in place, without touching the page pool
     and without padding or copying them.
 
+    Pages enter the prefix index after every prefill chunk and at
+    preemption (for the evicted slot's own resume), never at retirement;
+    :meth:`~repro.serve.kvcache.PagePool.register_prefix` says why.
+
     Parameters
     ----------
     repository:
@@ -216,13 +219,6 @@ class ContinuousBatchingScheduler:
     page_pool:
         Optional shared :class:`~repro.serve.kvcache.PagePool`; by default the
         scheduler builds its own.
-    share_generated_suffix:
-        Also register pages sealed *during decode* in the pool's prefix index
-        at retirement, so a follow-up turn whose prompt is
-        ``prompt + generated`` attaches the whole previous conversation
-        copy-on-write.  Off by default (generated suffixes are rarely
-        re-prompted outside multi-turn chat, and each registration pins
-        pages in the index LRU).
     speculative:
         Enable self-speculative decoding: a
         :class:`~repro.serve.spec.SpeculativeConfig` (the scheduler builds
@@ -262,7 +258,6 @@ class ContinuousBatchingScheduler:
         clock: Callable[[], float] = time.monotonic,
         stats: Optional[ServingStats] = None,
         page_pool: Optional[PagePool] = None,
-        share_generated_suffix: bool = False,
         speculative=None,
         tracer=None,
         admission: Optional[AdmissionPolicy] = None,
@@ -292,7 +287,6 @@ class ContinuousBatchingScheduler:
         self.clock = clock
         self.stats = stats if stats is not None else ServingStats(clock=clock)
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.share_generated_suffix = bool(share_generated_suffix)
         if speculative is None:
             self.spec = None
         elif isinstance(speculative, SpeculativeDecoder):
@@ -1512,24 +1506,6 @@ class ContinuousBatchingScheduler:
             scheme=slot.entry.scheme if slot.entry is not None else None,
         )
 
-    def _register_generated_suffix(self, slot: _Slot) -> None:
-        """Index the pages sealed during decode under ``prompt + generated``.
-
-        The final generated token is returned but never fed back through the
-        model, so the cache holds ``prompt + generated[:-1]`` — exactly the
-        token chain a follow-up conversation turn re-submits as its prompt.
-        Guarded by ``share_generated_suffix`` (and the config's
-        ``prefix_sharing``); indexed pages take prefix-index references, so
-        they outlive this sequence's retirement.
-        """
-        if not (self.share_generated_suffix and self.cache_config.prefix_sharing):
-            return
-        self.page_pool.register_prefix(
-            self._prefix_key(slot.request),
-            _fed_chain(slot.request, slot.generated),
-            slot.cache,
-        )
-
     def _retire(self) -> List[InferenceResult]:
         """Free slots whose sequences finished (stop token or token budget)."""
         with self.tracer.span("retire"):
@@ -1548,7 +1524,6 @@ class ContinuousBatchingScheduler:
                         slot.request.tenant,
                         result.latency,
                     )
-                    self._register_generated_suffix(slot)
                     self.tracer.lifecycle_end(
                         slot.request.request_id,
                         {

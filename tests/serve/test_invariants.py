@@ -156,12 +156,14 @@ class _ChunkLedger:
 
 def run_sequence(repository, cache_config, speculative, plan, seeds):
     rng = np.random.default_rng(seeds)
+    # This draw once chose a since-removed scheduler option; it stays so
+    # every later draw, and so each seed's fuzz sequence, is unchanged.
+    rng.integers(0, 2)
     scheduler = ContinuousBatchingScheduler(
         repository,
         num_slots=NUM_SLOTS,
         cache_config=cache_config,
         speculative=speculative,
-        share_generated_suffix=bool(rng.integers(0, 2)),
         # Preemption armed: "gold" submissions (op 3) evict default-priority
         # actives, exercising evict/re-queue/resume under the same invariants.
         admission=AdmissionPolicy(class_priority={"gold": 5}, preempt=True),

@@ -81,16 +81,6 @@ class TestDecodeOnce:
         )
         np.testing.assert_array_equal(k_pool, direct)
 
-    def test_duplicate_fetch_in_one_call_decodes_once(self):
-        pool = PagePool()
-        cache = sealed_cache(np.random.default_rng(5), pool=pool, t=4)  # 1 page/side
-        handle = cache._sealed_k[0]
-        before = pool.counters()
-        arrays = pool.decoded_many([handle, handle], cache.codec)
-        assert arrays[0] is arrays[1]
-        assert pool.decode_misses - before["decode_misses"] == 1
-        assert pool.decode_hits - before["decode_hits"] == 1
-
     def test_reference_mode_passes_through_without_decode(self):
         pool = PagePool()
         cache = sealed_cache(np.random.default_rng(6), pool=pool, quantize=False)
@@ -290,33 +280,30 @@ class TestSharedBlocks:
         with pytest.raises(ServingError, match="released more times"):
             pool.release_block(block)
 
-    def test_truncate_into_shared_prefix_keeps_values_and_stream(self):
+    def test_truncate_into_shared_prefix_raises_and_changes_nothing(self):
         owner = sealed_cache(np.random.default_rng(34))
         pool = owner.pool
         cache, twin = self.holders(owner, 2, pages=3)
         rng = np.random.default_rng(35)
-        extra = step(rng, 5), step(rng, 5)
-        cache.append(*extra)
+        cache.append(step(rng, 5), step(rng, 5))  # seals one own page
+        block = cache._block
         before_k, before_v = (a.copy() for a in cache.kv())
-        cache.truncate_to(6)  # inside shared page 1
-        assert cache.shared_kv() is None and twin.shared_kv() is not None
-        assert len(cache._sealed_k) == 1
+        seq_len = cache.seq_len
+        refcounts = [h.refcount for h in cache._sealed_k + cache._sealed_v]
+        holders, decoded = block.holders, pool.decoded_cache_bytes
+        for cut in (0, 6, 11):  # below the 12-token shared prefix
+            with pytest.raises(ServingError, match="shared prefix"):
+                cache.truncate_to(cut)
+        assert cache.seq_len == seq_len
         k, v = cache.kv()
-        np.testing.assert_array_equal(k, before_k[:, :6])
-        np.testing.assert_array_equal(v, before_v[:, :6])
-        # The stream continues exactly like a cache holding the same rows:
-        # page 0 from the block, then rows 4-5 as open rows.
-        [reference] = self.holders(owner, 1, pages=1)
-        reference.append(before_k[:, 4:6], before_v[:, 4:6])
-        more = step(rng, 7), step(rng, 7)
-        cache.append(*more)
-        reference.append(*more)
-        for ours, theirs in zip(cache._sealed_k[1:], reference._sealed_k[1:]):
-            np.testing.assert_array_equal(ours.payload.data, theirs.payload.data)
-        for ours, theirs in zip(cache.kv(), reference.kv()):
-            np.testing.assert_array_equal(ours, theirs)
-        # The block lives on for its other holders; the gauge balances.
-        for holder in (cache, twin, reference, owner):
+        np.testing.assert_array_equal(k, before_k)
+        np.testing.assert_array_equal(v, before_v)
+        assert [h.refcount for h in cache._sealed_k + cache._sealed_v] == refcounts
+        assert cache._block is block and block.holders == holders == 2
+        assert pool.decoded_cache_bytes == decoded
+        cache.truncate_to(12)  # down to the shared prefix is a rollback
+        assert cache.shared_kv()[2] == 12 and twin.shared_kv()[0] is block.k
+        for holder in (cache, twin, owner):
             holder.release()
         assert pool.num_blocks == 0 and pool.decoded_cache_bytes == 0
 
@@ -364,8 +351,6 @@ class TestRunningGauges:
         sharer.flush_seals()
         self.assert_balanced(pool, caches)
         sharer.truncate_to(14)  # into its own sealed pages
-        self.assert_balanced(pool, caches)
-        shorter.truncate_to(6)  # into the shared prefix
         self.assert_balanced(pool, caches)
         for cache in caches:
             cache.release()
@@ -453,14 +438,6 @@ class TestRowDtype:
             k[:, :12].nbytes + v[:, :12].nbytes
             + k_block.nbytes + v_block.nbytes
             + own_k[:, :4].nbytes + own_v[:, :4].nbytes
-        )
-        # Cutting into the block copies its rows into the own buffers and
-        # frees it (the holder was its only reader); one own page is left.
-        holder.truncate_to(6)
-        assert holder._k.dtype == dtype and pool.num_blocks == 0
-        assert pool.decoded_cache_bytes == (
-            k[:, :12].nbytes + v[:, :12].nbytes
-            + holder._k[:, :4].nbytes + holder._v[:, :4].nbytes
         )
         holder.release()
         owner.release()

@@ -395,39 +395,64 @@ class TestCancellation:
         assert engine.pending == 0
 
 
-class TestGeneratedSuffixSharing:
-    def test_follow_up_turn_attaches_generated_pages(self, repo):
-        config = KVCacheConfig(bits=4, page_size=4)
-        scheduler = ContinuousBatchingScheduler(
-            repo, num_slots=2, cache_config=config, share_generated_suffix=True
-        )
-        prompt = np.random.default_rng(70).integers(0, 96, size=16)
+#: (model, page size, turn-1 prompt length, turn-1 max_new_tokens): each
+#: first turn seals at least one page during decode, past its prompt pages.
+FOLLOW_UP_TIERS = [
+    ("gpt2-xl", 4, 10, 8),
+    ("gpt2-xl", 8, 12, 10),
+    ("gpt2-xl-scaled", 32, 60, 12),
+]
+
+
+class TestFollowUpTurn:
+    """A follow-up turn re-prompts ``prompt + generated + new`` tokens; it
+    attaches only the first turn's prefill-sealed pages and prefills the
+    rest, so it serves exactly what a cold engine serves."""
+
+    @staticmethod
+    def turn(scheduler, model, prompt, max_new_tokens):
         scheduler.submit(
             InferenceRequest(
-                "gpt2-xl",
+                model,
                 WorkloadFamily.LM,
                 prompt,
-                sampling=SamplingParams(max_new_tokens=8),
+                sampling=SamplingParams(max_new_tokens=max_new_tokens),
             )
         )
-        first = scheduler.run_until_idle()[0]
-        generated = first.output.token_ids
-        # Follow-up turn: the conversation so far becomes the next prompt.
-        follow_up = np.concatenate([prompt, np.asarray(generated, dtype=np.int64)])
-        scheduler.submit(
-            InferenceRequest(
-                "gpt2-xl",
-                WorkloadFamily.LM,
-                follow_up,
-                sampling=SamplingParams(max_new_tokens=2),
-            )
-        )
-        second = scheduler.run_until_idle()[0]
-        # prompt(16) + generated-but-unfed(7) = 23 tokens sealed → 5 pages.
-        assert second.output.kv_cache["prefix_shared_tokens"] == 20
-        assert second.output.kv_cache["prefix_shared_tokens"] > prompt.size - 4
+        [result] = scheduler.run_until_idle()
+        return result.output
 
-    def test_flag_off_registers_prompt_pages_only(self, repo):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "model,page_size,prompt_len,max_new_tokens",
+        FOLLOW_UP_TIERS,
+        ids=[f"{model}-page{page}" for model, page, _, _ in FOLLOW_UP_TIERS],
+    )
+    def test_follow_up_attaches_prompt_pages_and_matches_cold_engine(
+        self, repo, model, page_size, prompt_len, max_new_tokens, seed
+    ):
+        config = KVCacheConfig(bits=4, page_size=page_size)
+        scheduler = ContinuousBatchingScheduler(repo, num_slots=2, cache_config=config)
+        rng = np.random.default_rng(70 + seed)
+        prompt = rng.integers(0, 96, size=prompt_len)
+        first = self.turn(scheduler, model, prompt, max_new_tokens)
+        # prompt + generated[:-1] tokens cached: decode sealed pages too.
+        assert first.kv_cache["seq_len"] // page_size > prompt_len // page_size
+        follow_up = np.concatenate(
+            [prompt, np.asarray(first.token_ids, dtype=np.int64), rng.integers(0, 96, size=5)]
+        )
+        second = self.turn(scheduler, model, follow_up, 6)
+        assert second.kv_cache["prefix_shared_tokens"] == prompt_len // page_size * page_size
+        cold = ContinuousBatchingScheduler(
+            repo,
+            num_slots=2,
+            cache_config=KVCacheConfig(bits=4, page_size=page_size, prefix_sharing=False),
+        )
+        reference = self.turn(cold, model, follow_up, 6)
+        assert second.token_ids == reference.token_ids
+        np.testing.assert_allclose(second.logprobs, reference.logprobs, rtol=0, atol=1e-3)
+
+    def test_registers_prompt_pages_only(self, repo):
         config = KVCacheConfig(bits=4, page_size=4)
         scheduler = ContinuousBatchingScheduler(repo, num_slots=2, cache_config=config)
         prompt = np.random.default_rng(71).integers(0, 96, size=16)
@@ -442,19 +467,6 @@ class TestGeneratedSuffixSharing:
         scheduler.run_until_idle()
         # Only the 4 prompt pages are indexed (per layer pair), none generated.
         assert scheduler.page_pool.num_prefix_nodes == 4
-
-    def test_suffix_registration_keeps_refcounts_balanced(self, repo):
-        config = KVCacheConfig(bits=4, page_size=4)
-        scheduler = ContinuousBatchingScheduler(
-            repo, num_slots=2, cache_config=config, share_generated_suffix=True
-        )
-        scheduler.submit(gen_request(seq_len=12, max_new_tokens=6, seed=72))
-        scheduler.run_until_idle()
-        pool = scheduler.page_pool
-        # Every surviving page is held exactly once, by its prefix node.
-        assert pool.num_prefix_nodes > 3  # prompt pages + generated pages
-        assert pool.num_entries == pool.num_prefix_nodes * 2 * 3
-        assert pool.num_shared_pages == 0
 
 
 class TestRequestOutput:
