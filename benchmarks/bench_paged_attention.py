@@ -1,11 +1,11 @@
-"""Benchmark: decode-once K/V rows, prefix-shared prefill, per-slot attend.
+"""Benchmark: seal-time K/V rows, prefix-shared prefill, per-slot attend.
 
 These perf properties guard the paged-attention hot paths:
 
 * a decode round over long cached histories must be ≥2× faster reading the
-  caches' decoded rows (each sealed page decoded once, when it sealed) than
-  a baseline that re-decodes every sealed page through the page pool and
-  concatenates every round, at 256+ cached tokens per slot;
+  caches' own rows (each sealed page's dequantized values, written when it
+  sealed) than a baseline that re-decodes every sealed page through the
+  page pool and concatenates every round, at 256+ cached tokens per slot;
 * prefix-shared prefill of a common prompt must be ≥1.5× faster than cold
   prefill (the shared pages attach instead of re-running the model);
 * a cold wave of four requests on one document must be ≥2× faster with

@@ -10,13 +10,18 @@ stream of LM generation requests with wildly mixed token budgets and shows
    memory-aligned OVP byte streams as it decodes, printed next to the bytes
    an fp32 cache would need for the same tokens;
 3. the generation throughput of the stream.
+
+It exits non-zero unless every request retires with ``stop`` or ``length``
+and the stats summary counts exactly the tokens the retired requests carry.
 """
 
+import sys
 import time
 
 import numpy as np
 
 from repro.serve import (
+    FinishReason,
     InferenceRequest,
     KVCacheConfig,
     SamplingParams,
@@ -44,8 +49,10 @@ def make_stream(seed: int = 0):
     ]
 
 
-def watch_rounds(engine: ServingEngine, requests) -> float:
-    """Drive the engine round by round, narrating admissions/retirements."""
+def watch_rounds(engine: ServingEngine, requests):
+    """Drive the engine round by round, narrating admissions/retirements.
+
+    Returns the wall time and every result the rounds retired."""
     for request in requests:
         engine.submit(request)
     scheduler = engine.lm_scheduler
@@ -53,9 +60,11 @@ def watch_rounds(engine: ServingEngine, requests) -> float:
     print(f"{'round':>5} {'active':>6} {'queued':>6} {'done':>4}  "
           f"{'KV packed':>10} {'KV fp32':>10}  retired this round")
     rounds = 0
+    results = []
     start = time.perf_counter()
     while engine.pending:
         retired = engine.step(force=True)
+        results.extend(retired)
         rounds += 1
         if rounds % 8 == 0 or retired:
             names = ", ".join(
@@ -65,10 +74,10 @@ def watch_rounds(engine: ServingEngine, requests) -> float:
             print(f"{rounds:>5} {scheduler.num_active:>6} {scheduler.num_queued:>6} "
                   f"{scheduler.retired:>4}  {scheduler.kv_cache_bytes:>9,}B "
                   f"{scheduler.kv_fp32_bytes:>9,}B  {names}")
-    return time.perf_counter() - start
+    return time.perf_counter() - start, results
 
 
-def main() -> None:
+def main() -> int:
     engine = ServingEngine(
         max_batch_size=NUM_SLOTS,
         max_wait=0.0,
@@ -81,9 +90,17 @@ def main() -> None:
           f"{entry.packed_bytes / 1e3:.0f} kB packed "
           f"({entry.compression_ratio:.1f}x vs fp32)\n")
 
-    continuous_seconds = watch_rounds(engine, make_stream())
+    requests = make_stream()
+    continuous_seconds, results = watch_rounds(engine, requests)
     summary = engine.stats.summary()
     generated = summary.generated_tokens
+    retired_tokens = sum(len(r.output.token_ids) for r in results)
+    finished = sorted(r.request_id for r in results) == sorted(
+        r.request_id for r in requests
+    ) and all(
+        r.output.finish_reason in (FinishReason.STOP, FinishReason.LENGTH)
+        for r in results
+    )
 
     print("\n== KV cache memory (before/after OVP packing) ==")
     print(f"  fp32 cache at peak   : {summary.kv_fp32_bytes_peak:,} bytes")
@@ -92,7 +109,10 @@ def main() -> None:
     print(f"  mean slot occupancy  : {summary.mean_slot_occupancy * 100:.0f}%")
     print(f"  throughput           : {generated / continuous_seconds:.0f} tokens/s "
           f"({continuous_seconds * 1e3:.0f} ms)")
+    print(f"  every request retired with stop/length: {finished}, "
+          f"tokens counted {generated} / retired {retired_tokens}")
+    return 0 if finished and generated == retired_tokens else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -18,7 +18,11 @@ the new serving front door end to end:
 4. **document QA** — questions fan out across overlapping document chunks
    through the gateway's span family, answers aggregate by normalized span
    confidence, and every question clears its confidence floor.
+
+It exits non-zero unless the document-QA harness passes.
 """
+
+import sys
 
 import numpy as np
 
@@ -225,6 +229,7 @@ def act_4_document_qa(repo):
               f"(floor {entry['min_confidence']:.4f}) "
               f"ok={entry['confidence_ok'] and entry['span_ok']}")
     print(f"harness passed: {report['passed']}")
+    return report["passed"]
 
 
 def main():
@@ -233,8 +238,8 @@ def main():
     act_1_tenancy(repo)
     act_2_chunked_prefill(repo)
     act_3_trace_replay(repo)
-    act_4_document_qa(repo)
+    return 0 if act_4_document_qa(repo) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

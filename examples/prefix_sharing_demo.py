@@ -1,4 +1,4 @@
-"""Prefix-sharing demo: one system prompt, many requests, pages decoded once.
+"""Prefix-sharing demo: one system prompt, many requests, pages decoded at most once.
 
 Run with ``python examples/prefix_sharing_demo.py``.  The demo serves a wave
 of LM generation requests that all start with the same long "system prompt"
@@ -9,9 +9,10 @@ and shows
    prompt's KV pages; every later request's prompt hashes to those sealed
    pages and *attaches* to them copy-on-write instead of re-running (and
    re-quantizing) the prefill, so admission cost drops to the suffix;
-2. **decode-once paging**: each sealed page is OVP-decoded once — when it
-   seals, or when a request attaches it and no live request holds the
-   prompt's shared block yet — so decode rounds never re-decode a page;
+2. **decode-once paging**: a sealing page quantizes its own rows in place
+   (the encoder writes them back, nothing decodes), and a sealed page is
+   OVP-decoded once when a request attaches it and no live request holds
+   the prompt's shared block yet — so decode rounds never re-decode a page;
 3. **shared blocks**: a second wave arrives all at once, so several live
    requests hold the system prompt together; they read one decoded block
    (pool hits, no decode) and attend it once per round for all of them;
@@ -19,8 +20,8 @@ and shows
    prompt nobody has seen; the first admitted request prefills it while the
    others wait for its sealed pages, then prefill only their suffixes, so
    the new prompt is prefilled once;
-5. the pool's accounting: pages decoded next to pages served by a live
-   shared block, prefix pages attached, live pages.
+5. the pool's accounting: pages decoded at prefix attach next to pages
+   served by a live shared block, prefix pages attached, live pages.
 
 The demo exits 1 when any greedy stream differs from the cold run's, or
 when the cold wave prefilled its system prompt more than once.
@@ -111,16 +112,16 @@ def main() -> int:
     pool = engine.page_pool
     stats = pool.stats()
     print("\n== page pool after the one-by-one wave ==")
-    print(f"  pages decoded / served by a live block: "
+    print(f"  pages decoded / served by a live block at prefix attach: "
           f"{stats['decode_misses']} / {stats['decode_hits']} "
-          f"({stats['pages_registered']} sealed + "
-          f"{stats['prefix_pages_attached']} attached)")
+          f"({stats['prefix_pages_attached']} attached; "
+          f"{stats['pages_registered']} sealed)")
 
     print(f"\n== {NUM_REQUESTS} more requests arriving together ==")
     before = pool.counters()
     together, together_seconds = serve_together(engine, make_requests(system_prompt, 2))
     after = pool.stats()
-    print(f"  pages decoded / served by a live block: "
+    print(f"  pages decoded / served by a live block at prefix attach: "
           f"{after['decode_misses'] - before['decode_misses']} / "
           f"{after['decode_hits'] - before['decode_hits']} "
           f"({after['prefix_pages_attached'] - before['prefix_pages_attached']} attached)")

@@ -438,50 +438,53 @@ class OVPairCodec:
             codes[i + 1] = c2
         return self._packed(self._pack_codes(codes), tensor.shape, scale, padded)
 
-    def encode_tensor_batch(self, tensors, scales, threshold: float):
-        """Encode several even-sized tensors in one vectorized pass.
+    def encode_tensor_batch(self, tensors, scales, threshold: float, out=None):
+        """Encode several tensors in one vectorized pass.
 
         Each tensor gets its own scale but they share one threshold (in grid
         units) and one trip through the encoder — the per-call overhead
         matters when many small tensors are encoded at once (the KV cache
         seals every newly full K and V page together).  Each tensor divides
         straight into its slice of one preallocated grid (tensors may be
-        non-contiguous views), the whole grid is encoded and nibble-packed
-        once, and each result gets a copy of its own byte slice, so a page
-        never pins its batch-mates' bytes.  The bytes equal per-tensor
-        :meth:`encode_tensor` calls.  Odd-sized tensors are rejected: their
-        zero pad would shift the pair alignment of every stream that follows.
-        NaN raises :class:`EncodingError`.  Returns one
-        :class:`PackedOVPTensor` per input.
+        non-contiguous views), an odd-sized one followed by its own zero pad
+        slot as :meth:`encode_tensor` pads it; the whole grid is encoded and
+        nibble-packed once, and each result gets a copy of its own byte
+        slice, so a page never pins its batch-mates' bytes.  The bytes equal
+        per-tensor :meth:`encode_tensor` calls.  ``out``, one array per
+        tensor of its shape (the tensor itself may serve), receives what
+        :meth:`decode_tensor` returns for that stream, cast to the array's
+        dtype, dequantized from the codes in hand.  NaN raises
+        :class:`EncodingError`.  Returns one :class:`PackedOVPTensor` per
+        input.
         """
-        if len(tensors) != len(scales):
-            raise EncodingError("encode_tensor_batch needs one scale per tensor")
+        if len(tensors) != len(scales) or (out is not None and len(out) != len(tensors)):
+            raise EncodingError("encode_tensor_batch needs one scale and output per tensor")
         if not tensors:
             raise EncodingError("encode_tensor_batch needs at least one tensor")
         tensors = [np.asarray(t, dtype=np.float64) for t in tensors]
-        for tensor, scale in zip(tensors, scales):
-            if scale <= 0:
-                raise EncodingError("scale must be positive")
-            if tensor.size % 2:
-                raise EncodingError(
-                    "encode_tensor_batch supports even-sized tensors only; "
-                    "use encode_tensor for odd sizes"
-                )
-        grid = np.empty(sum(tensor.size for tensor in tensors))
-        offset = 0
-        for tensor, scale in zip(tensors, scales):
-            stop = offset + tensor.size
-            np.divide(tensor, float(scale), out=grid[offset:stop].reshape(tensor.shape))
-            offset = stop
-        data = self._pack_codes(self._encode_grid(grid, threshold))
+        scales = [float(scale) for scale in scales]
+        if min(scales) <= 0:
+            raise EncodingError("scale must be positive")
+        # Tensor j owns grid slots [bounds[j], bounds[j + 1]): its values, then any pad.
+        bounds = np.cumsum([0] + [tensor.size + tensor.size % 2 for tensor in tensors])
+        slices = list(zip(tensors, scales, bounds, bounds[1:]))
+        grid = np.empty(bounds[-1])
+        for tensor, scale, start, stop in slices:
+            np.divide(tensor, scale, out=grid[start:start + tensor.size].reshape(tensor.shape))
+            grid[start + tensor.size:stop] = 0.0
+        codes = self._encode_grid(grid, threshold)
+        values = None if out is None else self._decode_codes(codes)
+        data = self._pack_codes(codes)
         per_byte = 2 if self.normal_dtype.bits == 4 else 1
-        packed, offset = [], 0
-        for tensor, scale in zip(tensors, scales):
-            stop = offset + tensor.size // per_byte
-            packed.append(
-                self._packed(data[offset:stop].copy(), tensor.shape, float(scale), False)
-            )
-            offset = stop
+        packed = []
+        for j, (tensor, scale, start, stop) in enumerate(slices):
+            if out is not None:
+                if out[j].shape != tensor.shape:
+                    raise EncodingError("each output must have its tensor's shape")
+                view = values[start:start + tensor.size].reshape(tensor.shape)
+                np.multiply(view, scale, out=out[j], casting="same_kind")
+            stream = data[start // per_byte:stop // per_byte].copy()
+            packed.append(self._packed(stream, tensor.shape, scale, stop - start > tensor.size))
         return packed
 
     def decode_tensor(self, packed: PackedOVPTensor) -> np.ndarray:

@@ -13,9 +13,10 @@ request/response engine:
 * :mod:`repro.serve.kvcache` — per-sequence paged KV caches whose sealed
   pages are memory-aligned OVP byte streams (quantize-on-append) held in a
   shared refcounted :class:`~repro.serve.kvcache.PagePool` with a
-  prompt-prefix index for copy-on-write page sharing; each page decodes once,
-  when it seals or attaches, into K/V rows the sequence owns, so attention
-  reads views of those rows;
+  prompt-prefix index for copy-on-write page sharing; a sealing page's
+  dequantized values land in K/V rows the sequence owns in the same encoder
+  pass, and an attached page decodes once into those rows (or a shared
+  block), so attention reads views of those rows;
 * :mod:`repro.serve.sampling` — the generation API surface:
   :class:`~repro.serve.sampling.SamplingParams` (temperature / top-k / top-p /
   stop tokens / seed) and :class:`~repro.serve.sampling.Sampler`, plus the

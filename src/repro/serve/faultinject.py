@@ -10,15 +10,15 @@ against a live :class:`~repro.serve.scheduler.ContinuousBatchingScheduler`
 through the seams the scheduler already exposes:
 
 * the **tracer** — every phase the scheduler enters goes through
-  ``tracer.span(name)``, so wrapping the tracer gives a precise,
-  zero-new-hooks injection point for phase errors and clock jumps;
+  ``tracer.span(name)``, and so does the page pool's work: a ``seal``
+  span whenever a layer cache seals pages on append, a ``pool_decode``
+  span whenever a prefix attach decodes packed pages.  Wrapping the
+  scheduler's and the pool's tracers gives a precise, zero-new-hooks
+  injection point for phase errors and clock jumps, mid-prefill and
+  mid-round included;
 * the **clock** — the scheduler reads ``self.clock()`` for every
   timestamp, so a wrapped clock with a forward-only offset simulates
-  stalls and deadline pressure without sleeping;
-* the **page pool** — ``decoded_many`` is the single funnel every packed
-  page decode passes through (a page decodes when it seals on append and
-  when a prefix attaches it), so shadowing it on the pool instance
-  simulates decode failures mid-prefill and mid-round.
+  stalls and deadline pressure without sleeping.
 
 Faults raise :class:`~repro.serve.errors.InjectedFault` (retryable), and
 :func:`drive` mirrors the engine's recovery discipline — a fault escaping
@@ -54,17 +54,17 @@ class FaultSpec:
     ----------
     kind:
         ``"phase_error"`` raises :class:`InjectedFault` entering the
-        *at_count*-th ``phase`` span; ``"pool_decode_error"`` raises from
-        the *at_count*-th packed-page decode call; ``"clock_jump"``
-        advances the scheduler clock by ``jump_s`` entering the
-        *at_count*-th ``phase`` span; ``"queue_burst"`` tells
-        :func:`drive` to submit ``burst`` extra requests at round
-        *at_count*.
+        *at_count*-th ``phase`` span; ``"clock_jump"`` advances the
+        scheduler clock by ``jump_s`` entering the *at_count*-th ``phase``
+        span; ``"queue_burst"`` tells :func:`drive` to submit ``burst``
+        extra requests at round *at_count*.
     phase:
         Span name the counter watches (``phase_error`` / ``clock_jump``
         only).  The scheduler's phases are ``round``, ``admit``,
         ``prefill``, ``plain_round``, ``sample``, ``retire`` and the
-        speculative ``draft_propose`` / ``verify_batch``.
+        speculative ``draft_propose`` / ``verify_batch``; the page pool's
+        are ``seal`` (a layer cache sealing pages) and ``pool_decode`` (a
+        prefix attach decoding pages).
     at_count:
         1-based occurrence at which the fault fires.  Each spec fires at
         most once.
@@ -74,7 +74,7 @@ class FaultSpec:
         Extra same-round submissions (``queue_burst`` only).
     """
 
-    KINDS = ("phase_error", "pool_decode_error", "clock_jump", "queue_burst")
+    KINDS = ("phase_error", "clock_jump", "queue_burst")
 
     kind: str
     phase: str = "round"
@@ -118,7 +118,9 @@ class FaultSchedule:
         cls,
         seed: int,
         num_faults: int = 4,
-        phases: Sequence[str] = ("round", "admit", "prefill", "sample"),
+        phases: Sequence[str] = (
+            "round", "admit", "prefill", "sample", "seal", "pool_decode"
+        ),
         max_round: int = 8,
         max_jump_s: float = 4.0,
         max_burst: int = 4,
@@ -165,8 +167,8 @@ class _InjectingTracer:
     Everything else — ``enabled``, lifecycle tracks, report methods —
     passes through to the wrapped tracer untouched, so a disabled tracer
     stays free and an enabled tracer's output is unchanged apart from the
-    injected behaviour.  Scheduler spans are counted traced or not; the nn
-    layers enter theirs only while the tracer is enabled.
+    injected behaviour.  Scheduler and page-pool spans are counted traced
+    or not; the nn layers enter theirs only while the tracer is enabled.
     """
 
     def __init__(self, inner, injector: "FaultInjector") -> None:
@@ -188,9 +190,9 @@ class _InjectingTracer:
 class FaultInjector:
     """Arms a :class:`FaultSchedule` against a scheduler's seams.
 
-    ``attach(scheduler)`` wraps the scheduler's tracer, clock and page
-    pool in place; the scheduler itself is unmodified code running under
-    instrumented dependencies.  Each spec fires at most once; ``fired``
+    ``attach(scheduler)`` wraps the scheduler's tracer, its page pool's
+    tracer and its clock in place; the scheduler itself is unmodified code
+    running under instrumented dependencies.  Each spec fires at most once; ``fired``
     records the specs that actually triggered (a schedule may over-provision
     counts the run never reaches — that is fine, chaos schedules are
     upper bounds, not scripts).
@@ -202,7 +204,6 @@ class FaultInjector:
         self.fired: List[FaultSpec] = []
         self._consumed: set = set()
         self._phase_counts: Dict[str, int] = {}
-        self._decode_calls = 0
         self._clock_offset = 0.0
 
     def add(self, spec: FaultSpec) -> FaultSpec:
@@ -237,26 +238,17 @@ class FaultInjector:
     # Arming
     # -------------------------------------------------------------- #
     def attach(self, scheduler) -> "FaultInjector":
-        """Wrap ``scheduler``'s tracer, clock and pool decode in place."""
+        """Wrap ``scheduler``'s tracer, its pool's tracer and its clock in place.
+
+        The pool keeps its own tracer underneath, so its ``seal`` and
+        ``pool_decode`` spans still land wherever they did; every slot cache
+        reads the pool's tracer at each seal and decode.
+        """
         scheduler.tracer = _InjectingTracer(scheduler.tracer, self)
+        pool = scheduler.page_pool
+        pool.tracer = _InjectingTracer(pool.tracer, self)
         inner_clock = scheduler.clock
         scheduler.clock = lambda: inner_clock() + self._clock_offset
-        pool = scheduler.page_pool
-        inner_decode = pool.decoded_many
-
-        def decoded_many(handles, codec):
-            self._decode_calls += 1
-            spec = self._take("pool_decode_error", self._decode_calls)
-            if spec is not None:
-                raise InjectedFault(
-                    f"injected pool decode failure "
-                    f"(call {self._decode_calls}, spec {spec})"
-                )
-            return inner_decode(handles, codec)
-
-        # Instance attribute shadows the bound method for every caller
-        # holding a reference to the pool (slot caches included).
-        pool.decoded_many = decoded_many
         return self
 
     # -------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""OVP-quantized paged KV caches that decode each sealed page once.
+"""OVP-quantized paged KV caches that quantize each sealed page in place.
 
 The KV cache is the dominant memory consumer of LM serving: every decoded
 token appends one K and one V vector per layer per head, and a full-precision
@@ -28,13 +28,14 @@ sequences (``p = 0`` unless the cache attached a prefix):
   per-page 3σ scale (the paper's initial-scale rule; no MSE search on the
   hot append path).
 
-A page seals by encoding its rows, registering the packed bytes in the
-:class:`PagePool` and decoding them **once** back over the same rows.  After
-that the rows already hold what every later round attends, so ``kv_many()``
-returns views of the own buffers — no pool call, no copy — and
-``shared_kv()`` names the block that precedes them.  Capacity is sized at
-admission (prompt plus ``max_new_tokens``); a standalone cache grows on
-demand.  Rows, shared blocks and decoded pages hold the dtype of the K/V the
+A page seals in one pass: encoding its rows writes their dequantized
+values back over the same rows from the codes just computed (exactly what
+decoding the packed bytes returns), and the packed bytes register in the
+:class:`PagePool`.  After that the rows already hold what every later round
+attends, so ``kv_many()`` returns views of the own buffers — no pool call,
+no copy — and ``shared_kv()`` names the block that precedes them.
+Capacity is sized at admission (prompt plus ``max_new_tokens``); a
+standalone cache grows on demand.  Rows, shared blocks and decoded pages hold the dtype of the K/V the
 model appends (float32 for a served model): an empty cache takes the dtype
 of its first append, and each page remembers the dtype it sealed from, so
 attaching it decodes back into that dtype.
@@ -205,8 +206,8 @@ class PagePool:
 
     * **refcounting** — a page is dropped once its last holder releases it;
     * **batched decode** — :meth:`decoded_many` is the one funnel every packed
-      page decode passes through (a page decodes when it seals and when a
-      prefix attaches it with no live shared block, never per round);
+      page decode passes through (a page decodes only when a prefix attaches
+      it with no live shared block: never when it seals, never per round);
     * **prefix index** — a bounded LRU mapping page-aligned token-prefix hash
       chains to the sealed pages holding those tokens' K/V, enabling
       copy-on-write prompt sharing across requests;
@@ -288,10 +289,10 @@ class PagePool:
 
         Reference-mode (ndarray) payloads pass straight through.  Packed
         pages decode in one batched codec pass per page shape and dtype,
-        into the dtype each page sealed from.  Every caller passes distinct
-        pages (a seal's new pages, a chain building its shared block, an
-        attach's tail past the block); a chain's pages served again by a
-        live block count as hits in :meth:`acquire_block`.
+        into the dtype each page sealed from.  Both callers pass distinct
+        pages (a chain building its shared block, an attach's tail past the
+        block); a chain's pages served again by a live block count as hits
+        in :meth:`acquire_block`, and a seal decodes nothing.
         The returned arrays are read-only by contract: callers copy them into
         their own rows.
         """
@@ -655,13 +656,15 @@ class LayerKVCache:
             self._seal_full_pages()
 
     def _seal_full_pages(self) -> None:
-        """Seal every full page past the sealed ones, then decode it in place.
+        """Seal every full page past the sealed ones, quantizing it in place.
 
-        The K and V pages all encode through one codec pass, register in the
-        pool, and decode once through :meth:`PagePool.decoded_many`; the
-        decoded values overwrite the rows, which is what every later attend
-        reads.  An enabled pool tracer records the work as one ``seal`` span
-        whose ``pages`` attribute counts the K and V pages sealed.
+        The K and V pages all encode through one codec pass, which also
+        writes each page's dequantized values back over its rows from the
+        codes it just computed (what :meth:`OVPairCodec.decode_tensor` of
+        the packed bytes returns); those rows are what every later attend
+        reads.  The packed pages then register in the pool.  An enabled pool
+        tracer records the work as one ``seal`` span whose ``pages``
+        attribute counts the K and V pages sealed.
         """
         size = self.config.page_size
         first, stop = len(self._sealed_k), self._seq_len // size
@@ -676,24 +679,14 @@ class LayerKVCache:
                 start = page * size - self._shared
                 rows = slice(start, start + size)
                 pages += [self._k[:, rows], self._v[:, rows]]
-            dtype = self._k.dtype
-            if not self.config.quantize:
-                handles = [self.pool.register(page.copy(), dtype) for page in pages]
-                self._hold(handles[0::2], handles[1::2])
-                return
-            scales = [self._page_scale(page) for page in pages]
-            threshold = self.codec.normal_dtype.max_value
-            if pages[0].size % 2 == 0:
-                packed = self.codec.encode_tensor_batch(pages, scales, threshold)
+            if self.config.quantize:
+                scales = [self._page_scale(page) for page in pages]
+                threshold = self.codec.normal_dtype.max_value
+                payloads = self.codec.encode_tensor_batch(pages, scales, threshold, out=pages)
             else:
-                packed = [
-                    self.codec.encode_tensor(page, scale, threshold)
-                    for page, scale in zip(pages, scales)
-                ]
-            handles = [self.pool.register(payload, dtype) for payload in packed]
+                payloads = [page.copy() for page in pages]
+            handles = [self.pool.register(payload, self._k.dtype) for payload in payloads]
             self._hold(handles[0::2], handles[1::2])
-            for page, decoded in zip(pages, self.pool.decoded_many(handles, self.codec)):
-                page[...] = decoded
 
     def _page_scale(self, page: np.ndarray) -> float:
         """3σ scale rule: normals span 3σ, anything beyond is an OVP outlier."""

@@ -194,8 +194,9 @@ class ContinuousBatchingScheduler:
     """Admit/retire LM generation sequences over a fixed slot pool.
 
     Each admitted sequence gets a KV cache whose K/V rows are reserved for
-    ``prompt + max_new_tokens`` timesteps.  Its pages decode once, when they
-    seal or attach from the prefix index, so a decode round attends each
+    ``prompt + max_new_tokens`` timesteps.  A sealing page quantizes its
+    rows in place, and a page attached from the prefix index decodes once,
+    so a decode round attends each
     slot over views of those rows in place, without touching the page pool
     and without padding or copying them.
 

@@ -135,7 +135,7 @@ class DecodeRoundRecord:
     kv_fp32_bytes: int         # fp32 cache footprint for the same tokens
     # Page-pool activity this round (deltas of the pool's counters).
     pool_hits: int = 0                 # pages served without a decode (live shared block)
-    pool_misses: int = 0               # sealed pages OVP-decoded (seal/attach)
+    pool_misses: int = 0               # sealed pages OVP-decoded (prefix attach)
     prefix_pages_attached: int = 0     # pages adopted from the prefix index
     shared_pages: int = 0              # pool pages with >1 holder at round end
     # Speculative decoding this round (zero when no slot speculated).
@@ -334,7 +334,7 @@ class ServingStats:
             "serve_pool_hits_total", "Pages served without a decode (live shared block)"
         )
         self._m_pool_misses = r.counter(
-            "serve_pool_misses_total", "Sealed pages OVP-decoded at seal or prefix attach"
+            "serve_pool_misses_total", "Sealed pages OVP-decoded at prefix attach"
         )
         self._m_prefix_pages = r.counter(
             "serve_prefix_pages_attached_total", "Pages adopted from the prefix index"

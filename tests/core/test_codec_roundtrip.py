@@ -167,9 +167,10 @@ class TestVectorizedMatchesScalarOracle:
         fast = codec.encode_tensor(tensor, 1.0, threshold)
         oracle = codec.encode_tensor_scalar(tensor, 1.0, threshold)
         np.testing.assert_array_equal(fast.data, oracle.data)
-        if tensor.size % 2 == 0:
-            (batched,) = codec.encode_tensor_batch([tensor], [1.0], threshold)
-            np.testing.assert_array_equal(batched.data, oracle.data)
+        written = np.empty_like(tensor)
+        (batched,) = codec.encode_tensor_batch([tensor], [1.0], threshold, out=[written])
+        np.testing.assert_array_equal(batched.data, oracle.data)
+        np.testing.assert_array_equal(written, codec.decode_tensor(fast))
         np.testing.assert_array_equal(
             codec.decode_tensor(fast),
             codec.fake_quantize_grid(tensor, threshold),
@@ -179,28 +180,40 @@ class TestVectorizedMatchesScalarOracle:
 class TestEncodeTensorBatch:
     """``encode_tensor_batch`` as the KV cache calls it when sealing pages."""
 
-    @staticmethod
-    def seal_pages(name, seed):
+    # (heads, page rows, head_dim): even pages, and odd ones that pad.
+    GEOMETRIES = {"even": (4, 32, 8), "odd": (3, 5, 3)}
+
+    @classmethod
+    def seal_pages(cls, name, seed, geometry="even"):
         """Non-contiguous ``(heads, page, head_dim)`` pages of a larger buffer."""
         _, max_value = make_codec(name)
+        heads, page, dim = cls.GEOMETRIES[geometry]
         rng = np.random.default_rng(seed)
-        rows = outlier_tensor(rng, 4 * 96 * 8, max_value / 3.0).reshape(4, 96, 8)
-        pages = [rows[:, i * 32 : (i + 1) * 32] for i in range(3)]
+        rows = outlier_tensor(rng, heads * 3 * page * dim, max_value / 3.0)
+        rows = rows.reshape(heads, 3 * page, dim)
+        pages = [rows[:, i * page : (i + 1) * page] for i in range(3)]
         scales = [0.4, 1.3, 2.9]
         return pages, scales
 
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     @pytest.mark.parametrize("name", sorted(CODEC_CONFIGS))
-    def test_strided_pages_equal_per_page_encode(self, name):
+    def test_strided_pages_equal_per_page_encode(self, name, geometry):
         codec, max_value = make_codec(name)
-        pages, scales = self.seal_pages(name, seed=len(name))
+        pages, scales = self.seal_pages(name, seed=len(name), geometry=geometry)
         assert not pages[1].flags.c_contiguous
-        batched = codec.encode_tensor_batch(pages, scales, max_value)
-        for page, scale, packed in zip(pages, scales, batched):
+        # The seal's own call: each page's rows receive their dequantized
+        # values, in the rows' dtype.
+        rows = [page.astype(np.float32) for page in pages]
+        batched = codec.encode_tensor_batch(pages, scales, max_value, out=rows)
+        for page, scale, packed, written in zip(pages, scales, batched, rows):
             single = codec.encode_tensor(page, scale, max_value)
             np.testing.assert_array_equal(packed.data, single.data)
             assert packed.data.dtype == single.data.dtype == np.uint8
             assert packed.shape == page.shape and packed.scale == scale
-            assert not packed.padded
+            assert packed.padded == (geometry == "odd")
+            np.testing.assert_array_equal(
+                written, codec.decode_tensor(single).astype(np.float32)
+            )
 
     @pytest.mark.parametrize("name", sorted(CODEC_CONFIGS))
     def test_each_page_owns_its_bytes(self, name):

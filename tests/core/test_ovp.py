@@ -182,28 +182,44 @@ class TestBatchCodecPaths:
         with pytest.raises(EncodingError):
             codec4.decode_tensor_batch([packed])
 
-    def test_encode_batch_matches_individual(self, codec4):
+    @pytest.mark.parametrize("shape", [(2, 32), (3, 5), (7,)], ids=["even", "odd", "flat_odd"])
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_encode_batch_matches_individual(self, codec4, codec8, shape, bits):
+        codec, threshold = (codec4, 7.0) if bits == 4 else (codec8, 127.0)
         rng = np.random.default_rng(3)
-        tensors = [rng.normal(0, 3.0, size=(2, 32)) for _ in range(4)]
+        # An even-sized tensor between odd ones: each odd tensor's own pad
+        # slot keeps every later stream on a pair boundary.
+        tensors = [rng.normal(0, threshold / 2, size=s) for s in (shape, (2, 4), shape, shape)]
         for t in tensors:
-            t[0, ::5] *= 10.0
+            t.reshape(-1)[::5] *= 10.0
         scales = [0.5, 1.0, 1.5, 2.0]
-        batch = codec4.encode_tensor_batch(tensors, scales, 7.0)
-        for packed, tensor, scale in zip(batch, tensors, scales):
-            single = codec4.encode_tensor(tensor, scale, 7.0)
+        dtypes = [np.float64, np.float32, np.float32, np.float64]
+        out = [np.full(t.shape, np.nan, dtype) for t, dtype in zip(tensors, dtypes)]
+        batch = codec.encode_tensor_batch(tensors, scales, threshold, out=out)
+        for packed, tensor, scale, written in zip(batch, tensors, scales, out):
+            single = codec.encode_tensor(tensor, scale, threshold)
             np.testing.assert_array_equal(packed.data, single.data)
             assert packed.scale == single.scale
             assert packed.shape == single.shape
-            np.testing.assert_array_equal(
-                codec4.decode_tensor(packed), codec4.decode_tensor(single)
-            )
+            assert packed.padded == single.padded == bool(tensor.size % 2)
+            decoded = codec.decode_tensor(single)
+            np.testing.assert_array_equal(codec.decode_tensor(packed), decoded)
+            # The write-back is the decode of the stream, cast to the output.
+            np.testing.assert_array_equal(written, decoded.astype(written.dtype))
+        # In place, as a seal writes its own rows back: same bytes and values.
+        again = codec.encode_tensor_batch(tensors, scales, threshold, out=tensors)
+        for packed, first, tensor, written in zip(again, batch, tensors, out):
+            np.testing.assert_array_equal(packed.data, first.data)
+            np.testing.assert_array_equal(tensor, codec.decode_tensor(first))
 
-    def test_encode_batch_rejects_odd_sizes_and_bad_scales(self, codec4):
-        with pytest.raises(EncodingError):
-            codec4.encode_tensor_batch([np.zeros(7)], [1.0], 7.0)
+    def test_encode_batch_rejects_bad_scales_and_outputs(self, codec4):
         with pytest.raises(EncodingError):
             codec4.encode_tensor_batch([np.zeros(8)], [0.0], 7.0)
         with pytest.raises(EncodingError):
             codec4.encode_tensor_batch([np.zeros(8)], [1.0, 2.0], 7.0)
         with pytest.raises(EncodingError):
             codec4.encode_tensor_batch([], [], 7.0)
+        with pytest.raises(EncodingError):
+            codec4.encode_tensor_batch([np.zeros(8)], [1.0], 7.0, out=[])
+        with pytest.raises(EncodingError):
+            codec4.encode_tensor_batch([np.zeros(8)], [1.0], 7.0, out=[np.zeros(6)])

@@ -117,19 +117,19 @@ class TestInjection:
         assert isinstance(failures[0][1], InjectedFault)
         check_refcounts(scheduler)
 
-    def test_pool_decode_error_fires_from_decode_funnel(self, repository):
-        schedule = FaultSchedule((FaultSpec("pool_decode_error", at_count=1),))
+    def test_seal_error_fires_from_pool_tracer(self, repository):
+        schedule = FaultSchedule((FaultSpec("phase_error", phase="seal", at_count=1),))
         scheduler = ContinuousBatchingScheduler(
             repository, num_slots=1, cache_config=packed_config()
         )
         injector = FaultInjector(schedule).attach(scheduler)
-        # A long prompt seals pages mid-prefill and each seal decodes its
-        # pages through decoded_many — the injection funnel — so the very
-        # first decode call fails the prefill pass; the request must still
-        # reach exactly one terminal outcome, as a recorded failure.
+        # A long prompt seals pages mid-prefill and each layer cache enters
+        # the pool tracer's ``seal`` span to do it, so the very first seal
+        # fails the prefill pass; the request must still reach exactly one
+        # terminal outcome, as a recorded failure.
         request = lm_request(np.arange(9), max_new_tokens=6)
         report = drive(scheduler, injector, [request])
-        assert [s.kind for s in injector.fired] == ["pool_decode_error"]
+        assert [s.phase for s in injector.fired] == ["seal"]
         failures = dict(report["failures"])
         assert set(failures) == {request.request_id}
         assert isinstance(failures[request.request_id], InjectedFault)
@@ -137,9 +137,10 @@ class TestInjection:
         check_refcounts(scheduler)
 
     def test_mid_pass_fault_retries_from_rolled_back_caches(self, repository):
-        """A decode fault inside a batched chunk pass leaves this chunk's rows
+        """A seal fault inside a batched chunk pass leaves this chunk's rows
         in the layers the pass already appended; the per-slot retry must
         start from caches rolled back to their length before the pass."""
+        passes = []
 
         def run(schedule):
             scheduler = ContinuousBatchingScheduler(
@@ -149,6 +150,16 @@ class TestInjection:
                 prefill_chunk_tokens=8,
             )
             injector = FaultInjector(schedule).attach(scheduler)
+            prefill_chunk = scheduler._prefill_chunk
+
+            def logged_chunk(slots, take, final):
+                # (slots in the pass, seals entered and faults fired before it)
+                passes.append(
+                    (len(slots), injector.occurrences("seal"), len(injector.fired))
+                )
+                return prefill_chunk(slots, take, final)
+
+            scheduler._prefill_chunk = logged_chunk
             requests = [
                 lm_request(
                     np.random.default_rng(seed).integers(0, VOCAB, size=37),
@@ -166,10 +177,19 @@ class TestInjection:
 
         clean, clean_failures, _ = run(FaultSchedule())
         assert set(clean) == {"r0", "r1"} and not clean_failures
+        num_layers = repository.get(MODEL, WorkloadFamily.LM).model.config.num_layers
+        assert num_layers >= 2
+        passes.clear()
+        # Each layer seals both slots' chunk in turn: the 4th seal is layer
+        # 1's second slot, after layer 0 appended and sealed both.
         streams, failures, injector = run(
-            FaultSchedule((FaultSpec("pool_decode_error", at_count=4),))
+            FaultSchedule((FaultSpec("phase_error", phase="seal", at_count=4),))
         )
-        assert [s.kind for s in injector.fired] == ["pool_decode_error"]
+        assert [(s.kind, s.phase) for s in injector.fired] == [("phase_error", "seal")]
+        # The fault fired inside the first two-slot chunk pass, which then
+        # retried slot by slot; later passes batch both slots again.
+        assert passes[:3] == [(2, 0, 0), (1, 4, 1), (1, 4 + num_layers, 1)]
+        assert passes[3][0] == 2
         # The fault fires once, so both per-slot retries succeed.
         assert not failures
         assert streams == clean
@@ -187,13 +207,17 @@ class TestInjection:
         prompt = np.arange(30) % VOCAB
         scheduler.submit(lm_request(prompt, max_new_tokens=2))
         scheduler.run_until_idle()  # seals and indexes the prompt's pages
-        # The next decode call is layer 0's prefix attach; the second one,
-        # layer 1's, fails after layer 0 already took its page references.
-        schedule = FaultSchedule((FaultSpec("pool_decode_error", at_count=2),))
+        # Only a prefix attach decodes: the next ``pool_decode`` span is
+        # layer 0's attach; the second one, layer 1's, fails after layer 0
+        # already took its page references.
+        schedule = FaultSchedule(
+            (FaultSpec("phase_error", phase="pool_decode", at_count=2),)
+        )
         injector = FaultInjector(schedule).attach(scheduler)
         request = lm_request(np.concatenate([prompt, np.arange(20)]), max_new_tokens=2)
         report = drive(scheduler, injector, [request])
-        assert [s.kind for s in injector.fired] == ["pool_decode_error"]
+        assert [s.phase for s in injector.fired] == ["pool_decode"]
+        assert injector.occurrences("pool_decode") == 2
         assert set(dict(report["failures"])) == {request.request_id}
         check_refcounts(scheduler)
         assert scheduler.page_pool.decoded_cache_bytes == 0
@@ -349,7 +373,7 @@ class TestChaosSuite:
         schedule = FaultSchedule(
             (
                 FaultSpec("phase_error", phase="sample", at_count=2),
-                FaultSpec("pool_decode_error", at_count=3),
+                FaultSpec("phase_error", phase="seal", at_count=3),
             )
         )
         injector = FaultInjector(schedule).attach(engine.lm_scheduler)

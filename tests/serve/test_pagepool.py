@@ -1,8 +1,9 @@
-"""Page-pool tests: refcounts, decode-once rows, prefix sharing, release."""
+"""Page-pool tests: refcounts, seal-time rows, prefix sharing, release."""
 
 import numpy as np
 import pytest
 
+from repro.core.ovp import OVPairCodec
 from repro.models.zoo import build_causal_lm
 from repro.serve.kvcache import (
     KVCacheConfig,
@@ -65,12 +66,36 @@ class TestDecodeOnce:
     def test_pages_decode_once_and_hits_are_bitwise_identical(self):
         pool = PagePool()
         cache = sealed_cache(np.random.default_rng(1), pool=pool)
-        assert pool.decode_misses == 8 and pool.decode_hits == 0  # at seal
+        # A seal writes its rows back from the encoder's codes: no decode.
+        assert pool.pages_registered == 8
+        assert pool.decode_misses == 0 and pool.decode_hits == 0
         k_first, v_first = cache.kv()
         k_again, v_again = cache.kv()
-        assert pool.decode_misses == 8 and pool.decode_hits == 0
+        assert pool.decode_misses == 0 and pool.decode_hits == 0
         np.testing.assert_array_equal(k_first, k_again)
         np.testing.assert_array_equal(v_first, v_again)
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_prefill_that_attaches_nothing_decodes_nothing(self, monkeypatch, bits):
+        calls = []
+        decode_batch = OVPairCodec.decode_tensor_batch
+
+        def counted(self, packed_list):
+            calls.append(len(packed_list))
+            return decode_batch(self, packed_list)
+
+        monkeypatch.setattr(OVPairCodec, "decode_tensor_batch", counted)
+        model = build_causal_lm("gpt2-xl", seed=0)
+        pool = PagePool()
+        cache = cache_for_model(model, KVCacheConfig(bits=bits, page_size=8), pool=pool)
+        tokens = np.random.default_rng(5).integers(0, 96, size=40)
+        # Prefill seals four pages per layer; the decode steps seal a fifth.
+        model.log_probs_incremental(tokens[None, :35], [cache])
+        for position in range(35, 40):
+            model.log_probs_incremental(tokens[None, position:position + 1], [cache])
+        assert pool.pages_registered == 2 * 5 * cache.num_layers
+        assert calls == []
+        assert pool.decode_misses == 0
 
     def test_decoded_values_match_direct_codec_decode(self):
         pool = PagePool()
